@@ -230,34 +230,7 @@ int main() {
   json2.set("speedup_observed", shard_speedup);
   json2.write();
 
-  // ---- dequeue batch size -------------------------------------------
-  // unit_batch amortizes the queue lock per worker; at 8 workers the
-  // difference is the queue contention the batching removed. Output must
-  // be identical either way.
-  bench::section("dequeue batch size (threads=8, cache off)");
-  std::printf("%8s %12s %10s %8s\n", "batch", "total(s)", "alerts", "speedup");
-  bench::rule();
-  double batch1_total = 0;
-  bool batch_consistent = true;
-  for (std::size_t unit_batch : {1u, 8u}) {
-    core::NidsOptions options;
-    options.threads = 8;
-    options.unit_batch = unit_batch;
-    core::NidsEngine nids(options);
-    nids.classifier().honeypots().add_decoy(honeypot);
-    util::WallTimer timer;
-    core::Report report = nids.process_capture(capture);
-    const double total = timer.seconds();
-    if (unit_batch == 1) batch1_total = total;
-    batch_consistent = batch_consistent && report.alerts.size() == base_alerts;
-    std::printf("%8zu %12.3f %10zu %7.2fx\n", unit_batch, total, report.alerts.size(),
-                batch1_total / total);
-  }
-  bench::rule();
-  std::printf("alerts identical across batch sizes: %s\n",
-              batch_consistent ? "yes" : "NO");
-
-  const bool ok = consistent && dup_consistent && shard_consistent &&
-                  batch_consistent && (!floor_enforced || floor_met);
+  const bool ok =
+      consistent && dup_consistent && shard_consistent && (!floor_enforced || floor_met);
   return ok ? 0 : 1;
 }

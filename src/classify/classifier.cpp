@@ -59,13 +59,14 @@ TrafficClassifier::TrafficClassifier(ClassifierOptions options)
     : options_(options),
       dark_space_(options.dark_space_threshold, options.dark_space_max_sources) {}
 
-DarkSpaceCounters& TrafficClassifier::dark_counts() noexcept {
-  return dark_space_.counters();
+TrafficClassifier TrafficClassifier::with_empty_state() const {
+  TrafficClassifier fresh(options_);
+  fresh.honeypots_ = honeypots_;
+  for (const Prefix& p : dark_space_.prefixes()) fresh.dark_space_.add_unused_prefix(p);
+  return fresh;
 }
 
-Verdict TrafficClassifier::observe_into(std::unordered_set<std::uint32_t>& tainted,
-                                        DarkSpaceCounters& counts,
-                                        const net::ParsedPacket& pkt) const {
+Verdict TrafficClassifier::observe(const net::ParsedPacket& pkt) {
   ClassifierMetrics& metrics = classifier_metrics();
   if (options_.analyze_everything) {
     metrics.analyzed.add();
@@ -78,16 +79,16 @@ Verdict TrafficClassifier::observe_into(std::unordered_set<std::uint32_t>& taint
     // "Any sending host emitting traffic destined for a honeypot address
     // is considered suspicious; and any packets sent by such a host will
     // be analyzed."
-    if (tainted.insert(src.value).second) metrics.honeypot_taints.add();
+    if (tainted_.insert(src.value).second) metrics.honeypot_taints.add();
   }
 
   if (options_.use_dark_space && dark_space_.is_unused(pkt.ip.dst)) {
-    if (dark_space_.record_probe_in(counts, src) >= dark_space_.threshold()) {
-      if (tainted.insert(src.value).second) metrics.dark_space_taints.add();
+    if (dark_space_.record_probe(src) >= dark_space_.threshold()) {
+      if (tainted_.insert(src.value).second) metrics.dark_space_taints.add();
     }
   }
 
-  const bool analyze = tainted.contains(src.value);
+  const bool analyze = tainted_.contains(src.value);
   (analyze ? metrics.analyzed : metrics.ignored).add();
   return analyze ? Verdict::kAnalyze : Verdict::kIgnore;
 }

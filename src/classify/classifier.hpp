@@ -8,10 +8,10 @@
 // Configuration vs. state: the honeypot registry, dark prefixes, and
 // options are *configuration* — registered before traffic flows and
 // read-only after. The taint set and the per-source probe counters are
-// *state* — mutated per packet. The sharded engine exploits the split:
-// every shard reads the one shared configuration but owns a private
-// ClassifierState for the sources routed to it, so the packet hot path
-// needs no cross-shard synchronization.
+// *state* — mutated per packet. Each pipeline shard owns one classifier
+// built by with_empty_state() from the engine's configuration, so every
+// source's state has exactly one owner and the packet hot path needs no
+// cross-shard synchronization.
 #pragma once
 
 #include <cstdint>
@@ -66,6 +66,13 @@ class DarkSpaceCounters {
     auto it = counts_.find(src);
     return it == counts_.end() ? 0 : it->second.count;
   }
+  DarkSpaceCounters(DarkSpaceCounters&&) = default;
+  DarkSpaceCounters& operator=(DarkSpaceCounters&&) = default;
+  // Move-only: the map holds iterators into lru_, so a copied table would
+  // splice nodes out of the source's list.
+  DarkSpaceCounters(const DarkSpaceCounters&) = delete;
+  DarkSpaceCounters& operator=(const DarkSpaceCounters&) = delete;
+
   [[nodiscard]] std::size_t size() const noexcept { return counts_.size(); }
   /// Sources evicted to enforce the cap since construction.
   [[nodiscard]] std::size_t evictions() const noexcept { return evictions_; }
@@ -82,13 +89,11 @@ class DarkSpaceCounters {
 };
 
 /// Dark-space scheme: the prefix list and threshold are configuration;
-/// the probe counters are state. The embedded counter table serves the
-/// classic single-state API (record_probe/count); shards hold their own
-/// DarkSpaceCounters and record through record_probe_in.
+/// the probe counters are state.
 class DarkSpaceDetector {
  public:
   explicit DarkSpaceDetector(std::size_t threshold = 5, std::size_t max_sources = 0)
-      : threshold_(threshold), max_sources_(max_sources), counters_(max_sources) {}
+      : threshold_(threshold), counters_(max_sources) {}
 
   void add_unused_prefix(Prefix p) { prefixes_.push_back(p); }
   [[nodiscard]] bool is_unused(net::Ipv4Addr addr) const {
@@ -97,34 +102,24 @@ class DarkSpaceDetector {
     }
     return false;
   }
+  [[nodiscard]] const std::vector<Prefix>& prefixes() const noexcept { return prefixes_; }
 
   /// Record one probe to an unused address; returns the source's count n.
   std::size_t record_probe(net::Ipv4Addr src) { return counters_.increment(src.value); }
-  /// Record into external (shard-owned) counters; configuration is only
-  /// read, so concurrent shards may call this with disjoint `counters`.
-  std::size_t record_probe_in(DarkSpaceCounters& counters, net::Ipv4Addr src) const {
-    return counters.increment(src.value);
-  }
 
   [[nodiscard]] std::size_t count(net::Ipv4Addr src) const {
     return counters_.count(src.value);
   }
   [[nodiscard]] std::size_t threshold() const noexcept { return threshold_; }
-  /// Evictions from the embedded counter table (single-state API).
+  /// Sources with a live probe counter (bounded by the cap).
+  [[nodiscard]] std::size_t tracked_sources() const noexcept { return counters_.size(); }
+  /// Sources evicted to enforce the counter cap.
   [[nodiscard]] std::size_t evictions() const noexcept { return counters_.evictions(); }
-  /// A fresh counter table sized by this detector's cap (shard setup).
-  [[nodiscard]] DarkSpaceCounters make_counters() const {
-    return DarkSpaceCounters(max_sources_);
-  }
-  /// The embedded counter table itself (the single-state engine path
-  /// records into it and reads its eviction count per capture).
-  [[nodiscard]] DarkSpaceCounters& counters() noexcept { return counters_; }
 
  private:
   std::size_t threshold_;
-  std::size_t max_sources_;
   std::vector<Prefix> prefixes_;
-  DarkSpaceCounters counters_;  // embedded default state
+  DarkSpaceCounters counters_;
 };
 
 enum class Verdict : std::uint8_t { kIgnore, kAnalyze };
@@ -143,60 +138,36 @@ struct ClassifierOptions {
   bool analyze_everything = false;
 };
 
-/// Per-shard mutable classification state: the taint set plus dark-space
-/// probe counters for the sources one shard owns. Obtain via
-/// TrafficClassifier::make_state() so the counter cap matches the
-/// configured option.
-struct ClassifierState {
-  std::unordered_set<std::uint32_t> tainted;
-  DarkSpaceCounters dark_counts;
-};
-
 /// Stateful classifier. observe() must see every packet in order; it
 /// returns the verdict for that packet. Sources stay tainted for the
 /// remainder of the run (the paper takes "further action ... against the
 /// offending IP address").
 ///
 /// Two usage shapes:
-///  - Single-state (observe/check/is_tainted): state lives inside the
-///    classifier — the 1-shard engine and LiveSession path.
-///  - Shard-external (make_state + observe_in/check_in, all const on the
-///    classifier): configuration is shared read-only across shards, each
-///    of which mutates only its own ClassifierState. Safe concurrently
-///    as long as no configuration mutator runs while traffic flows.
+///  - Configuration: register decoys and dark prefixes on the engine's
+///    classifier (NidsEngine::classifier()) before traffic flows. The
+///    engine never feeds that instance.
+///  - State: every pipeline shard owns a with_empty_state() copy and is
+///    its only caller, so one thread owns each source's taint and probe
+///    counts. A standalone classifier works the same way.
 class TrafficClassifier {
  public:
   explicit TrafficClassifier(ClassifierOptions options = ClassifierOptions{});
 
+  /// This classifier's configuration (options, decoys, dark prefixes)
+  /// with no taint and no probe counts.
+  [[nodiscard]] TrafficClassifier with_empty_state() const;
+
   HoneypotRegistry& honeypots() noexcept { return honeypots_; }
   DarkSpaceDetector& dark_space() noexcept { return dark_space_; }
 
-  Verdict observe(const net::ParsedPacket& pkt) {
-    return observe_into(tainted_, dark_counts(), pkt);
-  }
+  Verdict observe(const net::ParsedPacket& pkt);
 
   /// Verdict without state update (used for reassembled datagrams, whose
   /// fragments were already observed individually).
   [[nodiscard]] Verdict check(const net::ParsedPacket& pkt) const {
     if (options_.analyze_everything) return Verdict::kAnalyze;
     return tainted_.contains(pkt.ip.src.value) ? Verdict::kAnalyze : Verdict::kIgnore;
-  }
-
-  /// Fresh shard-local state with the configured dark-counter cap.
-  [[nodiscard]] ClassifierState make_state() const {
-    return ClassifierState{{}, dark_space_.make_counters()};
-  }
-  /// observe() against external state; const because only `state` and the
-  /// process-wide metric counters are mutated.
-  Verdict observe_in(ClassifierState& state, const net::ParsedPacket& pkt) const {
-    return observe_into(state.tainted, state.dark_counts, pkt);
-  }
-  /// check() against external state.
-  [[nodiscard]] Verdict check_in(const ClassifierState& state,
-                                 const net::ParsedPacket& pkt) const {
-    if (options_.analyze_everything) return Verdict::kAnalyze;
-    return state.tainted.contains(pkt.ip.src.value) ? Verdict::kAnalyze
-                                                    : Verdict::kIgnore;
   }
 
   [[nodiscard]] bool is_tainted(net::Ipv4Addr src) const {
@@ -206,14 +177,10 @@ class TrafficClassifier {
   [[nodiscard]] const ClassifierOptions& options() const noexcept { return options_; }
 
  private:
-  Verdict observe_into(std::unordered_set<std::uint32_t>& tainted,
-                       DarkSpaceCounters& counts, const net::ParsedPacket& pkt) const;
-  DarkSpaceCounters& dark_counts() noexcept;
-
   ClassifierOptions options_;
   HoneypotRegistry honeypots_;
   DarkSpaceDetector dark_space_;
-  std::unordered_set<std::uint32_t> tainted_;  // embedded default state
+  std::unordered_set<std::uint32_t> tainted_;
 };
 
 }  // namespace senids::classify

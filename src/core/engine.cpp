@@ -336,22 +336,17 @@ NidsEngine::~NidsEngine() = default;
 void NidsEngine::ensure_shards() {
   if (!shards_.empty()) return;
   const std::size_t n = std::max<std::size_t>(1, options_.shards);
-  // A lone shard routes verdicts through the classifier's embedded state
-  // (own_state == false) so classifier().is_tainted() keeps observing
-  // what single-shard runs always exposed.
-  const bool own_state = n > 1;
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<PipelineShard>(i, options_, classifier_, own_state));
+    // A lone shard feeds the unlabelled series only.
+    const std::optional<std::size_t> label = n > 1 ? std::optional(i) : std::nullopt;
+    shards_.push_back(std::make_unique<PipelineShard>(options_, classifier_, label));
   }
 }
 
 bool NidsEngine::is_tainted(net::Ipv4Addr src) const {
-  if (classifier_.is_tainted(src)) return true;
-  for (const auto& shard : shards_) {
-    if (shard->is_tainted(src)) return true;
-  }
-  return false;
+  return std::any_of(shards_.begin(), shards_.end(),
+                     [src](const auto& shard) { return shard->is_tainted(src); });
 }
 
 NidsEngine::NidsEngine(NidsOptions options, std::vector<semantic::Template> templates)
@@ -783,33 +778,29 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
         // Long-running consumer: drain units until the producers close
         // the queue, then merge local results once. Each worker owns a
         // private AnalysisContext (no shared extractor/analyzer state on
-        // the hot path) and dequeues up to unit_batch units per lock
-        // acquisition; verdicts are per-unit and the report is fully
-        // sorted, so neither can change the output.
+        // the hot path); verdicts are per-unit and the report is fully
+        // sorted, so scheduling cannot change the output.
         obs::WorkerSlot& wslot = obs::WorkerTable::instance().slot("worker", i);
         wslot.begin_run();
         NidsStats local;
         std::vector<Alert> alerts;
         AnalysisContext ctx = make_analysis_context();
-        std::vector<Unit> batch;
         for (;;) {
-          // Blocked in pop_batch is *idle* (starved for input); everything
+          // Blocked in pop is *idle* (starved for input); everything
           // between dequeue and the next pop is *busy*.
           util::WallTimer idle_timer;
-          const std::size_t popped = queue.pop_batch(batch, options_.unit_batch);
+          std::optional<Unit> unit = queue.pop();
           wslot.add_idle(idle_timer.seconds());
-          if (popped == 0) break;
+          if (!unit) break;
           wslot.heartbeat();
-          util::WallTimer busy_timer;
-          for (Unit& unit : batch) {
-            util::WallTimer unit_timer;
-            auto found = analyze_payload(ctx, unit.payload, unit.meta, &local, unit.unit_id);
-            local.analysis_seconds += unit_timer.seconds();
-            alerts.insert(alerts.end(), std::make_move_iterator(found.begin()),
-                          std::make_move_iterator(found.end()));
-          }
-          wslot.add_busy(busy_timer.seconds());
-          wslot.add_units(batch.size());
+          util::WallTimer unit_timer;
+          auto found = analyze_payload(ctx, unit->payload, unit->meta, &local, unit->unit_id);
+          const double unit_seconds = unit_timer.seconds();
+          local.analysis_seconds += unit_seconds;
+          alerts.insert(alerts.end(), std::make_move_iterator(found.begin()),
+                        std::make_move_iterator(found.end()));
+          wslot.add_busy(unit_seconds);
+          wslot.add_units(1);
         }
         merge_point.merge(std::move(alerts), local);
         wslot.end_run();
@@ -863,7 +854,7 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
     // the caller's stage-(a) wall minus any inline analysis it triggered.
     util::WallTimer classify_timer;
     for (const pcap::Record& rec : capture.records) {
-      shards_[0]->process_record(rec, sinks[0]);
+      shards_[0]->process_record(rec.data, rec.ts_sec, rec.ts_usec, sinks[0]);
     }
     shards_[0]->finish_capture(sinks[0]);
     shards_[0]->stats().classify_seconds = classify_timer.seconds() - inline_analysis[0];
@@ -905,7 +896,9 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
             if (!batch) break;
             sslot.heartbeat();
             util::WallTimer batch_timer;
-            for (const pcap::Record* rec : *batch) shard.process_record(*rec, sinks[si]);
+            for (const pcap::Record* rec : *batch) {
+              shard.process_record(rec->data, rec->ts_sec, rec->ts_usec, sinks[si]);
+            }
             const double busy = batch_timer.seconds();
             wall += busy;
             sslot.add_busy(busy);

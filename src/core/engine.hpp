@@ -10,17 +10,17 @@
 // sources routed to it — per-source dark-space probe counting and
 // 5-tuple flow reassembly (the flow key includes the source) stay
 // correct within one shard with no cross-shard synchronization on the
-// hot path. With shards == 1 (the default) stage (a) runs directly on
-// the calling thread, exactly the pre-shard layout.
+// hot path. With shards == 1 (the default) the one shard runs directly
+// on the calling thread. A LiveSession is the same stage (a): one shard
+// driven frame by frame.
 //
 // Each suspicious payload or reassembled stream becomes an analysis
 // unit handed through one bounded queue to a pool of workers running
 // stages (b)-(e) — pure functions of one unit — *while* classification
 // continues. Each worker owns a private AnalysisContext (its own
 // extractor and analyzer sharing the engine's immutable template
-// library, plus reusable scratch buffers), dequeues units in batches
-// (NidsOptions::unit_batch) to amortize the queue lock, and merges its
-// results once at the end — the per-unit hot loop touches no
+// library, plus reusable scratch buffers), dequeues one unit at a time,
+// and merges its results once at the end — the per-unit hot loop touches no
 // cross-worker mutable state beyond the sharded obs counters and the
 // internally synchronized verdict cache. The queue bounds both unit
 // count and queued bytes, so a traffic burst backpressures the
@@ -80,13 +80,6 @@ struct NidsOptions {
   /// shards == 1). With threads > 1, a pool of that many workers drains
   /// one shared unit queue.
   std::size_t threads = 1;
-  /// Units each analysis worker dequeues per queue-lock acquisition
-  /// (threads > 1 only). Batching amortizes the queue mutex and the
-  /// producer wakeup over the batch instead of paying them per unit;
-  /// 1 = the classic pop-per-unit loop. Verdicts are independent per
-  /// unit and reports are fully sorted, so the batch size can never
-  /// change the report (pinned by tests/parallel_analysis_test.cpp).
-  std::size_t unit_batch = 8;
   /// Stage-(a) pipeline shards. Records are routed to shards by a
   /// source-IP hash, and each shard owns its classifier state /
   /// defragmenter / flow table, so classification scales with cores
@@ -297,16 +290,18 @@ class NidsEngine {
   NidsEngine& operator=(NidsEngine&&) noexcept;
   ~NidsEngine();
 
-  /// Stateful classifier (register honeypots / dark prefixes here —
-  /// that part is shared, read-only configuration for every shard). Its
-  /// *embedded* taint/count state is only fed by single-shard runs; with
-  /// shards > 1 that state lives per shard, so query taint through
-  /// is_tainted() below rather than classifier().is_tainted().
+  /// The classifier configuration every shard starts from: register
+  /// honeypots and dark prefixes here before the first process_capture()
+  /// or LiveSession. Each shard (and each session's shard) classifies
+  /// with its own with_empty_state() copy, built when the shard is
+  /// created, so registrations made later are not seen. The engine never
+  /// feeds this instance; ask is_tainted() below for classification
+  /// results.
   classify::TrafficClassifier& classifier() noexcept { return classifier_; }
 
-  /// Whether any shard (or the classifier's embedded state) has tainted
-  /// `src`. The shard-count-independent way to ask "did classification
-  /// flag this source".
+  /// Whether any of process_capture()'s shards has tainted `src` — the
+  /// shard-count-independent way to ask "did classification flag this
+  /// source". Sessions keep their own taint.
   [[nodiscard]] bool is_tainted(net::Ipv4Addr src) const;
 
   /// Run the full pipeline over a capture (streaming: analysis workers
@@ -361,7 +356,7 @@ class NidsEngine {
  private:
   /// Create the stage-(a) shards on first use (lazily, so honeypot /
   /// dark-prefix registration between construction and the first capture
-  /// is visible to every shard's view of the configuration).
+  /// is copied into every shard's classifier).
   void ensure_shards();
 
   NidsOptions options_;
@@ -371,7 +366,7 @@ class NidsEngine {
   std::unique_ptr<cache::VerdictCache> verdict_cache_;
   std::unique_ptr<triage::TriageFilter> triage_;
   /// Stage-(a) shards; persist across captures (taint state outlives a
-  /// capture, like the classifier's embedded state always has).
+  /// capture).
   std::vector<std::unique_ptr<PipelineShard>> shards_;
 };
 

@@ -1,22 +1,14 @@
 #include "core/session.hpp"
 
-#include <chrono>
-#include <optional>
+#include <atomic>
 
-#include "core/pipeline_obs.hpp"
-#include "obs/trace.hpp"
+#include "obs/pipeline.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace senids::core {
 
 namespace {
-
-using SteadyClock = std::chrono::steady_clock;
-
-double seconds_since(SteadyClock::time_point start) {
-  return std::chrono::duration<double>(SteadyClock::now() - start).count();
-}
 
 /// Each session claims the next "session" attribution slot; sessions are
 /// long-lived (one per capture worker), so indices stay small.
@@ -31,12 +23,19 @@ obs::WorkerSlot& claim_session_slot() {
 LiveSession::LiveSession(NidsEngine& engine, AlertSink sink)
     : engine_(engine),
       ctx_(engine.make_analysis_context()),
+      shard_(engine.options(), engine.classifier()),
+      unit_sink_([this](util::Bytes payload, const Alert& meta, std::uint64_t unit_id) {
+        util::WallTimer unit_timer;
+        NidsStats& stats = shard_.stats();
+        for (const Alert& alert : engine_.analyze_payload(ctx_, payload, meta, &stats, unit_id)) {
+          ++alerts_emitted_;
+          if (sink_) sink_(alert);
+        }
+        stats.analysis_seconds += unit_timer.seconds();
+      }),
       worker_slot_(claim_session_slot()),
-      sink_(std::move(sink)),
-      dark_evictions_base_(engine.classifier().dark_space().evictions()),
-      defrag_(engine.options().defrag_max_buffered_bytes) {
-  flows_.set_metrics(&flow_table_metrics());
-  defrag_.set_metrics(&defrag_metrics());
+      sink_(std::move(sink)) {
+  shard_.begin_capture();
   obs::pipeline_metrics().flow_table_max_flows->set(
       static_cast<std::int64_t>(engine.options().max_flows));
   worker_slot_.begin_run();
@@ -44,96 +43,7 @@ LiveSession::LiveSession(NidsEngine& engine, AlertSink sink)
 
 LiveSession::~LiveSession() { worker_slot_.end_run(); }
 
-void LiveSession::analyze_unit(util::ByteView payload, const Alert& meta,
-                               std::uint64_t unit_id) {
-  util::WallTimer unit_timer;
-  for (const Alert& alert : engine_.analyze_payload(ctx_, payload, meta, &stats_, unit_id)) {
-    ++alerts_emitted_;
-    if (sink_) sink_(alert);
-  }
-  stats_.analysis_seconds += unit_timer.seconds();
-}
-
-bool LiveSession::stream_full(const FlowState& state) const {
-  return state.reassembler.truncated() ||
-         state.reassembler.stream().size() >= engine_.options().max_stream_bytes;
-}
-
-void LiveSession::flush_flow(FlowState& state) {
-  obs::PipelineMetrics& pm = obs::pipeline_metrics();
-  obs::Tracer& tracer = obs::Tracer::instance();
-  const bool tracing = obs::Tracer::enabled();
-  const bool clocked = obs::metrics_enabled() || tracing;
-  if (stream_full(state)) {
-    ++stats_.streams_truncated;
-    pm.streams_truncated->add();
-  }
-  double reassemble_seconds = state.reassemble_seconds;
-  state.reassemble_seconds = 0.0;
-  const SteadyClock::time_point t0 =
-      clocked ? SteadyClock::now() : SteadyClock::time_point{};
-  const util::Bytes stream = state.reassembler.take_stream();
-  if (clocked) reassemble_seconds += seconds_since(t0);
-  if (stream.empty()) return;
-  const std::uint64_t unit_id = tracing ? tracer.next_unit_id() : 0;
-  constexpr auto kReassemble = static_cast<std::size_t>(obs::Stage::kReassemble);
-  pm.stage_seconds[kReassemble]->observe(reassemble_seconds);
-  fold_stage(stats_.stages[kReassemble], reassemble_seconds);
-  if (tracing) {
-    const auto dur = static_cast<std::uint64_t>(reassemble_seconds * 1e6);
-    const std::uint64_t now = tracer.now_us();
-    tracer.record({obs::stage_name(obs::Stage::kReassemble).data(), unit_id,
-                   now >= dur ? now - dur : 0, dur, stream.size(), 0});
-  }
-  analyze_unit(stream, state.meta, unit_id);
-}
-
-void LiveSession::dispatch(net::ParsedPacket& pkt) {
-  const bool clocked = obs::metrics_enabled() || obs::Tracer::enabled();
-  Alert meta;
-  meta.ts_sec = pkt.ts_sec;
-  meta.src = pkt.ip.src;
-  meta.dst = pkt.ip.dst;
-  meta.src_port = pkt.src_port();
-  meta.dst_port = pkt.dst_port();
-
-  const NidsOptions& options = engine_.options();
-  if (pkt.transport == net::Transport::kTcp && options.reassemble_tcp) {
-    auto flush_sink = [this](const net::FlowKey&, FlowState& state) { flush_flow(state); };
-    if (options.flow_idle_timeout_sec) {
-      stats_.flows_evicted_idle +=
-          flows_.evict_idle(pkt.ts_sec, options.flow_idle_timeout_sec, flush_sink);
-    }
-    const net::FlowKey key = net::FlowKey::of(pkt);
-    auto [state, created] = flows_.touch(key, pkt.ts_sec, options.max_stream_bytes);
-    if (created) {
-      // Pin alert metadata to the flow's first suspicious segment.
-      state->meta = meta;
-      if (options.max_flows && flows_.size() > options.max_flows &&
-          flows_.evict_oldest(flush_sink)) {
-        ++stats_.flows_evicted_overflow;
-      }
-    }
-    const SteadyClock::time_point t0 =
-        clocked ? SteadyClock::now() : SteadyClock::time_point{};
-    state->reassembler.feed(pkt.tcp.seq, pkt.tcp.flags, pkt.payload);
-    if (clocked) state->reassemble_seconds += seconds_since(t0);
-    if (state->reassembler.closed() || stream_full(*state)) {
-      flush_flow(*state);
-      flows_.erase(key);
-    }
-  } else if (!pkt.payload.empty()) {
-    const bool tracing = obs::Tracer::enabled();
-    analyze_unit(pkt.payload, meta,
-                 tracing ? obs::Tracer::instance().next_unit_id() : 0);
-  }
-}
-
 void LiveSession::feed(util::ByteView frame, std::uint32_t ts_sec, std::uint32_t ts_usec) {
-  obs::PipelineMetrics& pm = obs::pipeline_metrics();
-  obs::Tracer& tracer = obs::Tracer::instance();
-  const bool tracing = obs::Tracer::enabled();
-  const bool clocked = obs::metrics_enabled() || tracing;
   // Attribution: the gap since the previous feed returned is the caller
   // thread waiting for traffic (idle); the body of feed() is busy.
   const std::uint64_t feed_start_ns = obs::WorkerTable::instance().now_ns();
@@ -141,71 +51,21 @@ void LiveSession::feed(util::ByteView frame, std::uint32_t ts_sec, std::uint32_t
     worker_slot_.add_idle(static_cast<double>(feed_start_ns - last_feed_end_ns_) * 1e-9);
   }
   worker_slot_.heartbeat();
-  const std::size_t units_before = stats_.units_analyzed;
-  ++stats_.packets;
-  pm.packets->add();
-  const SteadyClock::time_point pkt_start =
-      clocked ? SteadyClock::now() : SteadyClock::time_point{};
-
-  // Parse + classifier verdict (+ defragmentation); mirrors the batch
-  // engine's stage-(a) loop so live and offline runs report identically.
-  auto classify_one = [&]() -> std::optional<net::ParsedPacket> {
-    auto pkt = net::parse_frame(frame, ts_sec, ts_usec);
-    if (!pkt) {
-      ++stats_.non_ip;
-      return std::nullopt;
-    }
-    const classify::Verdict verdict = engine_.classifier().observe(*pkt);
-
-    if (pkt->transport == net::Transport::kFragment) {
-      auto datagram = defrag_.feed(pkt->ip, pkt->payload);
-      // The defragmenter lives for the whole session; its cumulative drop
-      // count is this session's.
-      stats_.defrag_dropped = defrag_.dropped();
-      if (!datagram) return std::nullopt;
-      auto whole =
-          net::parse_reassembled(datagram->header, datagram->payload, ts_sec, ts_usec);
-      if (!whole) return std::nullopt;
-      if (engine_.classifier().check(*whole) != classify::Verdict::kAnalyze) {
-        return std::nullopt;
-      }
-      return whole;
-    }
-
-    if (verdict != classify::Verdict::kAnalyze) return std::nullopt;
-    return pkt;
-  };
-  auto suspicious = classify_one();
-  stats_.dark_sources_evicted =
-      engine_.classifier().dark_space().evictions() - dark_evictions_base_;
-  const double classify_seconds = clocked ? seconds_since(pkt_start) : 0.0;
-  constexpr auto kClassify = static_cast<std::size_t>(obs::Stage::kClassify);
-  pm.stage_seconds[kClassify]->observe(classify_seconds);
-  fold_stage(stats_.stages[kClassify], classify_seconds);
-  if (tracing && suspicious) {
-    const auto dur = static_cast<std::uint64_t>(classify_seconds * 1e6);
-    const std::uint64_t now = tracer.now_us();
-    tracer.record({obs::stage_name(obs::Stage::kClassify).data(), 0,
-                   now >= dur ? now - dur : 0, dur, frame.size(), 0});
-  }
-  const double analysis_before = stats_.analysis_seconds;
-  if (suspicious) {
-    ++stats_.suspicious_packets;
-    pm.suspicious_packets->add();
-    dispatch(*suspicious);
-  }
+  NidsStats& stats = shard_.stats();
+  const std::size_t units_before = stats.units_analyzed;
+  const double analysis_before = stats.analysis_seconds;
+  shard_.process_record(frame, ts_sec, ts_usec, unit_sink_);
+  last_feed_end_ns_ = obs::WorkerTable::instance().now_ns();
+  const double busy =
+      last_feed_end_ns_ > feed_start_ns
+          ? static_cast<double>(last_feed_end_ns_ - feed_start_ns) * 1e-9
+          : 0.0;
+  worker_slot_.add_busy(busy);
   // Whole-feed caller wall minus the inline analysis it triggered: the
   // same stage-(a) definition the batch engine reports.
-  if (clocked) {
-    stats_.classify_seconds +=
-        seconds_since(pkt_start) - (stats_.analysis_seconds - analysis_before);
-  }
-  last_feed_end_ns_ = obs::WorkerTable::instance().now_ns();
-  if (last_feed_end_ns_ > feed_start_ns) {
-    worker_slot_.add_busy(static_cast<double>(last_feed_end_ns_ - feed_start_ns) * 1e-9);
-  }
-  if (stats_.units_analyzed > units_before) {
-    worker_slot_.add_units(stats_.units_analyzed - units_before);
+  stats.classify_seconds += busy - (stats.analysis_seconds - analysis_before);
+  if (stats.units_analyzed > units_before) {
+    worker_slot_.add_units(stats.units_analyzed - units_before);
   }
   maybe_log_metrics(ts_sec);
 }
@@ -219,22 +79,21 @@ void LiveSession::maybe_log_metrics(std::uint32_t ts_sec) {
   }
   if (ts_sec < next_metrics_log_ts_) return;
   next_metrics_log_ts_ = ts_sec + interval;
-  util::log_info() << "session metrics: packets=" << stats_.packets
-                   << " suspicious=" << stats_.suspicious_packets
-                   << " units=" << stats_.units_analyzed
-                   << " frames=" << stats_.frames_extracted
-                   << " alerts=" << alerts_emitted_ << " flows=" << flows_.size()
-                   << " truncated=" << stats_.streams_truncated
-                   << " cache_hits=" << stats_.cache_hits
-                   << " cache_misses=" << stats_.cache_misses
-                   << " classify_s=" << stats_.classify_seconds
-                   << " analysis_s=" << stats_.analysis_seconds;
+  const NidsStats& s = stats();
+  util::log_info() << "session metrics: packets=" << s.packets
+                   << " suspicious=" << s.suspicious_packets
+                   << " units=" << s.units_analyzed << " frames=" << s.frames_extracted
+                   << " alerts=" << alerts_emitted_ << " flows=" << shard_.live_flows()
+                   << " truncated=" << s.streams_truncated << " cache_hits=" << s.cache_hits
+                   << " cache_misses=" << s.cache_misses
+                   << " classify_s=" << s.classify_seconds
+                   << " analysis_s=" << s.analysis_seconds;
 }
 
 void LiveSession::finish() {
   util::WallTimer drain_timer;
   worker_slot_.heartbeat();
-  flows_.drain([this](const net::FlowKey&, FlowState& state) { flush_flow(state); });
+  shard_.finish_capture(unit_sink_);
   worker_slot_.add_busy(drain_timer.seconds());
   last_feed_end_ns_ = obs::WorkerTable::instance().now_ns();
 }

@@ -1,23 +1,30 @@
 // Streaming analysis session: the deployment-shaped interface. Feed
-// frames as they arrive; alerts come back incrementally. Holds all
-// stage-(a) state (classifier taint, TCP reassembly, IP defragmentation)
-// across calls, with the same bounded flow table the batch engine uses:
-// idle flows time out, the live-flow count is capped, and over-long
-// streams are flushed truncated — a session pinned to live traffic can
-// run indefinitely with bounded memory.
+// frames as they arrive; alerts come back incrementally. A session is one
+// PipelineShard (classifier taint, IP defragmentation, TCP reassembly —
+// the same stage (a) the batch engine runs) driven frame by frame, plus
+// one AnalysisContext that analyzes each unit inline. Its flow table is
+// bounded like the engine's: idle flows time out, the live-flow count is
+// capped, and over-long streams are flushed truncated — a session pinned
+// to live traffic can run indefinitely with bounded memory.
 //
 // Threading model (checked in the concurrency-safety audit, DESIGN.md
 // "Concurrency safety"): a LiveSession is deliberately lock-free by
 // being thread-confined — all state is owned by the one thread calling
-// feed()/finish(), so there is nothing for GUARDED_BY to guard. Run one
-// session per worker thread for parallel deployments; sharing one
-// session across threads is a data race by contract.
+// feed()/finish(), so there is nothing for GUARDED_BY to guard. Sharing
+// one session across threads is a data race by contract. Several
+// sessions may run on one engine from several threads: each owns its
+// classifier state and shares only the engine's read-only configuration
+// and internally synchronized verdict cache. Per-source classification
+// (honeypot taint, dark-space probe counts) is only complete when every
+// frame of a source reaches the same session, so route frames to
+// sessions by shard_index_for(src, sessions) as the engine routes them
+// to its shards.
 #pragma once
 
 #include <functional>
 
 #include "core/engine.hpp"
-#include "net/defrag.hpp"
+#include "core/shard.hpp"
 #include "obs/workers.hpp"
 
 namespace senids::core {
@@ -27,12 +34,15 @@ class LiveSession {
   /// Called for every alert as soon as its analysis unit completes.
   using AlertSink = std::function<void(const Alert&)>;
 
-  /// The engine must outlive the session. Analysis runs inline (the
-  /// session is single-threaded by design; run one session per worker for
-  /// parallel deployments). Flow eviction follows the engine's
+  /// The engine must outlive the session, and its classifier
+  /// configuration must be registered before the session is constructed.
+  /// Analysis runs inline. Flow eviction follows the engine's
   /// flow_idle_timeout_sec / max_flows / max_stream_bytes options.
   LiveSession(NidsEngine& engine, AlertSink sink);
   ~LiveSession();
+  // The unit sink captures `this`.
+  LiveSession(const LiveSession&) = delete;
+  LiveSession& operator=(const LiveSession&) = delete;
 
   /// Feed one captured Ethernet frame.
   void feed(util::ByteView frame, std::uint32_t ts_sec = 0, std::uint32_t ts_usec = 0);
@@ -40,14 +50,12 @@ class LiveSession {
   /// Flush flows that never closed (end of capture / shutdown).
   void finish();
 
-  [[nodiscard]] const NidsStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const NidsStats& stats() const noexcept { return shard_.stats(); }
 
   /// Alerts delivered to the sink so far.
   [[nodiscard]] std::size_t alerts_emitted() const noexcept { return alerts_emitted_; }
 
  private:
-  void analyze_unit(util::ByteView payload, const Alert& meta, std::uint64_t unit_id);
-  void dispatch(net::ParsedPacket& pkt);
   /// Periodic one-line metrics snapshot through util::Log, driven by
   /// capture time (NidsOptions::metrics_log_interval_sec; 0 = off).
   void maybe_log_metrics(std::uint32_t ts_sec);
@@ -57,29 +65,16 @@ class LiveSession {
   /// worker, so it holds one context for its lifetime instead of paying
   /// a fresh extractor/analyzer/scratch allocation per unit.
   AnalysisContext ctx_;
+  PipelineShard shard_;
+  /// Analyzes each unit the shard forms, inline, into shard_.stats().
+  PipelineShard::UnitSink unit_sink_;
   /// Worker-attribution slot ("session", N): busy is the wall inside
   /// feed()/finish(), idle the gaps between feeds on the caller thread.
   obs::WorkerSlot& worker_slot_;
   std::uint64_t last_feed_end_ns_ = 0;
   AlertSink sink_;
-  NidsStats stats_;
   std::size_t alerts_emitted_ = 0;
   std::uint32_t next_metrics_log_ts_ = 0;
-  /// Classifier dark-space evictions at construction: the classifier can
-  /// outlive (and predate) this session, so stats_ reports the delta.
-  std::size_t dark_evictions_base_ = 0;
-
-  struct FlowState {
-    net::TcpReassembler reassembler;
-    Alert meta;
-    double reassemble_seconds = 0.0;  // accrued per feed, emitted at flush
-    explicit FlowState(std::size_t cap) : reassembler(cap, cap) {}
-  };
-  [[nodiscard]] bool stream_full(const FlowState& state) const;
-  void flush_flow(FlowState& state);
-
-  net::BoundedFlowTable<FlowState> flows_;
-  net::Defragmenter defrag_;
 };
 
 }  // namespace senids::core

@@ -18,48 +18,29 @@ double seconds_since(SteadyClock::time_point start) {
 
 }  // namespace
 
-PipelineShard::PipelineShard(std::size_t index, const NidsOptions& options,
-                             classify::TrafficClassifier& classifier, bool own_state)
-    : index_(index),
-      options_(options),
-      classifier_(classifier),
+PipelineShard::PipelineShard(const NidsOptions& options,
+                             const classify::TrafficClassifier& config,
+                             std::optional<std::size_t> label)
+    : options_(options),
+      classifier_(config.with_empty_state()),
       defrag_(options.defrag_max_buffered_bytes) {
-  if (own_state) {
-    state_ = classifier_.make_state();
-    // Multi-shard runs get labelled shard="<i>" series; the flow gauge is
-    // per shard, the created/evicted counters stay process-wide families.
-    shard_ = obs::shard_metrics(index_);
+  if (label) {
+    // Labelled shard="<i>" series; the flow gauge is per shard, the
+    // created/evicted counters stay process-wide families.
+    shard_ = obs::shard_metrics(*label);
     obs::PipelineMetrics& pm = obs::pipeline_metrics();
     flow_metrics_ = net::FlowTableMetrics{shard_.flows, pm.flows_created,
                                           pm.flows_evicted_idle, pm.flows_evicted_overflow};
   }
 }
 
-classify::Verdict PipelineShard::observe(const net::ParsedPacket& pkt) {
-  return state_ ? classifier_.observe_in(*state_, pkt) : classifier_.observe(pkt);
-}
-
-classify::Verdict PipelineShard::check(const net::ParsedPacket& pkt) const {
-  return state_ ? classifier_.check_in(*state_, pkt) : classifier_.check(pkt);
-}
-
-std::size_t PipelineShard::dark_evictions() const {
-  return state_ ? state_->dark_counts.evictions() : classifier_.dark_space().evictions();
-}
-
-bool PipelineShard::is_tainted(net::Ipv4Addr src) const {
-  return state_ ? state_->tainted.contains(src.value) : classifier_.is_tainted(src);
-}
-
 void PipelineShard::begin_capture() {
   flows_ = net::BoundedFlowTable<FlowState>{};
-  flows_.set_metrics(state_ ? &flow_metrics_ : &flow_table_metrics());
+  flows_.set_metrics(shard_.flows ? &flow_metrics_ : &flow_table_metrics());
   defrag_ = net::Defragmenter(options_.defrag_max_buffered_bytes);
   defrag_.set_metrics(&defrag_metrics());
   stats_ = NidsStats{};
-  dark_evictions_base_ = dark_evictions();
-  tracing_ = obs::Tracer::enabled();
-  clocked_ = obs::metrics_enabled() || tracing_;
+  dark_evictions_base_ = classifier_.dark_space().evictions();
 }
 
 void PipelineShard::record_stage(obs::Stage stage, double seconds, std::uint64_t unit_id,
@@ -141,23 +122,26 @@ void PipelineShard::dispatch(net::ParsedPacket& pkt, const UnitSink& sink) {
   }
 }
 
-std::optional<net::ParsedPacket> PipelineShard::classify_one(const pcap::Record& rec) {
-  auto pkt = net::parse_frame(rec.data, rec.ts_sec, rec.ts_usec);
+std::optional<net::ParsedPacket> PipelineShard::classify_one(util::ByteView frame,
+                                                              std::uint32_t ts_sec,
+                                                              std::uint32_t ts_usec) {
+  auto pkt = net::parse_frame(frame, ts_sec, ts_usec);
   if (!pkt) {
     ++stats_.non_ip;
     return std::nullopt;
   }
-  const classify::Verdict verdict = observe(*pkt);
+  const classify::Verdict verdict = classifier_.observe(*pkt);
+  stats_.dark_sources_evicted = classifier_.dark_space().evictions() - dark_evictions_base_;
 
   if (pkt->transport == net::Transport::kFragment) {
     // Reassemble regardless of verdict: a tainted source's datagram may
     // complete with fragments that arrived before the taint.
     auto datagram = defrag_.feed(pkt->ip, pkt->payload);
+    stats_.defrag_dropped = defrag_.dropped();
     if (!datagram) return std::nullopt;
-    auto whole = net::parse_reassembled(datagram->header, datagram->payload, pkt->ts_sec,
-                                        pkt->ts_usec);
+    auto whole = net::parse_reassembled(datagram->header, datagram->payload, ts_sec, ts_usec);
     if (!whole) return std::nullopt;
-    if (check(*whole) != classify::Verdict::kAnalyze) return std::nullopt;
+    if (classifier_.check(*whole) != classify::Verdict::kAnalyze) return std::nullopt;
     return whole;
   }
 
@@ -165,18 +149,21 @@ std::optional<net::ParsedPacket> PipelineShard::classify_one(const pcap::Record&
   return pkt;
 }
 
-void PipelineShard::process_record(const pcap::Record& rec, const UnitSink& sink) {
+void PipelineShard::process_record(util::ByteView frame, std::uint32_t ts_sec,
+                                   std::uint32_t ts_usec, const UnitSink& sink) {
+  tracing_ = obs::Tracer::enabled();
+  clocked_ = obs::metrics_enabled() || tracing_;
   obs::PipelineMetrics& pm = obs::pipeline_metrics();
   ++stats_.packets;
   pm.packets->add();
   if (shard_.packets) shard_.packets->add();
   const SteadyClock::time_point pkt_start =
       clocked_ ? SteadyClock::now() : SteadyClock::time_point{};
-  auto suspicious = classify_one(rec);
+  auto suspicious = classify_one(frame, ts_sec, ts_usec);
   // Per-packet classify latency; spans only for suspicious packets (a
   // span per ignored packet would swamp the trace with noise).
   record_stage(obs::Stage::kClassify, clocked_ ? seconds_since(pkt_start) : 0.0, 0,
-               rec.data.size(), suspicious.has_value());
+               frame.size(), suspicious.has_value());
   if (suspicious) {
     ++stats_.suspicious_packets;
     pm.suspicious_packets->add();
@@ -185,13 +172,8 @@ void PipelineShard::process_record(const pcap::Record& rec, const UnitSink& sink
 }
 
 void PipelineShard::finish_capture(const UnitSink& sink) {
-  // Flush flows that never closed (truncated captures), oldest first.
   flows_.drain(
       [this, &sink](const net::FlowKey&, FlowState& state) { flush_flow(state, sink); });
-  // The defragmenter is fresh each capture, so its drop count is this
-  // capture's; dark-space evictions persist, so delta from begin_capture.
-  stats_.defrag_dropped += defrag_.dropped();
-  stats_.dark_sources_evicted += dark_evictions() - dark_evictions_base_;
 }
 
 }  // namespace senids::core

@@ -1,13 +1,14 @@
-// One source-affine stage-(a) pipeline shard. The engine decomposes
-// classification / defragmentation / TCP reassembly into N shards, each
-// owning the classifier scan-counting state, Defragmenter, and bounded
-// flow table for the sources routed to it. Source affinity is the
-// load-bearing design point: per-source dark-space probe counting and
-// 5-tuple flow keys (which include the source) both stay correct inside
-// a single shard, so the packet hot path needs no cross-shard
-// synchronization — shards share only read-only classifier
-// configuration, the process-wide metric registry, and the internally
-// synchronized verdict cache downstream.
+// One source-affine stage-(a) pipeline shard: parse, classify,
+// defragment, reassemble, and hand each analysis unit to a sink. This is
+// the only stage-(a) implementation — the engine runs N of them (one per
+// NidsOptions::shards) and a LiveSession runs one. Each shard owns the
+// classifier state, Defragmenter, and bounded flow table for the sources
+// routed to it. Source affinity is the load-bearing design point:
+// per-source dark-space probe counting and 5-tuple flow keys (which
+// include the source) both stay correct inside a single shard, so the
+// packet hot path needs no cross-shard synchronization — shards share
+// only the process-wide metric registry and the internally synchronized
+// verdict cache downstream.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,6 @@
 #include "net/flow.hpp"
 #include "net/reassembly.hpp"
 #include "obs/pipeline.hpp"
-#include "pcap/pcap.hpp"
 
 namespace senids::core {
 
@@ -39,27 +39,34 @@ class PipelineShard {
   using UnitSink =
       std::function<void(util::Bytes payload, const Alert& meta, std::uint64_t unit_id)>;
 
-  /// `options` and `classifier` must outlive the shard. With `own_state`
-  /// the shard classifies against a private ClassifierState (the
-  /// multi-shard engine); without it, verdicts go through the
-  /// classifier's embedded state so single-shard runs keep the classic
-  /// `classifier().is_tainted()` surface observable.
-  PipelineShard(std::size_t index, const NidsOptions& options,
-                classify::TrafficClassifier& classifier, bool own_state);
+  /// `options` must outlive the shard. The shard classifies with its own
+  /// `config.with_empty_state()`: the engine classifier's decoys, dark
+  /// prefixes and options, and no taint or probe counts. With a `label`
+  /// the shard also feeds the shard="<label>" series (the multi-shard
+  /// engine); without one its flow gauge is the unlabelled pipeline one.
+  PipelineShard(const NidsOptions& options, const classify::TrafficClassifier& config,
+                std::optional<std::size_t> label = std::nullopt);
+  // The flow table points at flow_metrics_.
+  PipelineShard(const PipelineShard&) = delete;
+  PipelineShard& operator=(const PipelineShard&) = delete;
 
   /// Reset per-capture state (flow table, defragmenter, stats). Taint and
-  /// dark-space counts persist across captures, mirroring the classifier.
+  /// dark-space counts persist across captures.
   void begin_capture();
-  /// Classify one captured record and dispatch any unit it completes.
-  void process_record(const pcap::Record& rec, const UnitSink& sink);
-  /// Flush flows that never closed and finalize per-capture counters.
+  /// Classify one captured frame and dispatch any unit it completes.
+  void process_record(util::ByteView frame, std::uint32_t ts_sec, std::uint32_t ts_usec,
+                      const UnitSink& sink);
+  /// Flush flows that never closed, oldest first.
   void finish_capture(const UnitSink& sink);
 
-  /// Per-capture stats for this shard; the engine folds them with
-  /// merge_stats. The engine also writes classify_seconds here.
+  /// Stats since begin_capture, current after every record. Callers that
+  /// analyze units inline fold their analysis stats and timings in here.
   [[nodiscard]] NidsStats& stats() noexcept { return stats_; }
-  [[nodiscard]] bool is_tainted(net::Ipv4Addr src) const;
-  [[nodiscard]] std::size_t index() const noexcept { return index_; }
+  [[nodiscard]] const NidsStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] bool is_tainted(net::Ipv4Addr src) const {
+    return classifier_.is_tainted(src);
+  }
+  [[nodiscard]] std::size_t live_flows() const noexcept { return flows_.size(); }
 
  private:
   struct FlowState {
@@ -69,11 +76,8 @@ class PipelineShard {
     explicit FlowState(std::size_t cap) : reassembler(cap, cap) {}
   };
 
-  classify::Verdict observe(const net::ParsedPacket& pkt);
-  [[nodiscard]] classify::Verdict check(const net::ParsedPacket& pkt) const;
-  [[nodiscard]] std::size_t dark_evictions() const;
-
-  std::optional<net::ParsedPacket> classify_one(const pcap::Record& rec);
+  std::optional<net::ParsedPacket> classify_one(util::ByteView frame, std::uint32_t ts_sec,
+                                               std::uint32_t ts_usec);
   void dispatch(net::ParsedPacket& pkt, const UnitSink& sink);
   [[nodiscard]] bool stream_full(const FlowState& state) const;
   void flush_flow(FlowState& state, const UnitSink& sink);
@@ -82,13 +86,11 @@ class PipelineShard {
   void record_stage(obs::Stage stage, double seconds, std::uint64_t unit_id,
                     std::uint64_t bytes, bool with_span);
 
-  std::size_t index_;
   const NidsOptions& options_;
-  classify::TrafficClassifier& classifier_;
-  std::optional<classify::ClassifierState> state_;  // engaged iff own_state
+  classify::TrafficClassifier classifier_;
 
-  net::FlowTableMetrics flow_metrics_{};  // per-shard binding (own_state only)
-  obs::ShardMetrics shard_{};             // null handles when single-shard
+  net::FlowTableMetrics flow_metrics_{};  // per-shard binding (labelled only)
+  obs::ShardMetrics shard_{};             // null handles when unlabelled
   net::BoundedFlowTable<FlowState> flows_;
   net::Defragmenter defrag_;
   NidsStats stats_;

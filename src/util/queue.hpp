@@ -10,16 +10,6 @@
 // memory. An over-budget item is still admitted into an empty queue so a
 // single oversized unit can never deadlock the pipeline.
 //
-// Consumers that process items faster than one mutex round-trip per item
-// should drain with pop_batch: it moves up to N items out under a single
-// lock acquisition and wakes every blocked producer once, so the lock and
-// condition-variable cost is amortized over the batch instead of paid per
-// item (the stage-(b)-(e) worker loop does exactly this — see
-// core/engine.cpp and NidsOptions::unit_batch). pop_batch makes no
-// fairness or grouping promise beyond FIFO: a batch is simply the oldest
-// min(N, size) items at the moment the consumer acquired the lock, so
-// any partition of a FIFO drain into batches observes the same sequence.
-//
 // Locking: everything mutable is GUARDED_BY(mu_) — the annotations are
 // compiler-enforced under Clang (see util/sync.hpp). Condition-variable
 // waits are written as explicit predicate loops so the thread-safety
@@ -30,7 +20,6 @@
 #include <deque>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "util/sync.hpp"
@@ -124,36 +113,6 @@ class BoundedQueue {
     }
     not_full_.notify_one();
     return value;
-  }
-
-  /// Blocking batched pop: waits until the queue is non-empty (or
-  /// closed), then moves up to `max_items` items into `out` — oldest
-  /// first, under one lock acquisition. `out` is cleared first; its
-  /// capacity is reused across calls. Returns the number of items
-  /// popped; 0 means closed *and* drained (the consumer-loop exit
-  /// condition, mirroring pop()'s nullopt). Popping a batch can free
-  /// many producer slots at once, so all waiting producers are woken.
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max_items) {
-    out.clear();
-    if (max_items == 0) max_items = 1;
-    {
-      MutexLock lock(mu_);
-      while (items_.empty() && !closed_) not_empty_.wait(mu_);
-      const std::size_t n = std::min(max_items, items_.size());
-      if (out.capacity() < n) out.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        out.push_back(std::move(items_.front().first));
-        weight_ -= items_.front().second;
-        items_.pop_front();
-      }
-      publish_gauges();
-    }
-    if (out.size() == 1) {
-      not_full_.notify_one();
-    } else if (out.size() > 1) {
-      not_full_.notify_all();
-    }
-    return out.size();
   }
 
   /// Non-blocking pop; nullopt when empty.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <utility>
 
 #include "classify/classifier.hpp"
@@ -143,23 +144,27 @@ TEST(DarkSpace, SourceCapDelaysTaintUnderSpoofedFlood) {
   }
   EXPECT_EQ(c.tainted_count(), 0u);
   EXPECT_GT(c.dark_space().evictions(), 0u);
-  EXPECT_LE(c.dark_space().counters().size(), 4u);
+  EXPECT_LE(c.dark_space().tracked_sources(), 4u);
 }
 
+// The counter map stores iterators into the table's own LRU list, so a
+// copy would alias the source's nodes.
+static_assert(!std::is_copy_constructible_v<DarkSpaceCounters>);
+static_assert(!std::is_copy_assignable_v<DarkSpaceCounters>);
+
 TEST(Classifier, ExternalStateMatchesEmbeddedState) {
-  // The shard-external API (make_state + observe_in) must produce the
-  // exact verdict sequence of the embedded single-state API over the
-  // same packet stream.
+  // A shard's with_empty_state() copy must produce the exact verdict
+  // sequence of a classifier fed directly over the same packet stream.
   ClassifierOptions opts;
   opts.dark_space_threshold = 3;
   TrafficClassifier embedded(opts);
-  TrafficClassifier external(opts);
-  for (TrafficClassifier* c : {&embedded, &external}) {
+  TrafficClassifier proto(opts);
+  for (TrafficClassifier* c : {&embedded, &proto}) {
     c->honeypots().add_decoy(kHoneypot);
     c->dark_space().add_unused_prefix(
         Prefix{Ipv4Addr::from_octets(10, 0, 200, 0), 24});
   }
-  ClassifierState state = external.make_state();
+  TrafficClassifier shard = proto.with_empty_state();
 
   const std::pair<Ipv4Addr, Ipv4Addr> stream[] = {
       {kAttacker, Ipv4Addr::from_octets(10, 0, 200, 1)},
@@ -171,27 +176,66 @@ TEST(Classifier, ExternalStateMatchesEmbeddedState) {
       {kClient, kServer},
   };
   for (const auto& [src, dst] : stream) {
-    auto frame = net::forge_tcp(Endpoint{src, 40000}, Endpoint{dst, 80}, 1,
-                                util::as_bytes("x"));
-    const net::ParsedPacket pkt = *net::parse_frame(frame);
-    EXPECT_EQ(embedded.observe(pkt), external.observe_in(state, pkt));
-    EXPECT_EQ(embedded.check(pkt), external.check_in(state, pkt));
+    const net::ParsedPacket pkt = packet(src, dst);
+    EXPECT_EQ(embedded.observe(pkt), shard.observe(pkt));
+    EXPECT_EQ(embedded.check(pkt), shard.check(pkt));
   }
-  EXPECT_TRUE(state.tainted.contains(kAttacker.value));
-  EXPECT_TRUE(state.tainted.contains(kClient.value));
-  // External state never leaks into the classifier's embedded state.
-  EXPECT_EQ(external.tainted_count(), 0u);
-  EXPECT_EQ(external.dark_space().count(kAttacker), 0u);
+  EXPECT_TRUE(shard.is_tainted(kAttacker));
+  EXPECT_TRUE(shard.is_tainted(kClient));
+  // The shard's state never leaks into the prototype's.
+  EXPECT_EQ(proto.tainted_count(), 0u);
+  EXPECT_EQ(proto.dark_space().count(kAttacker), 0u);
 }
 
 TEST(Classifier, MakeStateInheritsCounterCap) {
   ClassifierOptions opts;
   opts.dark_space_max_sources = 2;
   TrafficClassifier c(opts);
-  ClassifierState state = c.make_state();
-  for (std::uint32_t src = 0; src < 8; ++src) state.dark_counts.increment(src);
-  EXPECT_LE(state.dark_counts.size(), 2u);
-  EXPECT_EQ(state.dark_counts.evictions(), 6u);
+  TrafficClassifier shard = c.with_empty_state();
+  for (std::uint32_t src = 0; src < 8; ++src) shard.dark_space().record_probe(Ipv4Addr{src});
+  EXPECT_LE(shard.dark_space().tracked_sources(), 2u);
+  EXPECT_EQ(shard.dark_space().evictions(), 6u);
+}
+
+TEST(Classifier, ShardCopyInheritsConfigurationNotState) {
+  // Each pipeline shard classifies with with_empty_state() of the
+  // engine's classifier: same decoys, prefixes, threshold and counter
+  // cap, none of the prototype's taint or probe counts.
+  ClassifierOptions opts;
+  opts.dark_space_threshold = 3;
+  opts.dark_space_max_sources = 2;
+  TrafficClassifier proto(opts);
+  proto.honeypots().add_decoy(kHoneypot);
+  proto.dark_space().add_unused_prefix(Prefix{Ipv4Addr::from_octets(10, 0, 200, 0), 24});
+  proto.observe(packet(kClient, kHoneypot));
+  proto.observe(packet(kAttacker, Ipv4Addr::from_octets(10, 0, 200, 1)));
+  ASSERT_TRUE(proto.is_tainted(kClient));
+
+  TrafficClassifier shard = proto.with_empty_state();
+  EXPECT_EQ(shard.tainted_count(), 0u);
+  EXPECT_EQ(shard.dark_space().count(kAttacker), 0u);
+  EXPECT_EQ(shard.dark_space().threshold(), 3u);
+  EXPECT_EQ(shard.honeypots().size(), 1u);
+  EXPECT_EQ(shard.dark_space().prefixes().size(), 1u);
+
+  // Decoys: one honeypot hit taints.
+  EXPECT_EQ(shard.observe(packet(kClient, kHoneypot)), Verdict::kAnalyze);
+  // Prefixes and threshold: the third dark probe taints, not the second.
+  EXPECT_EQ(shard.observe(packet(kAttacker, Ipv4Addr::from_octets(10, 0, 200, 1))),
+            Verdict::kIgnore);
+  EXPECT_EQ(shard.observe(packet(kAttacker, Ipv4Addr::from_octets(10, 0, 200, 2))),
+            Verdict::kIgnore);
+  EXPECT_EQ(shard.observe(packet(kAttacker, Ipv4Addr::from_octets(10, 0, 200, 3))),
+            Verdict::kAnalyze);
+  // Counter cap: a third probing source evicts the coldest counter.
+  shard.observe(packet(kServer, Ipv4Addr::from_octets(10, 0, 200, 4)));
+  shard.observe(packet(Ipv4Addr::from_octets(203, 0, 113, 1),
+                       Ipv4Addr::from_octets(10, 0, 200, 5)));
+  EXPECT_EQ(shard.dark_space().tracked_sources(), 2u);
+  EXPECT_EQ(shard.dark_space().evictions(), 1u);
+  // The prototype's state is untouched by the copy's traffic.
+  EXPECT_FALSE(proto.is_tainted(kAttacker));
+  EXPECT_EQ(proto.dark_space().count(kAttacker), 1u);
 }
 
 TEST(Classifier, AnalyzeEverythingMode) {

@@ -224,7 +224,7 @@ TEST(FragmentEvasion, ReassembledTrafficClassifiedBySourceTaint) {
   core::NidsEngine nids(options);
   nids.classifier().honeypots().add_decoy(honeypot);
   core::Report report = nids.process_capture(fragmented);
-  EXPECT_TRUE(nids.classifier().is_tainted(attacker.ip));
+  EXPECT_TRUE(nids.is_tainted(attacker.ip));
   EXPECT_TRUE(report.detected(semantic::ThreatClass::kShellSpawn));
 }
 

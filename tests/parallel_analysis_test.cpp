@@ -9,9 +9,9 @@
 //  - A frame is emulated at most once per unit even when the
 //    decoder-confirmation pass and the deep-analysis pass both want it
 //    (the per-frame memo in AnalysisContext).
-//  - Worker count, dequeue batch size, and the threads == 0 shard-local
-//    mode are invisible in the report: every combination reproduces the
-//    serial baseline byte-for-byte.
+//  - Worker count and the threads == 0 shard-local mode are invisible in
+//    the report: every combination reproduces the serial baseline
+//    byte-for-byte.
 //  - An AnalysisContext reused across units carries no state between
 //    them.
 #include <gtest/gtest.h>
@@ -181,7 +181,7 @@ TEST(EmulationMemo, ConfirmPlusDeepEmulatesEachFrameOnce) {
   expect_alerts_equal(r_deep.alerts, r_both.alerts);
 }
 
-// ------------------------------ worker count / batch size transparency
+// ------------------------------------------- worker count transparency
 
 TEST(WorkerScaling, ThreadsAndBatchSizeDoNotChangeTheReport) {
   const pcap::Capture capture = mixed_corpus(305);
@@ -194,20 +194,16 @@ TEST(WorkerScaling, ThreadsAndBatchSizeDoNotChangeTheReport) {
   ASSERT_FALSE(r_base.alerts.empty());
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    for (std::size_t unit_batch : {std::size_t{1}, std::size_t{8}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "threads=" << threads << " unit_batch=" << unit_batch);
-      NidsOptions options = base;
-      options.threads = threads;
-      options.unit_batch = unit_batch;
-      NidsEngine engine(options);
-      const Report r = engine.process_capture(capture);
-      expect_alerts_equal(r_base.alerts, r.alerts);
-      EXPECT_EQ(r_base.stats.packets, r.stats.packets);
-      EXPECT_EQ(r_base.stats.units_analyzed, r.stats.units_analyzed);
-      EXPECT_EQ(r_base.stats.frames_extracted, r.stats.frames_extracted);
-      EXPECT_EQ(r_base.stats.bytes_analyzed, r.stats.bytes_analyzed);
-    }
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    NidsOptions options = base;
+    options.threads = threads;
+    NidsEngine engine(options);
+    const Report r = engine.process_capture(capture);
+    expect_alerts_equal(r_base.alerts, r.alerts);
+    EXPECT_EQ(r_base.stats.packets, r.stats.packets);
+    EXPECT_EQ(r_base.stats.units_analyzed, r.stats.units_analyzed);
+    EXPECT_EQ(r_base.stats.frames_extracted, r.stats.frames_extracted);
+    EXPECT_EQ(r_base.stats.bytes_analyzed, r.stats.bytes_analyzed);
   }
 }
 

@@ -179,105 +179,5 @@ TEST(BoundedQueue, UnweightedItemsIgnoreBudget) {
   EXPECT_FALSE(q.try_push(3));  // count cap still applies
 }
 
-TEST(BoundedQueue, PopBatchTakesOldestUpToLimit) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.push(i));
-  std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(batch, 3), 3u);
-  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.pop_batch(batch, 3), 2u);  // partial batch: whatever is left
-  EXPECT_EQ(batch, (std::vector<int>{3, 4}));
-}
-
-TEST(BoundedQueue, PopBatchReleasesWeight) {
-  BoundedQueue<int> q(8, /*max_weight=*/100);
-  ASSERT_TRUE(q.push(1, 60));
-  ASSERT_TRUE(q.push(2, 40));
-  EXPECT_FALSE(q.try_push(3, 10));
-  std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(batch, 8), 2u);
-  EXPECT_EQ(q.weight(), 0u);
-  EXPECT_TRUE(q.try_push(3, 100));
-}
-
-TEST(BoundedQueue, PopBatchClosedEmptyReturnsZero) {
-  BoundedQueue<int> q(4);
-  q.push(1);
-  q.close();
-  std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(batch, 4), 1u);  // close() still drains the backlog
-  EXPECT_EQ(q.pop_batch(batch, 4), 0u);
-  EXPECT_TRUE(batch.empty());
-}
-
-TEST(BoundedQueue, PopBatchZeroMaxClampsToOne) {
-  BoundedQueue<int> q(4);
-  q.push(1);
-  q.push(2);
-  std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(batch, 0), 1u);
-  EXPECT_EQ(batch, (std::vector<int>{1}));
-}
-
-TEST(BoundedQueue, PopBatchUnblocksMultipleProducers) {
-  // A multi-item batch must wake every producer blocked on the count cap,
-  // not just one — the whole point of batching is that several slots open
-  // at once.
-  BoundedQueue<int> q(2);
-  ASSERT_TRUE(q.push(1));
-  ASSERT_TRUE(q.push(2));
-  std::atomic<int> pushed{0};
-  std::thread p1([&] {
-    q.push(3);
-    ++pushed;
-  });
-  std::thread p2([&] {
-    q.push(4);
-    ++pushed;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(pushed.load(), 0);
-  std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(batch, 2), 2u);
-  p1.join();
-  p2.join();
-  EXPECT_EQ(pushed.load(), 2);
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(BoundedQueue, PopBatchManyProducersBatchedConsumers) {
-  BoundedQueue<int> q(16);
-  constexpr int kPerProducer = 500;
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  std::atomic<long> sum{0};
-  std::atomic<int> consumed{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      std::vector<int> batch;
-      while (q.pop_batch(batch, 8) > 0) {
-        for (int v : batch) {
-          sum += v;
-          ++consumed;
-        }
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[static_cast<std::size_t>(p)].join();
-  q.close();
-  for (std::size_t c = kProducers; c < threads.size(); ++c) threads[c].join();
-
-  const int total = kProducers * kPerProducer;
-  EXPECT_EQ(consumed.load(), total);
-  EXPECT_EQ(sum.load(), static_cast<long>(total) * (total - 1) / 2);
-}
-
 }  // namespace
 }  // namespace senids::util

@@ -15,7 +15,6 @@
 //     --threads <n>           analysis worker threads (default 1;
 //                             0 = shard-local: analyze on the shard
 //                             threads, no global unit queue)
-//     --unit-batch <n>        units a worker dequeues per lock (default 8)
 //     --shards <n>            source-affine stage-(a) shards (default 1)
 //     --verdict-cache-mb <n>  verdict cache byte budget in MB (default 64)
 //     --no-verdict-cache      disable the content-addressed verdict cache
@@ -76,7 +75,6 @@ struct CliOptions {
   std::size_t verdict_cache_mb = 64;  // 0 = disabled (--no-verdict-cache)
   bool triage = true;                 // false = --no-triage
   std::size_t threads = 1;
-  std::size_t unit_batch = 8;
   std::size_t shards = 1;
   std::uint32_t flow_timeout = 0;
   std::size_t max_flows = 0;
@@ -105,7 +103,6 @@ void usage(const char* argv0) {
                "  --extended            use the extended template library\n"
                "  --emulate             enable emulation deep analysis\n"
                "  --threads <n>         analysis worker threads (0 = shard-local)\n"
-               "  --unit-batch <n>      units a worker dequeues per lock\n"
                "  --shards <n>          source-affine stage-(a) shards\n"
                "  --verdict-cache-mb <n>  verdict cache byte budget (default 64)\n"
                "  --no-verdict-cache    disable the verdict cache\n"
@@ -286,8 +283,6 @@ int main(int argc, char** argv) {
       cli.emulate = true;
     } else if (arg == "--threads") {
       cli.threads = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--unit-batch") {
-      cli.unit_batch = static_cast<std::size_t>(std::atoll(next()));
     } else if (arg == "--shards") {
       cli.shards = static_cast<std::size_t>(std::atoll(next()));
     } else if (arg == "--verdict-cache-mb") {
@@ -371,7 +366,6 @@ int main(int argc, char** argv) {
   options.classifier.analyze_everything = cli.analyze_all;
   options.classifier.dark_space_threshold = cli.dark_threshold;
   options.threads = cli.threads;
-  options.unit_batch = cli.unit_batch;
   options.shards = cli.shards;
   options.verdict_cache_bytes = cli.verdict_cache_mb << 20;
   options.triage.mode =
