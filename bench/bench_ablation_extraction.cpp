@@ -39,13 +39,14 @@ int main() {
     core::NidsOptions options;
     options.extractor.extract_all = bypass;
     core::NidsEngine nids(options);
+    core::AnalysisContext ctx = nids.make_analysis_context();
     core::NidsStats stats;
     std::size_t alerts = 0;
     util::WallTimer timer;
     for (const auto& [payload, port] : payloads) {
       core::Alert meta;
       meta.dst_port = port;
-      alerts += nids.analyze_payload(payload, meta, &stats).size();
+      alerts += nids.analyze_payload(ctx, payload, meta, &stats).size();
     }
     const double secs = timer.seconds();
     return std::tuple<double, core::NidsStats, std::size_t>(secs, stats, alerts);

@@ -32,6 +32,8 @@ int main() {
   Row rows[2] = {{"ADMmutate x shell", 0, 0, 0, 0, 0.0},
                  {"ADMmutate x bind-shell", 0, 0, 0, 0, 0.0}};
 
+  core::AnalysisContext static_ctx = static_engine.make_analysis_context();
+  core::AnalysisContext deep_ctx = deep_engine.make_analysis_context();
   util::Prng prng(777);
   const auto corpus = gen::make_shell_spawn_corpus();
   for (int which = 0; which < 2; ++which) {
@@ -42,8 +44,8 @@ int main() {
       auto poly = gen::admmutate_encode(payload, prng);
       auto wire = gen::wrap_in_overflow(poly.bytes, prng);
       core::Alert meta;
-      auto static_alerts = static_engine.analyze_payload(wire, meta);
-      auto deep_alerts = deep_engine.analyze_payload(wire, meta);
+      auto static_alerts = static_engine.analyze_payload(static_ctx, wire, meta);
+      auto deep_alerts = deep_engine.analyze_payload(deep_ctx, wire, meta);
       auto has = [](const std::vector<core::Alert>& alerts, semantic::ThreatClass t) {
         for (const auto& a : alerts) {
           if (a.threat == t) return true;

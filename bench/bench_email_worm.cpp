@@ -22,6 +22,8 @@ int main() {
   core::NidsEngine static_engine(options);
   options.enable_emulation = true;
   core::NidsEngine deep_engine(options);
+  core::AnalysisContext static_ctx = static_engine.make_analysis_context();
+  core::AnalysisContext deep_ctx = deep_engine.make_analysis_context();
 
   util::Prng prng(20060706);
   std::size_t decoder_hits = 0, shell_deep_hits = 0, benign_alerts = 0;
@@ -31,8 +33,8 @@ int main() {
     auto worm = gen::make_email_worm(prng);
     core::Alert meta;
     util::WallTimer timer;
-    auto static_alerts = static_engine.analyze_payload(worm.smtp_payload, meta);
-    auto deep_alerts = deep_engine.analyze_payload(worm.smtp_payload, meta);
+    auto static_alerts = static_engine.analyze_payload(static_ctx, worm.smtp_payload, meta);
+    auto deep_alerts = deep_engine.analyze_payload(deep_ctx, worm.smtp_payload, meta);
     worm_ms += timer.millis();
     for (const auto& a : static_alerts) {
       if (a.threat == semantic::ThreatClass::kDecryptionLoop) {
@@ -52,7 +54,7 @@ int main() {
     auto mail = gen::make_benign_email(prng, 1024 + prng.below(4096));
     core::Alert meta;
     util::WallTimer timer;
-    benign_alerts += deep_engine.analyze_payload(mail, meta).size();
+    benign_alerts += deep_engine.analyze_payload(deep_ctx, mail, meta).size();
     benign_ms += timer.millis();
   }
 

@@ -52,11 +52,12 @@ PhaseResult run_phase(const core::NidsEngine& nids,
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&] {
       core::NidsStats local;
+      core::AnalysisContext ctx = nids.make_analysis_context();
       for (std::size_t i = next.fetch_add(1); i < corpus.size(); i = next.fetch_add(1)) {
         const gen::BenignPayload& p = corpus[i];
         core::Alert meta;
         meta.dst_port = p.dst_port;
-        auto alerts = nids.analyze_payload(p.data, meta, &local);
+        auto alerts = nids.analyze_payload(ctx, p.data, meta, &local);
         if (!alerts.empty()) {
           false_positives += alerts.size();
           std::lock_guard lock(mu);

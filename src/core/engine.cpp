@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -26,12 +25,6 @@
 namespace senids::core {
 
 namespace {
-
-using SteadyClock = std::chrono::steady_clock;
-
-double seconds_since(SteadyClock::time_point start) {
-  return std::chrono::duration<double>(SteadyClock::now() - start).count();
-}
 
 /// Saturating seconds -> microseconds for flight-recorder fields.
 std::uint32_t to_flight_us(double seconds) {
@@ -67,13 +60,7 @@ void append_format(std::string& out, const char* fmt, ...) {
 }
 
 void merge_analyzer(semantic::AnalyzerStats& into, const semantic::AnalyzerStats& from) {
-  into.frames += from.frames;
-  into.candidate_runs += from.candidate_runs;
-  into.traces += from.traces;
-  into.instructions_lifted += from.instructions_lifted;
-  into.template_matches_tried += from.template_matches_tried;
-  into.entry_budget_exhausted += from.entry_budget_exhausted;
-  into.insn_budget_exhausted += from.insn_budget_exhausted;
+  for (const auto& f : semantic::kAnalyzerCountFields) into.*f.field += from.*f.field;
   into.disasm_seconds += from.disasm_seconds;
   into.lift_seconds += from.lift_seconds;
   into.match_seconds += from.match_seconds;
@@ -84,23 +71,7 @@ void merge_analyzer(semantic::AnalyzerStats& into, const semantic::AnalyzerStats
 // versa), so one helper serves both. dispatch_seconds is deliberately
 // not merged — it is caller-thread wall the engine sets directly.
 void merge_stats(NidsStats& into, const NidsStats& from) {
-  into.packets += from.packets;
-  into.non_ip += from.non_ip;
-  into.suspicious_packets += from.suspicious_packets;
-  into.units_analyzed += from.units_analyzed;
-  into.frames_extracted += from.frames_extracted;
-  into.bytes_analyzed += from.bytes_analyzed;
-  into.frames_emulated += from.frames_emulated;
-  into.emulated_steps += from.emulated_steps;
-  into.flows_evicted_idle += from.flows_evicted_idle;
-  into.flows_evicted_overflow += from.flows_evicted_overflow;
-  into.streams_truncated += from.streams_truncated;
-  into.dark_sources_evicted += from.dark_sources_evicted;
-  into.defrag_dropped += from.defrag_dropped;
-  into.triage_screened += from.triage_screened;
-  into.triage_escalated += from.triage_escalated;
-  into.triage_rejected += from.triage_rejected;
-  into.triage_rejected_bytes += from.triage_rejected_bytes;
+  for (const auto& f : kNidsCountFields) into.*f.field += from.*f.field;
   merge_analyzer(into.analyzer, from.analyzer);
   for (std::size_t i = 0; i < into.stages.size(); ++i) {
     into.stages[i].count += from.stages[i].count;
@@ -108,12 +79,87 @@ void merge_stats(NidsStats& into, const NidsStats& from) {
     into.stages[i].max_seconds =
         std::max(into.stages[i].max_seconds, from.stages[i].max_seconds);
   }
-  into.cache_hits += from.cache_hits;
-  into.cache_misses += from.cache_misses;
-  into.cache_bypass += from.cache_bypass;
-  into.cache_bytes_saved += from.cache_bytes_saved;
   into.classify_seconds += from.classify_seconds;
   into.analysis_seconds += from.analysis_seconds;
+}
+
+/// What one analysis unit cost and decided. Every branch of
+/// analyze_payload writes into one on its stack, and finish_unit writes
+/// it out.
+struct UnitAccumulator {
+  UnitAccumulator(util::ByteView unit_payload, const Alert& unit_meta, std::uint64_t id)
+      : payload(unit_payload), meta(unit_meta), unit_id(id) {
+    counts.units_analyzed = 1;
+  }
+
+  [[nodiscard]] SteadyClock::time_point now() const {
+    return clocked ? SteadyClock::now() : SteadyClock::time_point{};
+  }
+  [[nodiscard]] double since(SteadyClock::time_point t) const {
+    return clocked ? seconds_since(t) : 0.0;
+  }
+  /// One stage execution of this unit. Its spans are laid out back to
+  /// back from the unit's start using the measured stage durations (see
+  /// trace.hpp: exact costs, synthesized placement).
+  void stage(obs::Stage s, double seconds, std::uint64_t bytes) {
+    const StageSpan span{unit_id, bytes, &span_cursor_us};
+    record_stage(counts, s, seconds, tracing ? &span : nullptr);
+  }
+
+  const util::ByteView payload;
+  const Alert& meta;
+  const std::uint64_t unit_id;
+  const bool tracing = obs::Tracer::enabled();
+  const bool clocked = obs::metrics_enabled() || tracing;
+  const SteadyClock::time_point start = now();
+  std::uint64_t span_cursor_us = tracing ? obs::Tracer::instance().now_us() : 0;
+  /// This unit's share of NidsStats; stages[].seconds are its per-stage
+  /// totals (many frames can contribute to one stage).
+  NidsStats counts;
+  std::vector<Alert> alerts;
+  obs::CacheDisposition cache = obs::CacheDisposition::kNone;
+};
+
+/// The one exit of analyze_payload, whichever way the unit went: the
+/// only place a unit reaches the unit, frame and alert counters, the
+/// unit-latency histogram, the flight recorder and the caller's stats.
+std::vector<Alert> finish_unit(UnitAccumulator& unit, NidsStats* stats) {
+  obs::PipelineMetrics& pm = obs::pipeline_metrics();
+  const NidsStats& c = unit.counts;
+  pm.units->add();
+  pm.frames->add(c.frames_extracted);
+  pm.bytes_analyzed->add(c.bytes_analyzed);
+  pm.alerts->add(unit.alerts.size());
+  if (stats) merge_stats(*stats, c);
+  if (unit.clocked) {
+    const double total = seconds_since(unit.start);
+    pm.unit_seconds->observe(total);
+    if (unit.tracing && unit.cache == obs::CacheDisposition::kHit) {
+      obs::Tracer::instance().record({"cache-hit", unit.unit_id, unit.span_cursor_us,
+                                      static_cast<std::uint64_t>(total * 1e6),
+                                      unit.payload.size(), 0});
+    }
+    if (obs::FlightRecorder::enabled()) {
+      const auto stage_us = [&c](obs::Stage s) {
+        return to_flight_us(c.stages[static_cast<std::size_t>(s)].seconds);
+      };
+      obs::UnitRecord fr;
+      fr.unit_id = unit.unit_id;
+      fr.src = unit.meta.src.value;
+      fr.payload_bytes = clamp_u32(unit.payload.size());
+      fr.frames = clamp_u32(c.frames_extracted);
+      fr.alerts = clamp_u32(unit.alerts.size());
+      fr.cache = unit.cache;
+      fr.extract_us = stage_us(obs::Stage::kExtract);
+      fr.disasm_us = stage_us(obs::Stage::kDisasm);
+      fr.lift_us = stage_us(obs::Stage::kLift);
+      fr.match_us = stage_us(obs::Stage::kMatch);
+      fr.emulate_us = stage_us(obs::Stage::kEmulate);
+      fr.total_us = to_flight_us(total);
+      obs::FlightRecorder::instance().record(fr);
+    }
+  }
+  return std::move(unit.alerts);
 }
 
 }  // namespace
@@ -229,16 +275,22 @@ std::string Report::str() const {
   return out;
 }
 
+std::string stats_json(const NidsStats& stats) {
+  std::string out = "{";
+  for (const auto& f : kNidsCountFields) {
+    append_format(out, "\"%s\": %zu, ", f.name, stats.*f.field);
+  }
+  out += "\"analyzer\": {";
+  for (const auto& f : semantic::kAnalyzerCountFields) {
+    if (&f != semantic::kAnalyzerCountFields.data()) out += ", ";
+    append_format(out, "\"%s\": %zu", f.name, stats.analyzer.*f.field);
+  }
+  out += "}}";
+  return out;
+}
+
 namespace {
 
-/// Debug builds self-verify: every lifted unit runs through the IR
-/// verifier (SemanticAnalyzer::Options::post_lift_hook), and the
-/// decoder/def-use cross-check runs once per process at engine
-/// construction. Both abort loudly on a violation — a malformed IR node
-/// or an inconsistent opcode table is a silent missed detection in
-/// release, and the whole point of the debug hook is to refuse to limp
-/// past it. Release builds skip both (the hook slot stays available for
-/// tests and tools to install their own).
 /// Resolve the architecture knob: nullptr means the classic x86_32
 /// pipeline. The resolved Arch is pushed into the analyzer's scanner
 /// options and the emulator's CPU mode, so every stage agrees on the ISA
@@ -250,6 +302,14 @@ NidsOptions with_arch_defaults(NidsOptions options) {
   return options;
 }
 
+/// Debug builds self-verify: every lifted unit runs through the IR
+/// verifier (SemanticAnalyzer::Options::post_lift_hook), and the
+/// decoder/def-use cross-check runs once per process at engine
+/// construction. Both abort loudly on a violation — a malformed IR node
+/// or an inconsistent opcode table is a silent missed detection in
+/// release, and the whole point of the debug hook is to refuse to limp
+/// past it. Release builds skip both (the hook slot stays available for
+/// tests and tools to install their own).
 NidsOptions with_debug_verification(NidsOptions options) {
 #ifndef NDEBUG
   static const bool tables_ok = [] {
@@ -275,10 +335,6 @@ NidsOptions with_debug_verification(NidsOptions options) {
 #endif
   return options;
 }
-
-}  // namespace
-
-namespace {
 
 /// SHA-256 over every input that can change a unit's verdict: the
 /// template set plus extractor/analyzer/emulation options. Prefixed to
@@ -374,27 +430,13 @@ AnalysisContext NidsEngine::make_analysis_context() const {
   return AnalysisContext(options_, analyzer_.shared_templates());
 }
 
-std::vector<Alert> NidsEngine::analyze_payload(util::ByteView payload,
-                                               const Alert& meta_prototype, NidsStats* stats,
-                                               std::uint64_t unit_id) const {
-  AnalysisContext ctx = make_analysis_context();
-  return analyze_payload(ctx, payload, meta_prototype, stats, unit_id);
-}
-
 std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteView payload,
                                                const Alert& meta_prototype,
                                                NidsStats* stats,
                                                std::uint64_t unit_id) const {
   obs::PipelineMetrics& pm = obs::pipeline_metrics();
-  obs::Tracer& tracer = obs::Tracer::instance();
-  const bool tracing = obs::Tracer::enabled();
-  const bool clocked = obs::metrics_enabled() || tracing;
-  const SteadyClock::time_point unit_start =
-      clocked ? SteadyClock::now() : SteadyClock::time_point{};
-  // This unit's spans are laid out sequentially from its start time using
-  // the measured stage durations (see trace.hpp: exact costs, synthesized
-  // placement).
-  std::uint64_t span_cursor_us = tracing ? tracer.now_us() : 0;
+  UnitAccumulator unit(payload, meta_prototype, unit_id);
+  NidsStats& counts = unit.counts;
 
   // ---------------------------------------------------- stage-0 triage
   // The screen runs *before* the cache key is hashed: a rejected unit
@@ -402,332 +444,192 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
   // scan itself. Rejected units never touch the cache (no lookup, no
   // insert), hence cache_hits + cache_misses + cache_bypass ==
   // units_analyzed - triage_rejected.
+  bool escalated = true;
   if (triage_) {
-    const SteadyClock::time_point triage_start =
-        clocked ? SteadyClock::now() : SteadyClock::time_point{};
-    const triage::TriageDecision decision =
-        triage_->screen(payload, meta_prototype.dst_port);
-    const double triage_seconds = clocked ? seconds_since(triage_start) : 0.0;
-    constexpr auto kTriageIdx = static_cast<std::size_t>(obs::Stage::kTriage);
-    pm.stage_seconds[kTriageIdx]->observe(triage_seconds);
+    const SteadyClock::time_point t0 = unit.now();
+    escalated = triage_->screen(payload, meta_prototype.dst_port).escalate;
+    unit.stage(obs::Stage::kTriage, unit.since(t0), payload.size());
+    ++counts.triage_screened;
     pm.triage_screened->add();
-    if (stats) {
-      ++stats->triage_screened;
-      fold_stage(stats->stages[kTriageIdx], triage_seconds);
-    }
-    if (tracing) {
-      const auto dur = static_cast<std::uint64_t>(triage_seconds * 1e6);
-      tracer.record({obs::stage_name(obs::Stage::kTriage).data(), unit_id, span_cursor_us,
-                     dur, payload.size(), 0});
-      span_cursor_us += dur;
-    }
-    if (!decision.escalate) {
-      pm.units->add();
+    if (escalated) {
+      ++counts.triage_escalated;
+      pm.triage_escalated->add();
+    } else {
+      ++counts.triage_rejected;
+      counts.triage_rejected_bytes += payload.size();
       pm.triage_rejected->add();
       pm.triage_rejected_bytes->add(payload.size());
-      if (stats) {
-        ++stats->units_analyzed;
-        ++stats->triage_rejected;
-        stats->triage_rejected_bytes += payload.size();
-      }
-      if (clocked) {
-        const double total = seconds_since(unit_start);
-        pm.unit_seconds->observe(total);
-        if (obs::FlightRecorder::enabled()) {
-          obs::UnitRecord fr;
-          fr.unit_id = unit_id;
-          fr.src = meta_prototype.src.value;
-          fr.payload_bytes = clamp_u32(payload.size());
-          fr.frames = 0;
-          fr.alerts = 0;
-          fr.cache = obs::CacheDisposition::kNone;
-          fr.total_us = to_flight_us(total);
-          obs::FlightRecorder::instance().record(fr);
-        }
-      }
-      return {};
     }
-    pm.triage_escalated->add();
-    if (stats) ++stats->triage_escalated;
   }
 
   // ------------------------------------------------- verdict cache lookup
-  // Every unit is exactly one of hit / miss / bypass. A hit replays the
-  // stored flow-independent verdict under the *current* unit's metadata
-  // and skips stages (b)-(e); a miss falls through to full analysis and
-  // populates the cache on the way out.
-  cache::VerdictCache* vcache = verdict_cache_.get();
+  // Every escalated unit is exactly one of hit / miss / bypass. A hit
+  // replays the stored flow-independent verdict under the *current*
+  // unit's metadata and skips stages (b)-(e); a miss falls through to
+  // full analysis and populates the cache on the way out.
+  cache::VerdictCache* vcache = escalated ? verdict_cache_.get() : nullptr;
   const bool cacheable = vcache && payload.size() <= options_.cache_max_unit_bytes;
-  if (vcache && !cacheable) {
-    pm.cache_bypass->add();
-    if (stats) ++stats->cache_bypass;
-  }
   cache::Digest cache_key{};
+  std::optional<cache::Verdict> verdict;
+  if (vcache && !cacheable) {
+    unit.cache = obs::CacheDisposition::kBypass;
+    ++counts.cache_bypass;
+    pm.cache_bypass->add();
+  }
   if (cacheable) {
     cache::Sha256 key_ctx;
     key_ctx.update(config_fingerprint_.data(), config_fingerprint_.size());
     key_ctx.update(payload);
     cache_key = key_ctx.finish();
-    if (auto verdict = vcache->lookup(cache_key)) {
-      pm.units->add();
-      pm.frames->add(verdict->frames_extracted);
-      pm.cache_bytes_saved->add(verdict->bytes_analyzed);
-      if (stats) {
-        ++stats->units_analyzed;
-        ++stats->cache_hits;
-        stats->cache_bytes_saved += verdict->bytes_analyzed;
-        // Logical-work counters are replayed from the verdict so the
-        // report describes the same detection work whether the cache
-        // served it or not (see NidsStats). bytes_analyzed stays
-        // fresh-only; the replayed bytes are in cache_bytes_saved.
-        stats->frames_extracted += verdict->frames_extracted;
-        stats->frames_emulated += verdict->frames_emulated;
-        stats->emulated_steps += verdict->emulated_steps;
-      }
-      std::vector<Alert> alerts;
-      alerts.reserve(verdict->alerts.size());
-      for (const cache::CachedAlert& ca : verdict->alerts) {
-        Alert a = meta_prototype;
-        a.threat = ca.threat;
-        a.template_name = ca.template_name;
-        a.frame_reason = ca.frame_reason;
-        a.frame_offset = ca.frame_offset;
-        alerts.push_back(std::move(a));
-      }
-      pm.alerts->add(alerts.size());
-      if (clocked) {
-        const double seconds = seconds_since(unit_start);
-        pm.unit_seconds->observe(seconds);
-        if (tracing) {
-          tracer.record({"cache-hit", unit_id, span_cursor_us,
-                         static_cast<std::uint64_t>(seconds * 1e6), payload.size(), 0});
-        }
-        if (obs::FlightRecorder::enabled()) {
-          obs::UnitRecord fr;
-          fr.unit_id = unit_id;
-          fr.src = meta_prototype.src.value;
-          fr.payload_bytes = clamp_u32(payload.size());
-          fr.frames = clamp_u32(verdict->frames_extracted);
-          fr.alerts = clamp_u32(alerts.size());
-          fr.cache = obs::CacheDisposition::kHit;
-          fr.total_us = to_flight_us(seconds);
-          obs::FlightRecorder::instance().record(fr);
-        }
-      }
-      return alerts;
-    }
-    if (stats) ++stats->cache_misses;
+    verdict = vcache->lookup(cache_key);
+    unit.cache = verdict ? obs::CacheDisposition::kHit : obs::CacheDisposition::kMiss;
   }
-
-  // Per-unit stage totals: folded into the flight-recorder record at the
-  // unit's exit (many frames can contribute to one stage per unit).
-  std::array<double, obs::kStageCount> unit_stage_seconds{};
-  auto record_stage = [&](obs::Stage stage, double seconds, std::uint64_t bytes) {
-    const auto idx = static_cast<std::size_t>(stage);
-    pm.stage_seconds[idx]->observe(seconds);
-    unit_stage_seconds[idx] += seconds;
-    if (stats) fold_stage(stats->stages[idx], seconds);
-    if (tracing) {
-      const auto dur = static_cast<std::uint64_t>(seconds * 1e6);
-      tracer.record({obs::stage_name(stage).data(), unit_id, span_cursor_us, dur, bytes, 0});
-      span_cursor_us += dur;
-    }
-  };
-  SteadyClock::time_point mark{};
-  auto tic = [&] {
-    if (clocked) mark = SteadyClock::now();
-  };
-  auto toc = [&]() -> double { return clocked ? seconds_since(mark) : 0.0; };
-
-  std::vector<Alert> alerts;
-  tic();
-  ctx.extractor_.extract(payload, ctx.frames_);
-  const std::vector<extract::BinaryFrame>& frames = ctx.frames_;
-  record_stage(obs::Stage::kExtract, toc(), payload.size());
-  pm.units->add();
-  pm.frames->add(frames.size());
-
-  semantic::AnalyzerStats astats;
-  if (stats) {
-    ++stats->units_analyzed;
-    stats->frames_extracted += frames.size();
-  }
-  // Per-frame disasm/lift/match costs come out of the analyzer's own
-  // stats deltas rather than a wrapper clock: the three stages interleave
-  // inside analyze(), so only the analyzer can attribute time correctly.
-  auto analyze_frame = [&](util::ByteView data) {
-    const semantic::AnalyzerStats before = astats;
-    auto detections = ctx.analyzer_.analyze(data, &astats, ctx.scratch_);
-    if (astats.frames > before.frames) {
-      record_stage(obs::Stage::kDisasm, astats.disasm_seconds - before.disasm_seconds,
-                   data.size());
-      record_stage(obs::Stage::kLift, astats.lift_seconds - before.lift_seconds,
-                   data.size());
-      record_stage(obs::Stage::kMatch, astats.match_seconds - before.match_seconds,
-                   data.size());
-    }
-    return detections;
-  };
-  // Unit-local work totals: folded into `stats` as before, and captured
-  // into the cached verdict so hits can report the work they skipped.
-  std::uint64_t unit_bytes_analyzed = 0;
-  std::uint64_t unit_frames_emulated = 0;
-  std::uint64_t unit_emulated_steps = 0;
-  // One sandbox run per frame per unit: the decoder-confirmation pass and
-  // the deep-analysis pass below both emulate frames, so results are
-  // memoized by frame index (an emulated frame is counted once).
-  ctx.emu_memo_.assign(frames.size(), std::nullopt);
-  auto emulate = [&](std::size_t frame_idx) -> const emu::EmulationResult& {
-    std::optional<emu::EmulationResult>& memo = ctx.emu_memo_[frame_idx];
-    if (!memo) {
-      util::ByteView data = frames[frame_idx].data;
-      tic();
-      memo = emu::emulate_frame(data, options_.emulator);
-      record_stage(obs::Stage::kEmulate, toc(), data.size());
-      ++unit_frames_emulated;
-      unit_emulated_steps += memo->steps;
-      if (stats) {
-        ++stats->frames_emulated;
-        stats->emulated_steps += memo->steps;
-      }
-    }
-    return *memo;
-  };
-
-  // A template may fire on several frames of the same payload (e.g. the
-  // sled frame and the after-repetition frame overlap); report it once.
-  ctx.fired_names_.clear();
-  auto already = [&ctx](const std::string& name) {
-    return ctx.fired_names_.count(name) != 0;
-  };
-  for (const auto& frame : frames) {
-    unit_bytes_analyzed += frame.data.size();
-    if (stats) stats->bytes_analyzed += frame.data.size();
-    pm.bytes_analyzed->add(frame.data.size());
-    for (auto& det : analyze_frame(frame.data)) {
-      if (already(det.template_name)) continue;
-      ctx.fired_names_.insert(det.template_name);
+  if (verdict) {
+    ++counts.cache_hits;
+    counts.cache_bytes_saved = verdict->bytes_analyzed;
+    pm.cache_bytes_saved->add(verdict->bytes_analyzed);
+    // Logical-work counters are replayed from the verdict so the report
+    // describes the same detection work whether the cache served it or
+    // not (see NidsStats). bytes_analyzed stays fresh-only; the replayed
+    // bytes are in cache_bytes_saved.
+    counts.frames_extracted = verdict->frames_extracted;
+    counts.frames_emulated = verdict->frames_emulated;
+    counts.emulated_steps = verdict->emulated_steps;
+    unit.alerts.reserve(verdict->alerts.size());
+    for (const cache::CachedAlert& ca : verdict->alerts) {
       Alert a = meta_prototype;
-      a.threat = det.threat;
-      a.template_name = std::move(det.template_name);
-      a.frame_reason = frame.reason;
-      a.frame_offset = frame.src_offset;
-      alerts.push_back(std::move(a));
+      a.threat = ca.threat;
+      a.template_name = ca.template_name;
+      a.frame_reason = ca.frame_reason;
+      a.frame_offset = ca.frame_offset;
+      unit.alerts.push_back(std::move(a));
     }
-  }
-  // Optional dynamic confirmation: a static decryption-loop alert must
-  // correspond to code that, when actually run, decodes something.
-  if (options_.confirm_decoders_by_emulation) {
-    const bool has_decoder_alert =
-        std::any_of(alerts.begin(), alerts.end(), [](const Alert& a) {
-          return a.threat == semantic::ThreatClass::kDecryptionLoop;
-        });
-    if (has_decoder_alert) {
-      bool confirmed = false;
-      for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-        if (emulate(fi).frame_bytes_modified >= options_.min_decoded_bytes) {
-          confirmed = true;
-          break;
-        }
-      }
-      if (!confirmed) {
-        // Forget the erased names too: the deep pass below may rediscover
-        // the same template on an emulation-decoded frame, and that
-        // confirmed re-detection must not be suppressed.
-        for (const Alert& a : alerts) {
-          if (a.threat == semantic::ThreatClass::kDecryptionLoop) {
-            ctx.fired_names_.erase(a.template_name);
-          }
-        }
-        std::erase_if(alerts, [](const Alert& a) {
-          return a.threat == semantic::ThreatClass::kDecryptionLoop;
-        });
-      }
-    }
-  }
+  } else if (escalated) {
+    if (cacheable) ++counts.cache_misses;
+    const SteadyClock::time_point t0 = unit.now();
+    ctx.extractor_.extract(payload, ctx.frames_);
+    unit.stage(obs::Stage::kExtract, unit.since(t0), payload.size());
+    const std::vector<extract::BinaryFrame>& frames = ctx.frames_;
+    counts.frames_extracted = frames.size();
 
-  // Deep analysis: run each frame in the sandbox. A decoder decrypts
-  // itself there, so the second static pass sees the plaintext behaviour
-  // that the on-wire bytes hid; the syscall trace independently exposes
-  // behaviour even when no static template covers it.
-  if (options_.enable_emulation) {
+    // Per-frame disasm/lift/match costs come out of the analyzer's own
+    // stats deltas rather than a wrapper clock: the three stages
+    // interleave inside analyze(), so only the analyzer can attribute
+    // time correctly.
+    semantic::AnalyzerStats& an = counts.analyzer;
+    auto analyze_frame = [&](util::ByteView data) {
+      const semantic::AnalyzerStats before = an;
+      auto detections = ctx.analyzer_.analyze(data, &an, ctx.scratch_);
+      if (an.frames > before.frames) {
+        unit.stage(obs::Stage::kDisasm, an.disasm_seconds - before.disasm_seconds, data.size());
+        unit.stage(obs::Stage::kLift, an.lift_seconds - before.lift_seconds, data.size());
+        unit.stage(obs::Stage::kMatch, an.match_seconds - before.match_seconds, data.size());
+      }
+      return detections;
+    };
+    // One sandbox run per frame per unit: the decoder-confirmation pass
+    // and the deep-analysis pass below both emulate frames, so results
+    // are memoized by frame index (an emulated frame is counted once).
+    ctx.emu_memo_.assign(frames.size(), std::nullopt);
+    auto emulate = [&](std::size_t frame_idx) -> const emu::EmulationResult& {
+      std::optional<emu::EmulationResult>& memo = ctx.emu_memo_[frame_idx];
+      if (!memo) {
+        util::ByteView data = frames[frame_idx].data;
+        const SteadyClock::time_point e0 = unit.now();
+        memo = emu::emulate_frame(data, options_.emulator);
+        unit.stage(obs::Stage::kEmulate, unit.since(e0), data.size());
+        ++counts.frames_emulated;
+        counts.emulated_steps += memo->steps;
+      }
+      return *memo;
+    };
+    // A template may fire on several frames of the same payload (e.g.
+    // the sled frame and the after-repetition frame overlap); report it
+    // once.
+    ctx.fired_names_.clear();
     auto add_alert = [&](semantic::ThreatClass threat, std::string name,
                          extract::FrameReason reason, std::size_t offset) {
-      if (already(name)) return;
-      ctx.fired_names_.insert(name);
+      if (!ctx.fired_names_.insert(name).second) return;
       Alert a = meta_prototype;
       a.threat = threat;
       a.template_name = std::move(name);
       a.frame_reason = reason;
       a.frame_offset = offset;
-      alerts.push_back(std::move(a));
+      unit.alerts.push_back(std::move(a));
     };
-    for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-      const extract::BinaryFrame& frame = frames[fi];
-      const emu::EmulationResult& emu_result = emulate(fi);
-      if (emu_result.spawned_shell()) {
-        add_alert(semantic::ThreatClass::kShellSpawn, "emulated:spawned-shell",
-                  extract::FrameReason::kEmulatedBehavior, frame.src_offset);
+
+    for (const auto& frame : frames) {
+      counts.bytes_analyzed += frame.data.size();
+      for (auto& det : analyze_frame(frame.data)) {
+        add_alert(det.threat, std::move(det.template_name), frame.reason, frame.src_offset);
       }
-      if (emu_result.bound_port()) {
-        add_alert(semantic::ThreatClass::kPortBindShell, "emulated:bound-port",
-                  extract::FrameReason::kEmulatedBehavior, frame.src_offset);
+    }
+    // Optional dynamic confirmation: a static decryption-loop alert must
+    // correspond to code that, when actually run, decodes something.
+    const auto is_decoder = [](const Alert& a) {
+      return a.threat == semantic::ThreatClass::kDecryptionLoop;
+    };
+    if (options_.confirm_decoders_by_emulation &&
+        std::any_of(unit.alerts.begin(), unit.alerts.end(), is_decoder)) {
+      bool confirmed = false;
+      for (std::size_t fi = 0; fi < frames.size() && !confirmed; ++fi) {
+        confirmed = emulate(fi).frame_bytes_modified >= options_.min_decoded_bytes;
       }
-      if (!emu_result.decoded_frame.empty()) {
-        for (auto& det : analyze_frame(emu_result.decoded_frame)) {
-          add_alert(det.threat, std::move(det.template_name),
-                    extract::FrameReason::kEmulatedDecode, frame.src_offset);
+      if (!confirmed) {
+        // Forget the erased names too: the deep pass below may rediscover
+        // the same template on an emulation-decoded frame, and that
+        // confirmed re-detection must not be suppressed.
+        for (const Alert& a : unit.alerts) {
+          if (is_decoder(a)) ctx.fired_names_.erase(a.template_name);
+        }
+        std::erase_if(unit.alerts, is_decoder);
+      }
+    }
+
+    // Deep analysis: run each frame in the sandbox. A decoder decrypts
+    // itself there, so the second static pass sees the plaintext
+    // behaviour that the on-wire bytes hid; the syscall trace
+    // independently exposes behaviour even when no static template
+    // covers it.
+    if (options_.enable_emulation) {
+      for (std::size_t fi = 0; fi < frames.size(); ++fi) {
+        const extract::BinaryFrame& frame = frames[fi];
+        const emu::EmulationResult& emu_result = emulate(fi);
+        if (emu_result.spawned_shell()) {
+          add_alert(semantic::ThreatClass::kShellSpawn, "emulated:spawned-shell",
+                    extract::FrameReason::kEmulatedBehavior, frame.src_offset);
+        }
+        if (emu_result.bound_port()) {
+          add_alert(semantic::ThreatClass::kPortBindShell, "emulated:bound-port",
+                    extract::FrameReason::kEmulatedBehavior, frame.src_offset);
+        }
+        if (!emu_result.decoded_frame.empty()) {
+          for (auto& det : analyze_frame(emu_result.decoded_frame)) {
+            add_alert(det.threat, std::move(det.template_name),
+                      extract::FrameReason::kEmulatedDecode, frame.src_offset);
+          }
         }
       }
     }
-  }
 
-  pm.alerts->add(alerts.size());
-  if (stats) merge_analyzer(stats->analyzer, astats);
-
-  if (cacheable) {
-    // Strip the alerts down to their flow-independent fields, preserving
-    // emission order exactly — replay must produce a byte-identical list.
-    cache::Verdict verdict;
-    verdict.alerts.reserve(alerts.size());
-    for (const Alert& a : alerts) {
-      verdict.alerts.push_back(
-          cache::CachedAlert{a.threat, a.template_name, a.frame_reason, a.frame_offset});
-    }
-    verdict.frames_extracted = frames.size();
-    verdict.bytes_analyzed = unit_bytes_analyzed;
-    verdict.frames_emulated = unit_frames_emulated;
-    verdict.emulated_steps = unit_emulated_steps;
-    vcache->insert(cache_key, std::move(verdict));
-  }
-  if (clocked) {
-    const double total = seconds_since(unit_start);
-    pm.unit_seconds->observe(total);
-    if (obs::FlightRecorder::enabled()) {
-      obs::UnitRecord fr;
-      fr.unit_id = unit_id;
-      fr.src = meta_prototype.src.value;
-      fr.payload_bytes = clamp_u32(payload.size());
-      fr.frames = clamp_u32(frames.size());
-      fr.alerts = clamp_u32(alerts.size());
-      fr.cache = cacheable ? obs::CacheDisposition::kMiss
-                 : vcache  ? obs::CacheDisposition::kBypass
-                           : obs::CacheDisposition::kNone;
-      fr.extract_us =
-          to_flight_us(unit_stage_seconds[static_cast<std::size_t>(obs::Stage::kExtract)]);
-      fr.disasm_us =
-          to_flight_us(unit_stage_seconds[static_cast<std::size_t>(obs::Stage::kDisasm)]);
-      fr.lift_us =
-          to_flight_us(unit_stage_seconds[static_cast<std::size_t>(obs::Stage::kLift)]);
-      fr.match_us =
-          to_flight_us(unit_stage_seconds[static_cast<std::size_t>(obs::Stage::kMatch)]);
-      fr.emulate_us =
-          to_flight_us(unit_stage_seconds[static_cast<std::size_t>(obs::Stage::kEmulate)]);
-      fr.total_us = to_flight_us(total);
-      obs::FlightRecorder::instance().record(fr);
+    if (cacheable) {
+      // Strip the alerts down to their flow-independent fields,
+      // preserving emission order exactly — replay must produce a
+      // byte-identical list.
+      cache::Verdict fresh;
+      fresh.alerts.reserve(unit.alerts.size());
+      for (const Alert& a : unit.alerts) {
+        fresh.alerts.push_back(
+            cache::CachedAlert{a.threat, a.template_name, a.frame_reason, a.frame_offset});
+      }
+      fresh.frames_extracted = counts.frames_extracted;
+      fresh.bytes_analyzed = counts.bytes_analyzed;
+      fresh.frames_emulated = counts.frames_emulated;
+      fresh.emulated_steps = counts.emulated_steps;
+      vcache->insert(cache_key, std::move(fresh));
     }
   }
-  return alerts;
+  return finish_unit(unit, stats);
 }
 
 Report NidsEngine::process_capture(const pcap::Capture& capture) {

@@ -158,48 +158,55 @@ struct StageStat {
   double max_seconds = 0.0;
 };
 
+/// The count fields of NidsStats, declared once (see semantic::CountField):
+/// each becomes a `std::size_t name = 0` member and an entry of
+/// kNidsCountFields, which merging, stats_json and the parity tests loop
+/// over.
+#define SENIDS_NIDS_COUNT_FIELDS(X)                                            \
+  X(packets)                                                                   \
+  X(non_ip)                                                                    \
+  X(suspicious_packets)                                                        \
+  X(units_analyzed) /* payloads/streams sent to stage (b) */                   \
+  /* Logical work counters: frames_extracted / frames_emulated /               \
+     emulated_steps count the work each unit's verdict represents, so a        \
+     verdict-cache hit folds the stored miss-path figures back in and          \
+     cache-on and cache-off runs report identical values (pinned by            \
+     tests/parallel_analysis_test.cpp). bytes_analyzed is the exception:       \
+     it counts only bytes the disassembler actually read this run — the        \
+     replayed remainder is in cache_bytes_saved, so bytes_analyzed +           \
+     cache_bytes_saved equals the cache-off bytes_analyzed. */                 \
+  X(frames_extracted)                                                          \
+  X(bytes_analyzed) /* frame bytes reaching the disassembler */                \
+  X(frames_emulated)                                                           \
+  X(emulated_steps) /* instructions executed in the sandbox */                 \
+  X(flows_evicted_idle)     /* flushed by flow_idle_timeout_sec */             \
+  X(flows_evicted_overflow) /* flushed to enforce max_flows */                 \
+  X(streams_truncated)      /* flows that hit max_stream_bytes */              \
+  X(dark_sources_evicted)   /* dark-space counters LRU-evicted at the cap */   \
+  X(defrag_dropped)         /* pending datagrams dropped at the defrag cap */  \
+  /* Stage-0 triage tiers (zero when triage is off). Every unit is             \
+     screened exactly once and is exactly one of escalated/rejected:           \
+     triage_screened == triage_escalated + triage_rejected, and rejected       \
+     units still count in units_analyzed (they entered the analysis            \
+     plane; triage is what they got instead of stages (b)-(e)). */             \
+  X(triage_screened)                                                           \
+  X(triage_escalated)                                                          \
+  X(triage_rejected)                                                           \
+  X(triage_rejected_bytes) /* payload bytes of rejected units */               \
+  /* Verdict cache (zero when the cache is disabled). Every unit that          \
+     reaches the cache is exactly one of hit/miss/bypass; rejected units       \
+     never reach it, so hits + misses + bypass ==                              \
+     units_analyzed - triage_rejected. cache_bytes_saved is the                \
+     bytes_analyzed the hit units' miss-path runs performed — the disasm       \
+     work replay avoided (the one work counter hits do NOT fold back into      \
+     its headline field; see the logical-work comment above). */               \
+  X(cache_hits)                                                                \
+  X(cache_misses)                                                              \
+  X(cache_bypass)                                                              \
+  X(cache_bytes_saved)
+
 struct NidsStats {
-  std::size_t packets = 0;
-  std::size_t non_ip = 0;
-  std::size_t suspicious_packets = 0;
-  std::size_t units_analyzed = 0;     // payloads/streams sent to stage (b)
-  // Logical work counters: frames_extracted / frames_emulated /
-  // emulated_steps count the work each unit's verdict represents, so a
-  // verdict-cache hit folds the stored miss-path figures back in and
-  // cache-on and cache-off runs report identical values (pinned by
-  // tests/parallel_analysis_test.cpp). bytes_analyzed is the exception:
-  // it counts only bytes the disassembler actually read this run — the
-  // replayed remainder is in cache_bytes_saved, so bytes_analyzed +
-  // cache_bytes_saved equals the cache-off bytes_analyzed.
-  std::size_t frames_extracted = 0;
-  std::size_t bytes_analyzed = 0;     // frame bytes reaching the disassembler
-  std::size_t frames_emulated = 0;
-  std::size_t emulated_steps = 0;     // instructions executed in the sandbox
-  std::size_t flows_evicted_idle = 0;     // flushed by flow_idle_timeout_sec
-  std::size_t flows_evicted_overflow = 0; // flushed to enforce max_flows
-  std::size_t streams_truncated = 0;      // flows that hit max_stream_bytes
-  std::size_t dark_sources_evicted = 0;   // dark-space counters LRU-evicted at the cap
-  std::size_t defrag_dropped = 0;         // pending datagrams dropped at the defrag cap
-  // Stage-0 triage tiers (zero when triage is off). Every unit is
-  // screened exactly once and is exactly one of escalated/rejected:
-  // triage_screened == triage_escalated + triage_rejected, and rejected
-  // units still count in units_analyzed (they entered the analysis
-  // plane; triage is what they got instead of stages (b)-(e)).
-  std::size_t triage_screened = 0;
-  std::size_t triage_escalated = 0;
-  std::size_t triage_rejected = 0;
-  std::size_t triage_rejected_bytes = 0;  // payload bytes of rejected units
-  // Verdict cache (zero when the cache is disabled). Every unit that
-  // reaches the cache is exactly one of hit/miss/bypass; rejected units
-  // never reach it, so hits + misses + bypass ==
-  // units_analyzed - triage_rejected. cache_bytes_saved is the bytes_analyzed the hit
-  // units' miss-path runs performed — the disasm work replay avoided
-  // (the one work counter hits do NOT fold back into its headline
-  // field; see the logical-work comment above).
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  std::size_t cache_bypass = 0;
-  std::size_t cache_bytes_saved = 0;
+  SENIDS_NIDS_COUNT_FIELDS(SENIDS_DECLARE_COUNT_FIELD)
   semantic::AnalyzerStats analyzer;
   /// Per-stage latency, indexed by obs::Stage. classify counts packets,
   /// reassemble counts flushed streams, extract counts units, disasm/
@@ -232,6 +239,18 @@ struct NidsStats {
   /// overlap while the pipeline streams.
   double analysis_seconds = 0.0;
 };
+
+#define SENIDS_NIDS_COUNT_ENTRY(name) \
+  semantic::CountField<NidsStats>{#name, &NidsStats::name},
+inline constexpr std::array kNidsCountFields{
+    SENIDS_NIDS_COUNT_FIELDS(SENIDS_NIDS_COUNT_ENTRY)};
+#undef SENIDS_NIDS_COUNT_ENTRY
+
+/// The count fields of `stats` as one JSON object, keyed by field name in
+/// declaration order, with the analyzer's counters nested under
+/// "analyzer" (what `senids_scan --json` prints as "stats"). Timings are
+/// left out: they differ run to run.
+[[nodiscard]] std::string stats_json(const NidsStats& stats);
 
 struct Report {
   std::vector<Alert> alerts;
@@ -308,25 +327,24 @@ class NidsEngine {
   /// drain units while classification is still feeding them).
   Report process_capture(const pcap::Capture& capture);
 
-  /// Analyze one application payload directly (classification skipped).
-  /// Used by Table 1/2 benches that feed exploit payloads end-to-end.
-  /// `unit_id` correlates this unit's tracer spans (0 = unlabelled).
-  /// Allocates a transient AnalysisContext per call; callers analyzing
-  /// payloads in a loop should hold a context and use the overload below.
-  std::vector<Alert> analyze_payload(util::ByteView payload, const Alert& meta_prototype,
-                                     NidsStats* stats = nullptr,
-                                     std::uint64_t unit_id = 0) const;
-
-  /// Context-reusing form — the worker hot path. `ctx` must come from
-  /// this engine's make_analysis_context() and must not be used from two
-  /// threads at once; the engine itself stays const and shareable.
+  /// Analyze one application payload directly (classification skipped):
+  /// stage-0 triage, then a verdict-cache replay or stages (b)-(e). The
+  /// worker hot path, and how benches and tests feed payloads
+  /// end-to-end. `ctx` must come from this engine's
+  /// make_analysis_context() and must not be used from two threads at
+  /// once; the engine itself stays const and shareable. Whichever way
+  /// the unit goes, its bookkeeping is written once on the way out: the
+  /// unit/frame/alert counters, the unit-latency histogram, one flight-
+  /// recorder record, and — when `stats` is given — one merge of the
+  /// unit's counts into it. `unit_id` correlates this unit's tracer
+  /// spans (0 = unlabelled).
   std::vector<Alert> analyze_payload(AnalysisContext& ctx, util::ByteView payload,
                                      const Alert& meta_prototype, NidsStats* stats = nullptr,
                                      std::uint64_t unit_id = 0) const;
 
-  /// A per-worker context for the analyze_payload overload above: its
-  /// extractor/analyzer are configured like the engine's own and share
-  /// the engine's immutable template library (no template copies).
+  /// A per-worker context for analyze_payload: its extractor/analyzer
+  /// are configured like the engine's own and share the engine's
+  /// immutable template library (no template copies).
   [[nodiscard]] AnalysisContext make_analysis_context() const;
 
   [[nodiscard]] const NidsOptions& options() const noexcept { return options_; }

@@ -1,22 +1,11 @@
 #include "core/shard.hpp"
 
-#include <chrono>
 #include <utility>
 
 #include "core/pipeline_obs.hpp"
 #include "obs/trace.hpp"
 
 namespace senids::core {
-
-namespace {
-
-using SteadyClock = std::chrono::steady_clock;
-
-double seconds_since(SteadyClock::time_point start) {
-  return std::chrono::duration<double>(SteadyClock::now() - start).count();
-}
-
-}  // namespace
 
 PipelineShard::PipelineShard(const NidsOptions& options,
                              const classify::TrafficClassifier& config,
@@ -43,20 +32,6 @@ void PipelineShard::begin_capture() {
   dark_evictions_base_ = classifier_.dark_space().evictions();
 }
 
-void PipelineShard::record_stage(obs::Stage stage, double seconds, std::uint64_t unit_id,
-                                 std::uint64_t bytes, bool with_span) {
-  const auto idx = static_cast<std::size_t>(stage);
-  obs::pipeline_metrics().stage_seconds[idx]->observe(seconds);
-  fold_stage(stats_.stages[idx], seconds);
-  if (tracing_ && with_span) {
-    obs::Tracer& tracer = obs::Tracer::instance();
-    const auto dur = static_cast<std::uint64_t>(seconds * 1e6);
-    const std::uint64_t now = tracer.now_us();
-    tracer.record({obs::stage_name(stage).data(), unit_id, now >= dur ? now - dur : 0,
-                   dur, bytes, 0});
-  }
-}
-
 bool PipelineShard::stream_full(const FlowState& state) const {
   return state.reassembler.truncated() ||
          state.reassembler.stream().size() >= options_.max_stream_bytes;
@@ -75,7 +50,9 @@ void PipelineShard::flush_flow(FlowState& state, const UnitSink& sink) {
   if (clocked_) reassemble_seconds += seconds_since(t0);
   if (stream.empty()) return;
   const std::uint64_t unit_id = tracing_ ? obs::Tracer::instance().next_unit_id() : 0;
-  record_stage(obs::Stage::kReassemble, reassemble_seconds, unit_id, stream.size(), true);
+  const StageSpan span{unit_id, stream.size()};
+  record_stage(stats_, obs::Stage::kReassemble, reassemble_seconds,
+               tracing_ ? &span : nullptr);
   if (shard_.units) shard_.units->add();
   sink(std::move(stream), state.meta, unit_id);
 }
@@ -162,8 +139,9 @@ void PipelineShard::process_record(util::ByteView frame, std::uint32_t ts_sec,
   auto suspicious = classify_one(frame, ts_sec, ts_usec);
   // Per-packet classify latency; spans only for suspicious packets (a
   // span per ignored packet would swamp the trace with noise).
-  record_stage(obs::Stage::kClassify, clocked_ ? seconds_since(pkt_start) : 0.0, 0,
-               frame.size(), suspicious.has_value());
+  const StageSpan span{0, frame.size()};
+  record_stage(stats_, obs::Stage::kClassify, clocked_ ? seconds_since(pkt_start) : 0.0,
+               tracing_ && suspicious ? &span : nullptr);
   if (suspicious) {
     ++stats_.suspicious_packets;
     pm.suspicious_packets->add();

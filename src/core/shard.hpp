@@ -81,10 +81,6 @@ class PipelineShard {
   void dispatch(net::ParsedPacket& pkt, const UnitSink& sink);
   [[nodiscard]] bool stream_full(const FlowState& state) const;
   void flush_flow(FlowState& state, const UnitSink& sink);
-  /// Fold a producer-side stage execution into stats + registry (+ a
-  /// trace span placed backwards from "now", since the span just ended).
-  void record_stage(obs::Stage stage, double seconds, std::uint64_t unit_id,
-                    std::uint64_t bytes, bool with_span);
 
   const NidsOptions& options_;
   classify::TrafficClassifier classifier_;

@@ -2,6 +2,7 @@
 // frame, finds candidate code, lifts it, and matches the template set.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -26,18 +27,34 @@ struct Detection {
   Env bindings;
 };
 
+/// A count field of a stats struct: its name and where it lives. The
+/// count fields of AnalyzerStats and core::NidsStats are each declared
+/// once, as an X-macro list, and every merge, rendering and parity check
+/// loops over the matching array of these.
+template <class Stats>
+struct CountField {
+  const char* name;
+  std::size_t Stats::*field;
+};
+
+#define SENIDS_DECLARE_COUNT_FIELD(name) std::size_t name = 0;
+
+/// The count fields of AnalyzerStats, declared once.
+#define SENIDS_ANALYZER_COUNT_FIELDS(X)                                        \
+  X(frames)                                                                    \
+  X(candidate_runs)                                                            \
+  X(traces)                                                                    \
+  X(instructions_lifted)                                                       \
+  X(template_matches_tried)                                                    \
+  /* Work-budget bailouts: frames that filled the candidate-entry budget       \
+     (max_entries) or burned the per-frame instruction budget                  \
+     (max_total_insns). A spike is itself a signal — adversarial frames        \
+     shaped to exhaust the analyzer look exactly like this. */                 \
+  X(entry_budget_exhausted)                                                    \
+  X(insn_budget_exhausted)
+
 struct AnalyzerStats {
-  std::size_t frames = 0;
-  std::size_t candidate_runs = 0;
-  std::size_t traces = 0;
-  std::size_t instructions_lifted = 0;
-  std::size_t template_matches_tried = 0;
-  // Work-budget bailouts: frames that filled the candidate-entry budget
-  // (max_entries) or burned the per-frame instruction budget
-  // (max_total_insns). A spike is itself a signal — adversarial frames
-  // shaped to exhaust the analyzer look exactly like this.
-  std::size_t entry_budget_exhausted = 0;
-  std::size_t insn_budget_exhausted = 0;
+  SENIDS_ANALYZER_COUNT_FIELDS(SENIDS_DECLARE_COUNT_FIELD)
   /// Per-stage wall time inside analyze(): candidate scan + execution
   /// tracing (disasm), x86 -> IR (lift), template matching (match).
   /// Only accumulated while obs::metrics_enabled(); zero otherwise.
@@ -45,6 +62,12 @@ struct AnalyzerStats {
   double lift_seconds = 0.0;
   double match_seconds = 0.0;
 };
+
+#define SENIDS_ANALYZER_COUNT_ENTRY(name) \
+  CountField<AnalyzerStats>{#name, &AnalyzerStats::name},
+inline constexpr std::array kAnalyzerCountFields{
+    SENIDS_ANALYZER_COUNT_FIELDS(SENIDS_ANALYZER_COUNT_ENTRY)};
+#undef SENIDS_ANALYZER_COUNT_ENTRY
 
 /// Reusable per-worker working memory for analyze(). Every buffer the
 /// frame loop fills — candidate runs, entry offsets, the execution

@@ -151,7 +151,8 @@ TEST(DeepAnalysis, DisabledByDefault) {
   auto poly = gen::admmutate_encode(gen::make_shell_spawn_corpus()[1].code, tb.prng());
   Alert meta;
   NidsStats stats;
-  nids.analyze_payload(poly.bytes, meta, &stats);
+  AnalysisContext ctx = nids.make_analysis_context();
+  nids.analyze_payload(ctx, poly.bytes, meta, &stats);
   EXPECT_EQ(stats.frames_emulated, 0u);
 }
 
@@ -167,7 +168,8 @@ TEST(DeepAnalysis, ConfirmationKeepsRealDecoders) {
   options.confirm_decoders_by_emulation = true;
   NidsEngine nids(options);
   core::Alert meta;
-  auto alerts = nids.analyze_payload(gen::make_iis_asp_overflow_payload(), meta);
+  AnalysisContext ctx = nids.make_analysis_context();
+  auto alerts = nids.analyze_payload(ctx, gen::make_iis_asp_overflow_payload(), meta);
   bool decoder = false;
   for (const auto& a : alerts) {
     if (a.threat == ThreatClass::kDecryptionLoop) decoder = true;
@@ -180,11 +182,12 @@ TEST(DeepAnalysis, ConfirmationKeepsPolymorphicInstances) {
   options.classifier.analyze_everything = true;
   options.confirm_decoders_by_emulation = true;
   NidsEngine nids(options);
+  AnalysisContext ctx = nids.make_analysis_context();
   for (std::uint64_t seed = 600; seed < 610; ++seed) {
     util::Prng prng(seed);
     auto poly = gen::admmutate_encode(gen::make_shell_spawn_corpus()[1].code, prng);
     core::Alert meta;
-    auto alerts = nids.analyze_payload(gen::wrap_in_overflow(poly.bytes, prng), meta);
+    auto alerts = nids.analyze_payload(ctx, gen::wrap_in_overflow(poly.bytes, prng), meta);
     bool decoder = false;
     for (const auto& a : alerts) {
       if (a.threat == ThreatClass::kDecryptionLoop) decoder = true;
@@ -214,7 +217,8 @@ TEST(DeepAnalysis, ConfirmationDropsNonExecutingShape) {
   plain.classifier.analyze_everything = true;
   NidsEngine static_engine(plain);
   core::Alert meta;
-  auto static_alerts = static_engine.analyze_payload(payload, meta);
+  AnalysisContext static_ctx = static_engine.make_analysis_context();
+  auto static_alerts = static_engine.analyze_payload(static_ctx, payload, meta);
   bool static_decoder = false;
   for (const auto& al : static_alerts) {
     if (al.threat == ThreatClass::kDecryptionLoop) static_decoder = true;
@@ -224,7 +228,8 @@ TEST(DeepAnalysis, ConfirmationDropsNonExecutingShape) {
   NidsOptions confirming = plain;
   confirming.confirm_decoders_by_emulation = true;
   NidsEngine confirming_engine(confirming);
-  auto confirmed_alerts = confirming_engine.analyze_payload(payload, meta);
+  AnalysisContext confirming_ctx = confirming_engine.make_analysis_context();
+  auto confirmed_alerts = confirming_engine.analyze_payload(confirming_ctx, payload, meta);
   for (const auto& al : confirmed_alerts) {
     EXPECT_NE(al.threat, ThreatClass::kDecryptionLoop);
   }

@@ -471,6 +471,34 @@ TEST(Engine, AlertStrLongTemplateNameNotTruncated) {
   EXPECT_NE(text.find("flow evictions"), std::string::npos);
 }
 
+TEST(Engine, StatsJsonListsEveryCounter) {
+  // Distinct values, so a key printed with a neighbour's value fails too.
+  NidsStats stats;
+  std::size_t value = 1000;
+  for (const auto& f : kNidsCountFields) stats.*f.field = value++;
+  for (const auto& f : semantic::kAnalyzerCountFields) stats.analyzer.*f.field = value++;
+  const std::string json = stats_json(stats);
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  const std::size_t nested = json.find("\"analyzer\": {");
+  ASSERT_NE(nested, std::string::npos);
+  for (const auto& f : kNidsCountFields) {
+    const std::string entry =
+        "\"" + std::string(f.name) + "\": " + std::to_string(stats.*f.field);
+    EXPECT_LT(json.find(entry), nested) << entry;
+  }
+  for (const auto& f : semantic::kAnalyzerCountFields) {
+    const std::string entry =
+        "\"" + std::string(f.name) + "\": " + std::to_string(stats.analyzer.*f.field);
+    const std::size_t at = json.find(entry, nested);
+    EXPECT_NE(at, std::string::npos) << entry;
+  }
+  EXPECT_EQ(std::count(json.begin(), json.end(), ':'),
+            static_cast<std::ptrdiff_t>(kNidsCountFields.size() +
+                                        semantic::kAnalyzerCountFields.size() + 1));
+}
+
 TEST(Engine, AnalyzerWorkBudgetBoundsPathologicalFrames) {
   // A frame of 200k one-byte instructions: without the budget this would
   // lift ~8192 entries x thousands of instructions.
@@ -481,7 +509,8 @@ TEST(Engine, AnalyzerWorkBudgetBoundsPathologicalFrames) {
   util::Bytes sled(200000, 0x90);
   core::Alert meta;
   NidsStats stats;
-  nids.analyze_payload(sled, meta, &stats);
+  AnalysisContext ctx = nids.make_analysis_context();
+  nids.analyze_payload(ctx, sled, meta, &stats);
   EXPECT_LE(stats.analyzer.instructions_lifted, 10000u + 4096u);
 }
 

@@ -122,7 +122,8 @@ TEST(MailWorm, NonPolymorphicAttachmentAlsoDetected) {
   options.classifier.analyze_everything = true;
   core::NidsEngine nids(options);
   core::Alert meta;
-  auto alerts = nids.analyze_payload(worm.smtp_payload, meta);
+  core::AnalysisContext ctx = nids.make_analysis_context();
+  auto alerts = nids.analyze_payload(ctx, worm.smtp_payload, meta);
   bool shell = false;
   for (const auto& a : alerts) {
     if (a.threat == semantic::ThreatClass::kShellSpawn) shell = true;
@@ -136,10 +137,11 @@ TEST(MailWorm, BenignEmailStaysClean) {
   options.classifier.analyze_everything = true;
   options.enable_emulation = true;
   core::NidsEngine nids(options);
+  core::AnalysisContext ctx = nids.make_analysis_context();
   for (int i = 0; i < 10; ++i) {
     auto mail = gen::make_benign_email(prng);
     core::Alert meta;
-    EXPECT_TRUE(nids.analyze_payload(mail, meta).empty()) << i;
+    EXPECT_TRUE(nids.analyze_payload(ctx, mail, meta).empty()) << i;
   }
 }
 

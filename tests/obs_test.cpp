@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "core/senids.hpp"
+#include "gen/shellcode.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pipeline.hpp"
 #include "obs/trace.hpp"
@@ -359,6 +361,176 @@ TEST(ObsEngine, StreamingAndSerialReportSameStageCounts) {
   ASSERT_GT(serial.stats.units_analyzed, 0u);
   EXPECT_GT(serial.stats.analysis_seconds, 0.0);
   EXPECT_GT(parallel.stats.analysis_seconds, 0.0);
+}
+
+// Every way a unit can leave analyze_payload — triage reject, cache miss,
+// cache hit, cache bypass, and cache disabled — must leave the same
+// bookkeeping behind: one flight-recorder record, one tracer span set
+// under the unit's id, one bump of the unit/frame/alert counters and the
+// unit-latency histogram, and the NidsStats counts of that exit.
+TEST(Engine, UnitBookkeepingPerExit) {
+  set_metrics_enabled(true);
+  FlightRecorder& fr = FlightRecorder::instance();
+  fr.configure({.slots = 64});
+  Tracer& tracer = Tracer::instance();
+  Tracer::set_enabled(true);
+  tracer.reset();
+
+  const util::Bytes exploit = gen::make_shell_spawn_corpus()[0].code;
+  util::Bytes big_exploit = exploit;
+  big_exploit.insert(big_exploit.begin(), 64, 0x90);  // a sled ahead of the same exploit
+  const std::string text = "GET /index.html HTTP/1.0\r\nHost: example.com\r\n\r\n";
+  const util::Bytes benign(text.begin(), text.end());
+
+  core::NidsOptions options;
+  options.triage.mode = triage::TriageMode::kOn;
+  options.verdict_cache_bytes = 1u << 20;
+  options.cache_max_unit_bytes = exploit.size();
+  const core::NidsEngine cached(options);
+  options.verdict_cache_bytes = 0;
+  const core::NidsEngine uncached(options);
+  core::AnalysisContext cached_ctx = cached.make_analysis_context();
+  core::AnalysisContext uncached_ctx = uncached.make_analysis_context();
+
+  core::Alert meta;
+  meta.src = net::Ipv4Addr::from_octets(192, 0, 2, 66);
+  meta.dst = net::Ipv4Addr::from_octets(10, 0, 0, 7);
+  meta.dst_port = 80;
+
+  PipelineMetrics& pm = pipeline_metrics();
+  struct Observed {
+    std::size_t alerts = 0;
+    core::NidsStats stats;
+    UnitRecord record;
+    std::vector<std::string> spans;
+    std::uint64_t units = 0, frames = 0, alert_count = 0, unit_seconds = 0;
+  };
+  auto run = [&](const core::NidsEngine& engine, core::AnalysisContext& ctx,
+                 const util::Bytes& payload, std::uint64_t unit_id) {
+    Observed o;
+    const std::uint64_t units0 = pm.units->value();
+    const std::uint64_t frames0 = pm.frames->value();
+    const std::uint64_t alerts0 = pm.alerts->value();
+    const std::uint64_t seconds0 = pm.unit_seconds->count();
+    const std::size_t records0 = fr.recent().size();
+    o.alerts = engine.analyze_payload(ctx, payload, meta, &o.stats, unit_id).size();
+    o.units = pm.units->value() - units0;
+    o.frames = pm.frames->value() - frames0;
+    o.alert_count = pm.alerts->value() - alerts0;
+    o.unit_seconds = pm.unit_seconds->count() - seconds0;
+    const std::vector<UnitRecord> records = fr.recent();
+    EXPECT_EQ(records.size(), records0 + 1) << "unit " << unit_id;
+    if (!records.empty()) o.record = records.back();
+    for (const Span& s : tracer.spans()) {
+      if (s.unit_id == unit_id) o.spans.emplace_back(s.name);
+    }
+    return o;
+  };
+  auto stage = [](const core::NidsStats& s, Stage st) {
+    return s.stages[static_cast<std::size_t>(st)].count;
+  };
+  auto expect_unit = [&](const Observed& o, std::uint64_t unit_id, const util::Bytes& payload,
+                         CacheDisposition cache) {
+    EXPECT_EQ(o.record.unit_id, unit_id);
+    EXPECT_EQ(o.record.src, meta.src.value);
+    EXPECT_EQ(o.record.payload_bytes, payload.size());
+    EXPECT_EQ(o.record.cache, cache);
+    EXPECT_EQ(o.record.alerts, o.alerts);
+    EXPECT_EQ(o.units, 1u);
+    EXPECT_EQ(o.unit_seconds, 1u);
+    EXPECT_EQ(o.alert_count, o.alerts);
+    EXPECT_EQ(o.frames, o.record.frames);
+    EXPECT_EQ(o.record.emulate_us, 0u);
+    EXPECT_EQ(o.stats.units_analyzed, 1u);
+    EXPECT_EQ(o.stats.triage_screened, 1u);
+    EXPECT_EQ(stage(o.stats, Stage::kTriage), 1u);
+    EXPECT_EQ(o.stats.frames_emulated, 0u);
+    EXPECT_EQ(o.stats.emulated_steps, 0u);
+    EXPECT_EQ(o.stats.packets, 0u);
+    EXPECT_EQ(o.stats.suspicious_packets, 0u);
+  };
+  // A full analysis: triage, extract, then disasm/lift/match per frame.
+  auto expect_analyzed = [&](const Observed& o) {
+    EXPECT_GT(o.alerts, 0u);
+    EXPECT_EQ(o.stats.triage_escalated, 1u);
+    EXPECT_EQ(o.stats.triage_rejected, 0u);
+    EXPECT_GT(o.stats.frames_extracted, 0u);
+    EXPECT_EQ(o.record.frames, o.stats.frames_extracted);
+    EXPECT_GT(o.stats.bytes_analyzed, 0u);
+    EXPECT_EQ(o.stats.analyzer.frames, o.stats.frames_extracted);
+    EXPECT_EQ(stage(o.stats, Stage::kExtract), 1u);
+    EXPECT_EQ(stage(o.stats, Stage::kDisasm), o.stats.analyzer.frames);
+    EXPECT_EQ(stage(o.stats, Stage::kLift), o.stats.analyzer.frames);
+    EXPECT_EQ(stage(o.stats, Stage::kMatch), o.stats.analyzer.frames);
+    EXPECT_EQ(stage(o.stats, Stage::kEmulate), 0u);
+    EXPECT_EQ(o.stats.cache_bytes_saved, 0u);
+    EXPECT_GT(o.record.disasm_us + o.record.lift_us + o.record.match_us, 0u);
+    std::vector<std::string> want{"triage", "extract"};
+    for (std::size_t i = 0; i < o.stats.analyzer.frames; ++i) {
+      want.insert(want.end(), {"disasm", "lift", "match"});
+    }
+    EXPECT_EQ(o.spans, want);
+  };
+
+  const Observed reject = run(cached, cached_ctx, benign, 901);
+  expect_unit(reject, 901, benign, CacheDisposition::kNone);
+  EXPECT_EQ(reject.alerts, 0u);
+  EXPECT_EQ(reject.record.frames, 0u);
+  EXPECT_EQ(reject.record.extract_us + reject.record.disasm_us + reject.record.lift_us +
+                reject.record.match_us,
+            0u);
+  EXPECT_EQ(reject.stats.triage_escalated, 0u);
+  EXPECT_EQ(reject.stats.triage_rejected, 1u);
+  EXPECT_EQ(reject.stats.triage_rejected_bytes, benign.size());
+  EXPECT_EQ(reject.stats.frames_extracted, 0u);
+  EXPECT_EQ(reject.stats.bytes_analyzed, 0u);
+  EXPECT_EQ(reject.stats.analyzer.frames, 0u);
+  EXPECT_EQ(reject.stats.cache_hits + reject.stats.cache_misses + reject.stats.cache_bypass,
+            0u);
+  EXPECT_EQ(stage(reject.stats, Stage::kExtract), 0u);
+  EXPECT_EQ(reject.spans, std::vector<std::string>{"triage"});
+
+  const Observed miss = run(cached, cached_ctx, exploit, 902);
+  expect_unit(miss, 902, exploit, CacheDisposition::kMiss);
+  expect_analyzed(miss);
+  EXPECT_EQ(miss.stats.cache_misses, 1u);
+  EXPECT_EQ(miss.stats.cache_hits + miss.stats.cache_bypass, 0u);
+
+  const Observed hit = run(cached, cached_ctx, exploit, 903);
+  expect_unit(hit, 903, exploit, CacheDisposition::kHit);
+  EXPECT_EQ(hit.alerts, miss.alerts);
+  EXPECT_EQ(hit.record.frames, miss.record.frames);
+  EXPECT_EQ(hit.record.extract_us + hit.record.disasm_us + hit.record.lift_us +
+                hit.record.match_us,
+            0u);
+  EXPECT_EQ(hit.stats.triage_escalated, 1u);
+  EXPECT_EQ(hit.stats.cache_hits, 1u);
+  EXPECT_EQ(hit.stats.cache_misses + hit.stats.cache_bypass, 0u);
+  EXPECT_EQ(hit.stats.cache_bytes_saved, miss.stats.bytes_analyzed);
+  EXPECT_EQ(hit.stats.frames_extracted, miss.stats.frames_extracted);
+  EXPECT_EQ(hit.stats.bytes_analyzed, 0u);
+  EXPECT_EQ(hit.stats.analyzer.frames, 0u);
+  EXPECT_EQ(stage(hit.stats, Stage::kExtract), 0u);
+  EXPECT_EQ(stage(hit.stats, Stage::kDisasm), 0u);
+  EXPECT_EQ(hit.spans, (std::vector<std::string>{"triage", "cache-hit"}));
+
+  const Observed bypass = run(cached, cached_ctx, big_exploit, 904);
+  expect_unit(bypass, 904, big_exploit, CacheDisposition::kBypass);
+  expect_analyzed(bypass);
+  EXPECT_EQ(bypass.stats.cache_bypass, 1u);
+  EXPECT_EQ(bypass.stats.cache_hits + bypass.stats.cache_misses, 0u);
+
+  const Observed none = run(uncached, uncached_ctx, exploit, 905);
+  expect_unit(none, 905, exploit, CacheDisposition::kNone);
+  expect_analyzed(none);
+  EXPECT_EQ(none.alerts, miss.alerts);
+  EXPECT_EQ(none.stats.cache_hits + none.stats.cache_misses + none.stats.cache_bypass, 0u);
+  EXPECT_EQ(none.stats.frames_extracted, miss.stats.frames_extracted);
+  EXPECT_EQ(none.stats.bytes_analyzed, miss.stats.bytes_analyzed);
+
+  Tracer::set_enabled(false);
+  tracer.reset();
+  fr.configure({.slots = 0});
 }
 
 }  // namespace

@@ -106,7 +106,8 @@ TEST(EngineRobustness, PathologicalRepetitionPayload) {
   options.classifier.analyze_everything = true;
   core::NidsEngine nids(options);
   core::Alert meta;
-  auto alerts = nids.analyze_payload(payload, meta);
+  core::AnalysisContext ctx = nids.make_analysis_context();
+  auto alerts = nids.analyze_payload(ctx, payload, meta);
   EXPECT_TRUE(alerts.empty());
 }
 

@@ -115,34 +115,12 @@ bool same_alert(const Alert& a, const Alert& b) {
 }
 
 void expect_same_counts(const NidsStats& live, const NidsStats& batch) {
-  EXPECT_EQ(live.packets, batch.packets);
-  EXPECT_EQ(live.non_ip, batch.non_ip);
-  EXPECT_EQ(live.suspicious_packets, batch.suspicious_packets);
-  EXPECT_EQ(live.units_analyzed, batch.units_analyzed);
-  EXPECT_EQ(live.frames_extracted, batch.frames_extracted);
-  EXPECT_EQ(live.bytes_analyzed, batch.bytes_analyzed);
-  EXPECT_EQ(live.frames_emulated, batch.frames_emulated);
-  EXPECT_EQ(live.emulated_steps, batch.emulated_steps);
-  EXPECT_EQ(live.flows_evicted_idle, batch.flows_evicted_idle);
-  EXPECT_EQ(live.flows_evicted_overflow, batch.flows_evicted_overflow);
-  EXPECT_EQ(live.streams_truncated, batch.streams_truncated);
-  EXPECT_EQ(live.dark_sources_evicted, batch.dark_sources_evicted);
-  EXPECT_EQ(live.defrag_dropped, batch.defrag_dropped);
-  EXPECT_EQ(live.triage_screened, batch.triage_screened);
-  EXPECT_EQ(live.triage_escalated, batch.triage_escalated);
-  EXPECT_EQ(live.triage_rejected, batch.triage_rejected);
-  EXPECT_EQ(live.triage_rejected_bytes, batch.triage_rejected_bytes);
-  EXPECT_EQ(live.cache_hits, batch.cache_hits);
-  EXPECT_EQ(live.cache_misses, batch.cache_misses);
-  EXPECT_EQ(live.cache_bypass, batch.cache_bypass);
-  EXPECT_EQ(live.cache_bytes_saved, batch.cache_bytes_saved);
-  EXPECT_EQ(live.analyzer.frames, batch.analyzer.frames);
-  EXPECT_EQ(live.analyzer.candidate_runs, batch.analyzer.candidate_runs);
-  EXPECT_EQ(live.analyzer.traces, batch.analyzer.traces);
-  EXPECT_EQ(live.analyzer.instructions_lifted, batch.analyzer.instructions_lifted);
-  EXPECT_EQ(live.analyzer.template_matches_tried, batch.analyzer.template_matches_tried);
-  EXPECT_EQ(live.analyzer.entry_budget_exhausted, batch.analyzer.entry_budget_exhausted);
-  EXPECT_EQ(live.analyzer.insn_budget_exhausted, batch.analyzer.insn_budget_exhausted);
+  for (const auto& f : kNidsCountFields) {
+    EXPECT_EQ(live.*f.field, batch.*f.field) << f.name;
+  }
+  for (const auto& f : semantic::kAnalyzerCountFields) {
+    EXPECT_EQ(live.analyzer.*f.field, batch.analyzer.*f.field) << "analyzer." << f.name;
+  }
   for (std::size_t i = 0; i < obs::kStageCount; ++i) {
     EXPECT_EQ(live.stages[i].count, batch.stages[i].count)
         << "stage " << obs::stage_name(static_cast<obs::Stage>(i));

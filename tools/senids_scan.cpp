@@ -483,23 +483,7 @@ int main(int argc, char** argv) {
                   std::string(extract::frame_reason_name(a.frame_reason)).c_str(),
                   a.frame_offset, i + 1 < report.alerts.size() ? "," : "");
     }
-    std::printf("  ],\n");
-    std::printf("  \"stats\": {\"packets\": %zu, \"suspicious\": %zu, "
-                "\"units\": %zu, \"frames\": %zu, \"bytes_analyzed\": %zu, "
-                "\"frames_emulated\": %zu, \"flows_evicted_idle\": %zu, "
-                "\"flows_evicted_overflow\": %zu, \"streams_truncated\": %zu, "
-                "\"cache_hits\": %zu, \"cache_misses\": %zu, \"cache_bypass\": %zu, "
-                "\"cache_bytes_saved\": %zu, "
-                "\"triage_screened\": %zu, \"triage_escalated\": %zu, "
-                "\"triage_rejected\": %zu}\n}\n",
-                report.stats.packets, report.stats.suspicious_packets,
-                report.stats.units_analyzed, report.stats.frames_extracted,
-                report.stats.bytes_analyzed, report.stats.frames_emulated,
-                report.stats.flows_evicted_idle, report.stats.flows_evicted_overflow,
-                report.stats.streams_truncated, report.stats.cache_hits,
-                report.stats.cache_misses, report.stats.cache_bypass,
-                report.stats.cache_bytes_saved, report.stats.triage_screened,
-                report.stats.triage_escalated, report.stats.triage_rejected);
+    std::printf("  ],\n  \"stats\": %s\n}\n", core::stats_json(report.stats).c_str());
   } else if (cli.summary) {
     std::printf("%s", report.str().c_str());
   } else {
