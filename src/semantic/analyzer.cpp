@@ -20,6 +20,7 @@ struct AnalyzerMetrics {
   obs::Counter& traces;
   obs::Counter& insns_lifted;
   obs::Counter& matches_tried;
+  obs::Counter& templates_skipped;
   obs::Counter& entry_budget_exhausted;
   obs::Counter& insn_budget_exhausted;
 };
@@ -32,6 +33,8 @@ AnalyzerMetrics& analyzer_metrics() {
       r.counter("senids_analyzer_traces_total", "Execution traces lifted to IR"),
       r.counter("senids_analyzer_insns_lifted_total", "Instructions lifted to IR"),
       r.counter("senids_analyzer_matches_tried_total", "Template match attempts"),
+      r.counter("senids_analyzer_templates_skipped_total",
+                "Templates not tried on a trace that lacks their anchor features"),
       r.counter("senids_analyzer_entry_budget_exhausted_total",
                 "Frames that filled the candidate-entry budget"),
       r.counter("senids_analyzer_insn_budget_exhausted_total",
@@ -58,15 +61,25 @@ class StageClock {
   std::chrono::steady_clock::time_point t0_{};
 };
 
+std::vector<AnchorWord> anchors_of(const std::vector<Template>& templates) {
+  std::vector<AnchorWord> anchors;
+  anchors.reserve(templates.size());
+  for (const Template& t : templates) anchors.push_back(template_anchors(t));
+  return anchors;
+}
+
 }  // namespace
 
 SemanticAnalyzer::SemanticAnalyzer(std::vector<Template> templates, Options options)
-    : templates_(std::make_shared<const std::vector<Template>>(std::move(templates))),
-      options_(std::move(options)) {}
+    : SemanticAnalyzer(
+          std::make_shared<const std::vector<Template>>(std::move(templates)),
+          std::move(options)) {}
 
 SemanticAnalyzer::SemanticAnalyzer(std::shared_ptr<const std::vector<Template>> templates,
                                    Options options)
-    : templates_(std::move(templates)), options_(std::move(options)) {}
+    : templates_(std::move(templates)),
+      anchors_(anchors_of(*templates_)),
+      options_(std::move(options)) {}
 
 std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame,
                                                  AnalyzerStats* stats) const {
@@ -169,11 +182,16 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
     if (options_.post_lift_hook) options_.post_lift_hook(trace, lifted);
     LiftedCode code{&trace, &lifted.events, frame};
     clock.start();
+    const AnchorWord features = trace_anchors(lifted.events);
+    std::size_t tried = 0, skipped = 0;
     for (std::size_t ti = 0; ti < templates.size(); ++ti) {
       if (fired[ti]) continue;
+      if (!anchors_admit(anchors_[ti], features)) {
+        ++skipped;
+        continue;
+      }
+      ++tried;
       const Template& t = templates[ti];
-      metrics.matches_tried.add();
-      if (stats) ++stats->template_matches_tried;
       if (auto m = match_template(t, code)) {
         fired[ti] = 1;
         ++fired_count;
@@ -187,6 +205,12 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
       }
     }
     clock.stop(match_seconds);
+    metrics.matches_tried.add(tried);
+    metrics.templates_skipped.add(skipped);
+    if (stats) {
+      stats->template_matches_tried += tried;
+      stats->templates_skipped += skipped;
+    }
   }
 
   if (entry_budget_hit) {

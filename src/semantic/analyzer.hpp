@@ -45,7 +45,11 @@ struct CountField {
   X(candidate_runs)                                                            \
   X(traces)                                                                    \
   X(instructions_lifted)                                                       \
+  /* match_template calls that ran, and templates left untried on a trace     \
+     because the trace lacks a feature the template's anchors require. On a    \
+     frame where nothing fires, tried + skipped = traces x templates. */       \
   X(template_matches_tried)                                                    \
+  X(templates_skipped)                                                         \
   /* Work-budget bailouts: frames that filled the candidate-entry budget       \
      (max_entries) or burned the per-frame instruction budget                  \
      (max_total_insns). A spike is itself a signal — adversarial frames        \
@@ -94,6 +98,13 @@ struct AnalyzerScratch {
 /// clones (make per-worker instances via the sharing constructor) all
 /// read one immutable template set — cloning an analyzer never copies
 /// the templates.
+///
+/// Each template carries an anchor word (template_anchors): the event
+/// features its statements require. After lifting a trace, analyze()
+/// runs match_template only for the templates whose anchors the trace's
+/// features (trace_anchors) cover; any other template would fail the
+/// first test of some statement on every event, so skipping it cannot
+/// change the detections.
 class SemanticAnalyzer {
  public:
   struct Options {
@@ -145,6 +156,8 @@ class SemanticAnalyzer {
 
  private:
   std::shared_ptr<const std::vector<Template>> templates_;
+  /// template_anchors() of each template, parallel to *templates_.
+  std::vector<AnchorWord> anchors_;
   Options options_;
 };
 

@@ -3,9 +3,10 @@
 #include "arch/defuse.hpp"
 #include "arch/format.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
-#include <unordered_map>
+#include <utility>
 
 namespace senids::semantic {
 
@@ -96,6 +97,63 @@ Stmt st_syscall64_str(std::uint8_t sysno, std::string rdi_points_to) {
   Stmt s = st_syscall64(sysno);
   s.ebx_points_to = std::move(rdi_points_to);
   return s;
+}
+
+namespace {
+
+AnchorWord store_anchor(unsigned width_bits) noexcept {
+  switch (width_bits) {
+    case 8: return kAnchorStore8;
+    case 16: return kAnchorStore16;
+    case 32: return kAnchorStore32;
+    case 64: return kAnchorStore64;
+    default: return kAnchorStoreOther;
+  }
+}
+
+AnchorWord syscall_anchor(std::uint16_t vector) noexcept {
+  if (vector == 0x80) return kAnchorSyscall80;
+  if (vector == ir::kSyscallVector) return kAnchorSyscall100;
+  return kAnchorSyscallOther;
+}
+
+/// Features one event provides.
+AnchorWord event_anchors(const Event& ev) noexcept {
+  switch (ev.kind) {
+    case EventKind::kMemWrite: return kAnchorStore | store_anchor(ev.width);
+    case EventKind::kRegWrite: return kAnchorRegWrite;
+    case EventKind::kBranch: return ev.conditional && ev.target ? kAnchorCondBranch : 0;
+    case EventKind::kSyscall: return syscall_anchor(ev.vector);
+  }
+  return 0;
+}
+
+/// Features an event must provide to pass the first test stmt_matches
+/// applies for `s` (its kind, store width or syscall vector).
+AnchorWord stmt_anchors(const Stmt& s) noexcept {
+  switch (s.kind) {
+    case Stmt::Kind::kMemWrite:
+      return s.width == 0 ? kAnchorStore : store_anchor(s.width);
+    case Stmt::Kind::kRegWrite:
+    case Stmt::Kind::kAdvance: return kAnchorRegWrite;
+    case Stmt::Kind::kBranchBack: return kAnchorCondBranch;
+    case Stmt::Kind::kSyscall: return syscall_anchor(s.vector);
+  }
+  return 0;
+}
+
+}  // namespace
+
+AnchorWord template_anchors(const Template& t) noexcept {
+  AnchorWord word = 0;
+  for (const Stmt& s : t.stmts) word |= stmt_anchors(s);
+  return word;
+}
+
+AnchorWord trace_anchors(const std::vector<ir::Event>& events) noexcept {
+  AnchorWord word = 0;
+  for (const Event& ev : events) word |= event_anchors(ev);
+  return word;
 }
 
 namespace {
@@ -230,16 +288,29 @@ struct MatchState {
 struct Search {
   const Template& t;
   const LiftedCode& code;
-  std::unordered_map<std::size_t, std::size_t> offset_to_index;
+  /// (byte offset, trace index) of every traced instruction, sorted.
+  /// Built on first use: only a loop-back statement that reaches a
+  /// candidate branch needs it, so most searches never pay for it.
+  std::vector<std::pair<std::size_t, std::size_t>> offset_index;
   std::size_t attempts = 0;
-  static constexpr std::size_t kAttemptCap = 1u << 20;
   std::optional<MatchResult> result;
 
-  explicit Search(const Template& tmpl, const LiftedCode& c) : t(tmpl), code(c) {
-    offset_to_index.reserve(code.trace->size());
-    for (std::size_t i = 0; i < code.trace->size(); ++i) {
-      offset_to_index.emplace((*code.trace)[i].offset, i);
+  Search(const Template& tmpl, const LiftedCode& c) : t(tmpl), code(c) {}
+
+  /// Trace index of the first traced instruction at `offset`, if any.
+  std::optional<std::size_t> index_of_offset(std::size_t offset) {
+    if (offset_index.empty()) {
+      const auto& trace = *code.trace;
+      offset_index.reserve(trace.size());
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        offset_index.emplace_back(trace[i].offset, i);
+      }
+      std::sort(offset_index.begin(), offset_index.end());
     }
+    auto it = std::lower_bound(offset_index.begin(), offset_index.end(),
+                               std::pair<std::size_t, std::size_t>{offset, 0});
+    if (it == offset_index.end() || it->first != offset) return std::nullopt;
+    return it->second;
   }
 
   /// Register family a store instruction addresses through (base first,
@@ -396,9 +467,9 @@ struct Search {
         // registers in every real engine; random data overwhelmingly
         // produces loops where the pointer doubles as the counter.
         if (state.advance_reg && *counter == *state.advance_reg) return false;
-        auto it = offset_to_index.find(*ev.target);
-        if (it == offset_to_index.end()) return false;
-        const std::size_t target_idx = it->second;
+        auto target = index_of_offset(*ev.target);
+        if (!target) return false;
+        const std::size_t target_idx = *target;
         // Counter sanity: if the counter register was written before the
         // loop entry, its entry value must be a plausible constant count.
         // (An unwritten counter is fine — the snippet's caller provides
@@ -489,10 +560,15 @@ struct Search {
       return true;
     }
     const auto& events = *code.events;
+    const Stmt& s = t.stmts[stmt_idx];
+    const AnchorWord need = stmt_anchors(s);
     for (std::size_t e = event_idx; e < events.size(); ++e) {
-      if (++attempts > kAttemptCap) return false;  // hostile-input safety valve
+      if (++attempts > kMatchAttemptCap) return false;  // hostile-input safety valve
+      // Reject events of the wrong kind, width or vector before paying
+      // for the state copy.
+      if (!anchors_admit(need, event_anchors(events[e]))) continue;
       MatchState trial = state;
-      if (stmt_matches(t.stmts[stmt_idx], events[e], trial, matched)) {
+      if (stmt_matches(s, events[e], trial, matched)) {
         matched.push_back(e);
         if (dfs(stmt_idx + 1, e + 1, trial, matched)) return true;
         matched.pop_back();

@@ -9,6 +9,7 @@
 // trace provides out-of-order-code tolerance.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -106,8 +107,48 @@ struct MatchResult {
   std::size_t start_offset = 0;
 };
 
-/// Try to satisfy `t` against `code`. Returns the first match found.
+/// Search attempts (statement tried against event) one match_template
+/// call may spend before giving up without a match: the hostile-input
+/// safety valve that bounds the backtracking search.
+inline constexpr std::size_t kMatchAttemptCap = std::size_t{1} << 20;
+
+/// Try to satisfy `t` against `code`. Returns the first match found, or
+/// nullopt when there is none or the search hit kMatchAttemptCap.
 std::optional<MatchResult> match_template(const Template& t, const LiftedCode& code);
+
+// ------------------------------------------------------------- anchors
+//
+// An anchor word is a set of event features, one bit each. A statement
+// requires the feature its first test demands of an event (kind, store
+// width, syscall vector); an event provides the features it has. A
+// template can only match a trace whose feature word covers the
+// template's anchor word, so the analyzer skips every other template
+// without running the matcher.
+
+using AnchorWord = std::uint16_t;
+
+enum Anchor : AnchorWord {
+  kAnchorStore = 1u << 0,          // any memory write
+  kAnchorStore8 = 1u << 1,         // memory write of exactly 8 bits ...
+  kAnchorStore16 = 1u << 2,
+  kAnchorStore32 = 1u << 3,
+  kAnchorStore64 = 1u << 4,
+  kAnchorStoreOther = 1u << 5,     // ... or of any other width
+  kAnchorRegWrite = 1u << 6,
+  kAnchorCondBranch = 1u << 7,     // conditional branch with a static target
+  kAnchorSyscall80 = 1u << 8,      // int 0x80
+  kAnchorSyscall100 = 1u << 9,     // x86-64 `syscall` (ir::kSyscallVector)
+  kAnchorSyscallOther = 1u << 10,  // any other int vector
+};
+
+/// Features a trace must provide for `t` to match it.
+AnchorWord template_anchors(const Template& t) noexcept;
+/// Features a lifted trace provides.
+AnchorWord trace_anchors(const std::vector<ir::Event>& events) noexcept;
+/// Can a trace with features `trace` satisfy a template anchored at `tmpl`?
+constexpr bool anchors_admit(AnchorWord tmpl, AnchorWord trace) noexcept {
+  return (tmpl & ~trace) == 0;
+}
 
 /// Human-readable explanation of a match: one line per matched statement
 /// with the satisfying instruction and its event. Used by senids_disasm

@@ -313,6 +313,16 @@ Report lint_template(const Template& t) {
         break;
     }
   }
+  // The analyzer tries a template only on traces that have every feature
+  // its anchor word names. Register writes are in nearly every trace, so
+  // a template anchored on nothing more is tried on all of them.
+  const semantic::AnchorWord anchors = semantic::template_anchors(t);
+  if ((anchors & ~semantic::kAnchorRegWrite) == 0) {
+    out.warn(twhere, std::string("anchor word is ") +
+                         (anchors == 0 ? "empty" : "only a register write") +
+                         ": no store, conditional branch or syscall statement narrows "
+                         "it, so the template is tried on every lifted trace");
+  }
   return out;
 }
 

@@ -16,7 +16,9 @@
 //    and templates whose statement list is a strict prefix of another's
 //    (the general one fires whenever the specific one would);
 //  - degenerate shapes worth a warning: a loop-back with no body
-//    statements before it.
+//    statements before it, and an anchor word (semantic::template_anchors)
+//    that is empty or only "register write", which makes the analyzer
+//    try the template on every lifted trace.
 //
 // Exposed as the senids_lint CLI and run over templates/ in CI.
 #pragma once

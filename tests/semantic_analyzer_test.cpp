@@ -1,8 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <map>
+#include <sstream>
+
+#include "arch/arch.hpp"
+#include "extract/unicode.hpp"
+#include "gen/benign.hpp"
+#include "gen/codered.hpp"
+#include "gen/emitter.hpp"
 #include "gen/poly.hpp"
 #include "gen/shellcode.hpp"
+#include "gen/shellcode64.hpp"
+#include "ir/lifter.hpp"
 #include "semantic/analyzer.hpp"
+#include "semantic/dsl.hpp"
 #include "semantic/library.hpp"
 
 namespace senids::semantic {
@@ -147,6 +160,278 @@ TEST(Analyzer, RespectsMaxEntriesOption) {
   EXPECT_FALSE(ds.empty());
 }
 
+
+// ------------------------------------------------ anchor-filter soundness
+
+/// A frame and the architecture it is analyzed under.
+struct AnchorFrame {
+  std::string name;
+  util::Bytes bytes;
+  const arch::Arch* arch;
+};
+
+/// Byte and dword stores, then int 0x2e, int 0x80 and int 0x21: traces
+/// with syscalls on vectors other than 0x80 and 0x100.
+util::Bytes other_vector_code() {
+  return {0x31, 0xC0,  // xor eax, eax
+          0xB0, 0x10,  // mov al, 0x10
+          0x89, 0x03,  // mov [ebx], eax
+          0x88, 0x03,  // mov [ebx], al
+          0x50,        // push eax
+          0xCD, 0x2E,  // int 0x2e
+          0x43,        // inc ebx
+          0xCD, 0x80,  // int 0x80
+          0xCD, 0x21,  // int 0x21
+          0xC3};       // ret
+}
+
+/// A counted byte-decoder loop whose body is `transform` (add and ror
+/// decoders: the library templates the generators do not produce).
+template <class Body>
+util::Bytes counted_decoder(Body transform) {
+  gen::Asm a;
+  a.mov_r32_imm32(gen::R32::ecx, 64);
+  a.mov_r32_imm32(gen::R32::edx, 0);
+  auto head = a.new_label();
+  a.bind(head);
+  transform(a);
+  a.inc_r32(gen::R32::esi);
+  a.loop_(head);
+  a.inc_r32(gen::R32::edx);
+  return a.finish();
+}
+
+std::vector<AnchorFrame> anchor_corpus() {
+  const arch::Arch* x32 = &arch::Arch::x86_32();
+  const arch::Arch* x64 = &arch::Arch::x86_64();
+  std::vector<AnchorFrame> out;
+  const auto shells = gen::make_shell_spawn_corpus();
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    util::Prng prng(seed);
+    out.push_back({"admmutate " + std::to_string(seed),
+                   gen::admmutate_encode(shells[1].code, prng).bytes, x32});
+    out.push_back({"clet " + std::to_string(seed),
+                   gen::clet_encode(shells[1].code, prng).bytes, x32});
+  }
+  util::Prng wrap(9);
+  for (const auto& s : shells) {
+    out.push_back({"exploit " + s.name, gen::wrap_in_overflow(s.code, wrap), x32});
+  }
+  out.push_back({"iis-asp", gen::make_iis_asp_overflow_payload(), x32});
+  for (const auto& s : gen::ExploitBuilder64::corpus()) {
+    out.push_back(
+        {"exploit64 " + s.name, gen::ExploitBuilder64::wrap(s.code, wrap), x64});
+  }
+  out.push_back({"reverse shell",
+                 gen::wrap_in_overflow(gen::make_reverse_shell(0x0a000001, 0x5c11), wrap),
+                 x32});
+  out.push_back({"add decoder", counted_decoder([](gen::Asm& a) {
+                   a.alu_mem8_imm8(0, gen::R32::esi, 0x21);  // add byte [esi], 0x21
+                 }),
+                 x32});
+  out.push_back({"ror decoder", counted_decoder([](gen::Asm& a) {
+                   a.mov_r8_mem(gen::R8::al, gen::R32::esi);
+                   a.shift_r8_imm8(1, gen::R8::al, 3);  // ror al, 3
+                   a.mov_mem_r8(gen::R32::esi, 0, gen::R8::al);
+                 }),
+                 x32});
+  const util::Bytes code_red = gen::make_code_red_ii_request();
+  out.push_back({"code red ii", code_red, x32});
+  out.push_back(
+      {"code red ii %u frame", extract::decode_u_escapes(code_red).decoded, x32});
+  util::Prng benign(21);
+  for (int i = 0; i < 6; ++i) {
+    out.push_back(
+        {"benign " + std::to_string(i), gen::make_benign_payload(benign).data, x32});
+  }
+  util::Prng noise(555);
+  for (int i = 0; i < 2; ++i) {
+    out.push_back({"random " + std::to_string(i), noise.bytes(1024), x32});
+  }
+  out.push_back({"other vectors", other_vector_code(), x32});
+  return out;
+}
+
+/// A syscall on int `vector`, any number.
+Stmt st_int(std::uint16_t vector) {
+  Stmt s;
+  s.kind = Stmt::Kind::kSyscall;
+  s.vector = vector;
+  return s;
+}
+
+/// Templates exercising the anchor bits no library template uses: a
+/// width-0 (any) store, and syscalls on vectors other than 0x80/0x100.
+std::vector<Template> hand_built_templates() {
+  Template any_store;
+  any_store.name = "any-store";
+  any_store.stmts.push_back(st_mem_write(p_any(), p_any()));
+  Template int2e;
+  int2e.name = "int-2e";
+  int2e.stmts.push_back(st_int(0x2e));
+  Template store_then_int21;
+  store_then_int21.name = "store-then-int-21";
+  store_then_int21.stmts.push_back(st_mem_write(p_any(), p_any()));
+  store_then_int21.stmts.push_back(st_int(0x21));
+  Template int2e_then_80;
+  int2e_then_80.name = "int-2e-then-80";
+  int2e_then_80.stmts.push_back(st_int(0x2e));
+  int2e_then_80.stmts.push_back(st_int(0x80));
+  return {any_store, int2e, store_then_int21, int2e_then_80};
+}
+
+std::vector<Template> dsl_standard_templates() {
+  std::ifstream in(SENIDS_SOURCE_DIR "/templates/standard.tmpl", std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  auto parsed = parse_templates(buf.str());
+  auto* templates = std::get_if<std::vector<Template>>(&parsed);
+  return templates ? *templates : std::vector<Template>{};
+}
+
+std::vector<std::pair<std::string, std::vector<Template>>> anchor_template_sets() {
+  auto dsl = dsl_standard_templates();
+  EXPECT_FALSE(dsl.empty()) << "templates/standard.tmpl did not parse";
+  return {{"standard", make_standard_library()},
+          {"decoder", make_decoder_library()},
+          {"extended", make_extended_library()},
+          {"standard.tmpl", std::move(dsl)},
+          {"hand-built", hand_built_templates()}};
+}
+
+/// Calls `visit(entry, code)` for every lifted trace analyze() examines
+/// on `frame`, in the same order, rebuilt from the public arch and ir
+/// calls with the analyzer's options. Stops when `visit` returns false.
+template <class Visit>
+void for_each_trace(const SemanticAnalyzer& analyzer, util::ByteView frame, Visit visit) {
+  const SemanticAnalyzer::Options& opt = analyzer.options();
+  const arch::Arch& isa = opt.arch ? *opt.arch : arch::Arch::x86_32();
+  if (frame.empty()) return;
+  auto runs = isa.find_code_runs(frame, opt.min_run_insns);
+  std::stable_sort(runs.begin(), runs.end(), [](const arch::CodeRun& a,
+                                                const arch::CodeRun& b) {
+    return a.insn_count > b.insn_count;
+  });
+  std::vector<char> seen(frame.size(), 0);
+  std::vector<std::size_t> entries;
+  auto add_entry = [&](std::size_t off) {
+    if (off >= frame.size() || seen[off]) return;
+    seen[off] = 1;
+    if (entries.size() < opt.max_entries) entries.push_back(off);
+  };
+  for (const auto& run : runs) {
+    if (entries.size() >= opt.max_entries) break;
+    add_entry(run.start);
+    for (const auto& insn : isa.linear_sweep(frame, run.start, opt.max_trace_insns)) {
+      if (auto target = insn.branch_target(); target && *target < insn.offset) {
+        add_entry(*target);
+      }
+      if (insn.mnemonic == arch::Mnemonic::kCall) add_entry(insn.end_offset());
+    }
+  }
+  std::size_t budget = opt.max_total_insns;
+  for (std::size_t entry : entries) {
+    if (budget == 0) return;
+    const auto trace =
+        isa.execution_trace(frame, entry, std::min(opt.max_trace_insns, budget));
+    if (trace.size() < opt.min_run_insns) continue;
+    budget -= std::min(budget, trace.size());
+    const ir::LiftResult lifted = ir::lift(trace);
+    if (!visit(entry, LiftedCode{&trace, &lifted.events, frame})) return;
+  }
+}
+
+TEST(Analyzer, AnchorsNeverSkipAMatch) {
+  const auto frames = anchor_corpus();
+  std::map<std::string, std::size_t> matches;  // per template name
+  for (const auto& [set_name, templates] : anchor_template_sets()) {
+    std::vector<AnchorWord> anchors;
+    for (const Template& t : templates) anchors.push_back(template_anchors(t));
+    for (const AnchorFrame& f : frames) {
+      SemanticAnalyzer::Options opt;
+      opt.arch = f.arch;
+      const SemanticAnalyzer analyzer(templates, opt);
+      for_each_trace(analyzer, f.bytes, [&](std::size_t entry, const LiftedCode& code) {
+        const AnchorWord features = trace_anchors(*code.events);
+        for (std::size_t ti = 0; ti < templates.size(); ++ti) {
+          if (!match_template(templates[ti], code)) continue;
+          ++matches[templates[ti].name];
+          EXPECT_TRUE(anchors_admit(anchors[ti], features))
+              << set_name << " template " << templates[ti].name << " on " << f.name
+              << " entry " << entry;
+        }
+        return true;
+      });
+    }
+  }
+  // The property is only as strong as the matches behind it.
+  for (const Template& t : hand_built_templates()) {
+    EXPECT_GT(matches[t.name], 0u) << t.name;
+  }
+  for (const Template& t : make_extended_library()) {
+    EXPECT_GT(matches[t.name], 0u) << t.name;
+  }
+}
+
+TEST(Analyzer, DetectionsEqualEveryTemplateOnEveryTrace) {
+  const auto frames = anchor_corpus();
+  std::size_t detections = 0;
+  for (const auto& [set_name, templates] : anchor_template_sets()) {
+    for (const AnchorFrame& f : frames) {
+      SemanticAnalyzer::Options opt;
+      opt.arch = f.arch;
+      const SemanticAnalyzer analyzer(templates, opt);
+      // Brute force: every template not yet fired, on every trace.
+      std::vector<Detection> want;
+      std::vector<char> fired(templates.size(), 0);
+      for_each_trace(analyzer, f.bytes, [&](std::size_t entry, const LiftedCode& code) {
+        for (std::size_t ti = 0; ti < templates.size(); ++ti) {
+          if (fired[ti]) continue;
+          auto m = match_template(templates[ti], code);
+          if (!m) continue;
+          fired[ti] = 1;
+          want.push_back({templates[ti].name, templates[ti].threat, entry,
+                          m->start_offset, std::move(m->bindings)});
+        }
+        return want.size() < templates.size();
+      });
+      const auto got = analyzer.analyze(f.bytes);
+      const std::string where = set_name + " on " + f.name;
+      ASSERT_EQ(got.size(), want.size()) << where;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].template_name, want[i].template_name) << where << " #" << i;
+        EXPECT_EQ(got[i].threat, want[i].threat) << where << " #" << i;
+        EXPECT_EQ(got[i].entry_offset, want[i].entry_offset) << where << " #" << i;
+        EXPECT_EQ(got[i].match_offset, want[i].match_offset) << where << " #" << i;
+        ASSERT_EQ(got[i].bindings.size(), want[i].bindings.size()) << where << " #" << i;
+        for (auto g = got[i].bindings.cbegin(), w = want[i].bindings.cbegin();
+             g != got[i].bindings.end(); ++g, ++w) {
+          EXPECT_EQ(g->first, w->first) << where << " #" << i;
+          EXPECT_TRUE(ir::struct_eq(g->second, w->second))
+              << where << " #" << i << " " << g->first << ": " << ir::to_string(g->second)
+              << " vs " << ir::to_string(w->second);
+        }
+      }
+      detections += got.size();
+    }
+  }
+  EXPECT_GT(detections, 0u);
+}
+
+TEST(Analyzer, TriedPlusSkippedCoversEveryTemplateOnEveryTrace) {
+  // On a frame where nothing fires, every trace accounts for every
+  // template once: either it was tried or its anchors ruled it out.
+  SemanticAnalyzer analyzer(make_standard_library());
+  std::string html = "<html><body>";
+  for (int i = 0; i < 200; ++i) html += "completely ordinary web page text ";
+  html += "</body></html>";
+  AnalyzerStats stats;
+  ASSERT_TRUE(analyzer.analyze(util::as_bytes(html), &stats).empty());
+  ASSERT_GT(stats.traces, 0u);
+  EXPECT_GT(stats.templates_skipped, 0u);
+  EXPECT_EQ(stats.template_matches_tried + stats.templates_skipped,
+            stats.traces * analyzer.templates().size());
+}
 }  // namespace
 }  // namespace senids::semantic
 

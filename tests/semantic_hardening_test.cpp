@@ -359,5 +359,55 @@ TEST(Hardening, ConstCounterInitAccepted) {
   EXPECT_TRUE(any_decoder_match(a.finish()));
 }
 
+// ------------------------------------------ attempt cap (safety valve)
+
+/// A hand-built event stream whose first match costs a known number of
+/// search attempts: `n` register writes of the constants 1..n, then one
+/// store of the constant n. The template binds K at a register write and
+/// demands a later store of K, so every register write but the last
+/// fails only after scanning the rest of the stream. Attempts up to the
+/// match: n for the first statement plus n + (n-1) + ... + 2 + 1 for the
+/// second, i.e. n + n(n+1)/2.
+struct CapProbe {
+  std::vector<arch::Instruction> trace;
+  std::vector<ir::Event> events;
+  LiftedCode code() const { return LiftedCode{&trace, &events, {}}; }
+};
+
+CapProbe make_cap_probe(std::size_t n) {
+  CapProbe p;
+  p.trace.resize(n + 1);
+  p.events.resize(n + 1);
+  for (std::size_t i = 0; i <= n; ++i) {
+    ir::Event& ev = p.events[i];
+    ev.insn_index = i;
+    ev.insn_offset = i;
+    ev.kind = i < n ? ir::EventKind::kRegWrite : ir::EventKind::kMemWrite;
+    ev.value = ir::mk_const(static_cast<std::uint32_t>(i < n ? i + 1 : n));
+    if (i == n) ev.addr = ir::mk_const(0x1000);
+  }
+  return p;
+}
+
+TEST(Hardening, AttemptCapBoundsSearch) {
+  Template t;
+  t.name = "bind-then-store";
+  t.stmts.push_back(st_reg_write(p_const("K")));
+  t.stmts.push_back(st_mem_write(p_any(), p_const("K")));
+  auto attempts = [](std::size_t n) { return n + n * (n + 1) / 2; };
+  std::size_t n = 1;
+  while (attempts(n + 1) <= kMatchAttemptCap) ++n;
+
+  // The largest stream whose only match lies within the cap still matches.
+  const CapProbe within = make_cap_probe(n);
+  auto m = match_template(t, within.code());
+  ASSERT_TRUE(m);
+  EXPECT_EQ(m->matched_events, (std::vector<std::size_t>{n - 1, n}));
+
+  // One more register write pushes the only match past the cap.
+  const CapProbe beyond = make_cap_probe(n + 1);
+  EXPECT_FALSE(match_template(t, beyond.code()));
+}
+
 }  // namespace
 }  // namespace senids::semantic

@@ -333,6 +333,27 @@ TEST(Lint, WarnsOnBareLoopback) {
   EXPECT_TRUE(r.mentions("loop-back with no body statements")) << r.str();
 }
 
+TEST(Lint, WarnsOnAnchorlessTemplate) {
+  Template regs_only;
+  regs_only.name = "regs-only";
+  regs_only.stmts.push_back(semantic::st_reg_write(p_const("K")));
+  regs_only.stmts.push_back(st_advance("K"));
+  verify::Report r = verify::lint_templates({regs_only});
+  EXPECT_TRUE(r.ok());  // a warning, not an error
+  EXPECT_EQ(r.warnings(), 1u) << r.str();
+  EXPECT_TRUE(r.mentions("anchor word is only a register write")) << r.str();
+
+  Template empty;
+  empty.name = "empty";
+  r = verify::lint_template(empty);
+  EXPECT_TRUE(r.mentions("anchor word is empty")) << r.str();
+
+  // One anchoring statement is enough to silence the warning.
+  regs_only.stmts.push_back(semantic::st_syscall(0x0b));
+  r = verify::lint_templates({regs_only});
+  EXPECT_EQ(r.warnings(), 0u) << r.str();
+}
+
 TEST(Lint, FlagsUnsatisfiableDecodeParsedFromDsl) {
   // The DSL parser accepts this form; only the linter can see that a
   // constant stored value can never be an invertible function.
