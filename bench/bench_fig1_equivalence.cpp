@@ -67,7 +67,8 @@ void evaluate(const char* name, const util::Bytes& code) {
   bench::section(name);
   auto trace = arch::execution_trace(code, 0);
   std::printf("%s", arch::format_listing(arch::linear_sweep(code)).c_str());
-  auto lifted = ir::lift(trace);
+  ir::LiftResult lifted;
+  ir::lift(trace, lifted);
   semantic::LiftedCode lc{&trace, &lifted.events, code};
   const semantic::Template t = semantic::tmpl_xor_decrypt_loop();
   auto m = semantic::match_template(t, lc);

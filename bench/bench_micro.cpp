@@ -57,17 +57,46 @@ BENCHMARK(BM_FindCodeRuns)->Arg(4 << 10)->Arg(64 << 10);
 
 void BM_ExecutionTraceAndLift(benchmark::State& state) {
   const util::Bytes code = poly_sample();
+  ir::LiftResult lifted;
   for (auto _ : state) {
     auto trace = arch::execution_trace(code, 0);
-    benchmark::DoNotOptimize(ir::lift(trace));
+    ir::lift(trace, lifted);
+    benchmark::DoNotOptimize(lifted.events.data());
   }
 }
 BENCHMARK(BM_ExecutionTraceAndLift);
 
+/// Lift alone, over the execution traces of every candidate run of one
+/// frame (arg 0: an ADMmutate exploit, arg 1: a 1.4 KB benign payload).
+/// Items are lifted instructions.
+void BM_Lift(benchmark::State& state) {
+  const bool benign = state.range(0) == 1;
+  const util::Bytes frame = benign ? benign_blob(1400) : poly_sample();
+  std::vector<std::vector<arch::Instruction>> traces;
+  std::size_t insns = 0;
+  for (const arch::CodeRun& run : arch::find_code_runs(frame, 6)) {
+    auto trace = arch::execution_trace(frame, run.start);
+    if (trace.size() < 6) continue;
+    insns += trace.size();
+    traces.push_back(std::move(trace));
+  }
+  ir::LiftResult lifted;
+  for (auto _ : state) {
+    for (const auto& trace : traces) {
+      ir::lift(trace, lifted);
+      benchmark::DoNotOptimize(lifted.events.data());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * insns));
+  state.SetLabel(benign ? "benign 1.4 KB" : "admmutate");
+}
+BENCHMARK(BM_Lift)->Arg(0)->Arg(1);
+
 void BM_TemplateMatch(benchmark::State& state) {
   const util::Bytes code = poly_sample();
   auto trace = arch::execution_trace(code, 0);
-  auto lifted = ir::lift(trace);
+  ir::LiftResult lifted;
+  ir::lift(trace, lifted);
   semantic::LiftedCode lc{&trace, &lifted.events, code};
   const auto t = semantic::tmpl_xor_decrypt_loop();
   for (auto _ : state) {

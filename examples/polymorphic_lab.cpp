@@ -48,11 +48,12 @@ int main(int argc, char** argv) {
               trace.size());
 
   // Lift and show the semantically relevant events.
-  auto lifted = ir::lift(trace);
+  ir::LiftResult lifted;
+  ir::lift(trace, lifted);
   std::printf("== lifted memory-write events ==\n");
   for (const auto& ev : lifted.events) {
     if (ev.kind != ir::EventKind::kMemWrite) continue;
-    std::printf("  @%04zx  mem%u[%s] := %s\n", ev.insn_offset, ev.width,
+    std::printf("  @%04x  mem%u[%s] := %s\n", ev.insn_offset, ev.width,
                 ir::to_string(ev.addr).c_str(), ir::to_string(ev.value).c_str());
   }
 
@@ -82,8 +83,8 @@ int main(int argc, char** argv) {
   std::printf("\n== Clet instance (same payload) ==\n");
   gen::PolyResult clet = gen::clet_encode(payload, prng);
   auto clet_trace = arch::execution_trace(clet.bytes, 0);
-  auto clet_lifted = ir::lift(clet_trace);
-  semantic::LiftedCode clet_lc{&clet_trace, &clet_lifted.events, clet.bytes};
+  ir::lift(clet_trace, lifted);  // reuses the buffers of the first lift
+  semantic::LiftedCode clet_lc{&clet_trace, &lifted.events, clet.bytes};
   auto m = semantic::match_template(semantic::tmpl_xor_decrypt_loop(), clet_lc);
   std::printf("xor template on Clet instance: %s\n", m ? "MATCH" : "no match");
   return 0;

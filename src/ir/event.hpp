@@ -5,10 +5,8 @@
 // detection.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "ir/expr.hpp"
 #include "arch/insn.hpp"
@@ -28,31 +26,27 @@ enum class EventKind : std::uint8_t {
 
 struct Event {
   EventKind kind{};
-  std::size_t insn_index = 0;   // index into the lifted trace
-  std::size_t insn_offset = 0;  // byte offset of the originating instruction
-
-  // kRegWrite
-  arch::RegFamily reg{};
-  ExprPtr value;                // also the stored value for kMemWrite
-
-  // kMemWrite
-  ExprPtr addr;
-  std::uint8_t width = 32;      // bits (64 for qword stores; the value
-                                // expression still models the low 32 bits)
-
+  arch::RegFamily reg{};        // kRegWrite
+  std::uint8_t width = 32;      // kMemWrite: bits (64 for qword stores; the
+                                // value expression still models the low 32)
   // kBranch
   bool conditional = false;
   bool backward = false;        // static target at or before this instruction
-  std::optional<std::size_t> target;  // static target (buffer offset)
   bool is_call = false;
-
-  // kSyscall
-  /// Syscall mechanism: the int imm8 vector (0x80 for 32-bit Linux), or
+  /// kSyscall mechanism: the int imm8 vector (0x80 for 32-bit Linux), or
   /// kSyscallVector for the x86-64 `syscall` instruction.
   std::uint16_t vector = 0;
-  /// Register expressions at the syscall, indexed by RegFamily (rax..r15;
-  /// 32-bit traces populate only the first eight).
-  std::array<ExprPtr, 16> syscall_regs;
+  std::uint32_t insn_index = 0;   // index into the lifted trace
+  std::uint32_t insn_offset = 0;  // byte offset of the originating instruction
+  std::optional<std::uint32_t> target;  // kBranch: static target (buffer offset)
+
+  ExprPtr value = nullptr;      // kRegWrite / kMemWrite: the written value
+  ExprPtr addr = nullptr;       // kMemWrite
+  /// kSyscall: register expressions at the syscall, indexed by RegFamily
+  /// (rax..r15; 32-bit traces hold the initial values in r8..r15). The 16
+  /// entries live in the lifting LiftResult's arena, next to the nodes.
+  const ExprPtr* syscall_regs = nullptr;
 };
+static_assert(sizeof(Event) <= 64);
 
 }  // namespace senids::ir

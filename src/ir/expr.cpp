@@ -2,6 +2,16 @@
 
 #include <bit>
 #include <cstdio>
+#include <functional>
+#include <new>
+#include <utility>
+
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 namespace senids::ir {
 
@@ -17,7 +27,8 @@ std::uint8_t compute_value_bits(const Expr& e) noexcept {
     case ExprKind::kConst:
       return bits_of_const(e.cval);
     case ExprKind::kLoad:
-      return e.load_width;
+      // A 64-bit load contributes its low 32 bits, like every value here.
+      return static_cast<std::uint8_t>(std::min<unsigned>(32, e.load_width));
     case ExprKind::kBin: {
       const std::uint8_t lb = e.lhs->value_bits;
       const std::uint8_t rb = e.rhs->value_bits;
@@ -58,14 +69,6 @@ std::uint8_t compute_value_bits(const Expr& e) noexcept {
   return 32;
 }
 
-ExprPtr make_node(Expr e) {
-  auto p = std::make_shared<Expr>(std::move(e));
-  // Hash is computed bottom-up once; children are already hashed.
-  p->cached_hash = recompute_hash(*p);
-  p->value_bits = compute_value_bits(*p);
-  return p;
-}
-
 std::uint32_t fold(BinOp op, std::uint32_t a, std::uint32_t b) noexcept {
   switch (op) {
     case BinOp::kAdd: return a + b;
@@ -91,21 +94,9 @@ std::uint32_t fold(BinOp op, std::uint32_t a, std::uint32_t b) noexcept {
   return 0;
 }
 
+/// Every commutative operator here is also associative, so
+/// (x op c1) op c2 folds to x op (c1 op c2) for exactly these.
 bool commutative(BinOp op) noexcept {
-  switch (op) {
-    case BinOp::kAdd:
-    case BinOp::kXor:
-    case BinOp::kOr:
-    case BinOp::kAnd:
-    case BinOp::kMul:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// True when op is associative so (x op c1) op c2 folds to x op (c1 op c2).
-bool const_chain_foldable(BinOp op) noexcept {
   switch (op) {
     case BinOp::kAdd:
     case BinOp::kXor:
@@ -120,43 +111,95 @@ bool const_chain_foldable(BinOp op) noexcept {
 
 }  // namespace
 
-ExprPtr mk_const(std::uint32_t v) {
+void ExprArena::reset() noexcept {
+  // Reversed, so the next lift refills the chunks in their old order.
+  // Poisoned, so that under ASan a node read after its lift is an error
+  // even once the chunk is reused.
+  for (auto it = chunks_.rbegin(); it != chunks_.rend(); ++it) {
+    ASAN_POISON_MEMORY_REGION(it->get(), kChunkBytes);
+    spare_.push_back(std::move(*it));
+  }
+  chunks_.clear();
+}
+
+void* ExprArena::allocate(std::size_t bytes) {
+  static_assert(alignof(Expr) == alignof(ExprPtr) && sizeof(Expr) % alignof(Expr) == 0);
+  if (chunks_.empty() || kChunkBytes - used_ < bytes) {
+    if (spare_.empty()) {
+      chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(kChunkBytes));
+    } else {
+      chunks_.push_back(std::move(spare_.back()));
+      spare_.pop_back();
+    }
+    used_ = 0;
+  }
+  void* p = chunks_.back().get() + used_;
+  ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+  used_ += bytes;
+  return p;
+}
+
+ExprPtr ExprArena::make(Expr e) {
+  // Hash is computed bottom-up once; children are already hashed.
+  e.cached_hash = recompute_hash(e);
+  e.value_bits = compute_value_bits(e);
+  return new (allocate(sizeof(Expr))) Expr(e);
+}
+
+ExprPtr* ExprArena::mk_ptrs(std::size_t n) {
+  return static_cast<ExprPtr*>(allocate(n * sizeof(ExprPtr)));
+}
+
+std::optional<std::size_t> ExprArena::position(const void* p) const noexcept {
+  const auto* b = static_cast<const std::byte*>(p);
+  for (std::size_t i = 0; i < chunks_.size(); ++i) {
+    const std::byte* begin = chunks_[i].get();
+    const std::byte* end = begin + (i + 1 == chunks_.size() ? used_ : kChunkBytes);
+    // std::less: a total order even over pointers into unrelated chunks.
+    if (!std::less<>{}(b, begin) && std::less<>{}(b, end)) {
+      return i * kChunkBytes + static_cast<std::size_t>(b - begin);
+    }
+  }
+  return std::nullopt;
+}
+
+ExprPtr ExprArena::mk_const(std::uint32_t v) {
   Expr e;
   e.kind = ExprKind::kConst;
   e.cval = v;
-  return make_node(std::move(e));
+  return make(e);
 }
 
-ExprPtr mk_init(arch::RegFamily f) {
+ExprPtr ExprArena::mk_init(arch::RegFamily f) {
   Expr e;
   e.kind = ExprKind::kInitReg;
   e.family = f;
-  return make_node(std::move(e));
+  return make(e);
 }
 
-ExprPtr mk_load(ExprPtr addr, unsigned width_bits, std::uint32_t generation) {
+ExprPtr ExprArena::mk_load(ExprPtr addr, unsigned width_bits, std::uint32_t generation) {
   Expr e;
   e.kind = ExprKind::kLoad;
-  e.addr = std::move(addr);
+  e.addr = addr;
   e.load_width = static_cast<std::uint8_t>(width_bits);
   e.generation = generation;
-  return make_node(std::move(e));
+  return make(e);
 }
 
-ExprPtr mk_unknown(std::uint32_t id) {
+ExprPtr ExprArena::mk_unknown(std::uint32_t id) {
   Expr e;
   e.kind = ExprKind::kUnknown;
   e.unknown_id = id;
-  return make_node(std::move(e));
+  return make(e);
 }
 
-bool is_const(const ExprPtr& e, std::uint32_t* value) noexcept {
+bool is_const(ExprPtr e, std::uint32_t* value) noexcept {
   if (!e || e->kind != ExprKind::kConst) return false;
   if (value) *value = e->cval;
   return true;
 }
 
-ExprPtr mk_un(UnOp op, ExprPtr x) {
+ExprPtr ExprArena::mk_un(UnOp op, ExprPtr x) {
   std::uint32_t c;
   if (is_const(x, &c)) {
     return mk_const(op == UnOp::kNot ? ~c : 0u - c);
@@ -166,11 +209,11 @@ ExprPtr mk_un(UnOp op, ExprPtr x) {
   Expr e;
   e.kind = ExprKind::kUn;
   e.uop = op;
-  e.lhs = std::move(x);
-  return make_node(std::move(e));
+  e.lhs = x;
+  return make(e);
 }
 
-ExprPtr mk_bin(BinOp op, ExprPtr l, ExprPtr r) {
+ExprPtr ExprArena::mk_bin(BinOp op, ExprPtr l, ExprPtr r) {
   std::uint32_t cl, cr;
   const bool l_const = is_const(l, &cl);
   const bool r_const = is_const(r, &cr);
@@ -179,14 +222,12 @@ ExprPtr mk_bin(BinOp op, ExprPtr l, ExprPtr r) {
   // Canonicalize: subtraction of a constant becomes addition of its
   // negation so `sub eax,-1`, `add eax,1` and `inc eax` all normalize to
   // Add(init(eax), 1).
-  if (op == BinOp::kSub && r_const) return mk_bin(BinOp::kAdd, std::move(l), mk_const(0u - cr));
+  if (op == BinOp::kSub && r_const) return mk_bin(BinOp::kAdd, l, mk_const(0u - cr));
 
   // Commutative: keep the constant on the right.
   if (commutative(op) && l_const) {
     std::swap(l, r);
     std::swap(cl, cr);
-    const bool t = l_const;
-    (void)t;
   }
   const bool rc = is_const(r, &cr);
 
@@ -235,7 +276,7 @@ ExprPtr mk_bin(BinOp op, ExprPtr l, ExprPtr r) {
         break;
     }
     // Constant-chain folding: (x op c1) op c2 -> x op (c1 op c2).
-    if (const_chain_foldable(op) && l->kind == ExprKind::kBin && l->bop == op) {
+    if (commutative(op) && l->kind == ExprKind::kBin && l->bop == op) {
       std::uint32_t inner;
       if (is_const(l->rhs, &inner)) {
         return mk_bin(op, l->lhs, mk_const(fold(op, inner, cr)));
@@ -264,13 +305,13 @@ ExprPtr mk_bin(BinOp op, ExprPtr l, ExprPtr r) {
   Expr e;
   e.kind = ExprKind::kBin;
   e.bop = op;
-  e.lhs = std::move(l);
-  e.rhs = std::move(r);
-  return make_node(std::move(e));
+  e.lhs = l;
+  e.rhs = r;
+  return make(e);
 }
 
-bool struct_eq(const ExprPtr& a, const ExprPtr& b) noexcept {
-  if (a.get() == b.get()) return true;
+bool struct_eq(ExprPtr a, ExprPtr b) noexcept {
+  if (a == b) return true;
   if (!a || !b) return false;
   if (a->kind != b->kind || a->cached_hash != b->cached_hash) return false;
   switch (a->kind) {
@@ -289,14 +330,10 @@ bool struct_eq(const ExprPtr& a, const ExprPtr& b) noexcept {
   return false;
 }
 
-std::size_t expr_hash(const ExprPtr& e) noexcept {
-  return e ? e->cached_hash : 0;
-}
-
 std::size_t recompute_hash(const Expr& e) noexcept {
   std::size_t h = static_cast<std::size_t>(e.kind) * 0x9e3779b97f4a7c15ULL;
   auto mix = [&h](std::size_t v) { h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2); };
-  auto child = [](const ExprPtr& c) { return c ? c->cached_hash : 0; };
+  auto child = [](ExprPtr c) { return c ? c->cached_hash : 0; };
   switch (e.kind) {
     case ExprKind::kConst: mix(e.cval); break;
     case ExprKind::kInitReg: mix(static_cast<std::size_t>(e.family)); break;
@@ -336,33 +373,64 @@ const char* binop_name(BinOp op) noexcept {
   return "?";
 }
 
-std::string to_string(const ExprPtr& e) {
-  if (!e) return "null";
+namespace {
+
+constexpr std::size_t kRenderLimit = 1024;
+
+/// Appends e's rendering to out; returns false, and the callers stop,
+/// once out has reached kRenderLimit. That bounds the cost on a DAG:
+/// add(x, x) nested n deep renders 2^n leaves in full.
+bool render(ExprPtr e, std::string& out) {
+  if (out.size() >= kRenderLimit) return false;
+  if (!e) {
+    out += "null";
+    return true;
+  }
   char buf[32];
   switch (e->kind) {
     case ExprKind::kConst:
       std::snprintf(buf, sizeof buf, "0x%x", e->cval);
-      return buf;
-    case ExprKind::kInitReg: {
-      std::string out = "init(";
+      out += buf;
+      return true;
+    case ExprKind::kInitReg:
+      out += "init(";
       out += arch::Reg{e->family, arch::RegWidth::k32}.name();
       out += ")";
-      return out;
-    }
-    case ExprKind::kLoad: {
+      return true;
+    case ExprKind::kLoad:
       std::snprintf(buf, sizeof buf, "load%u@%u(", e->load_width, e->generation);
-      return buf + to_string(e->addr) + ")";
-    }
+      out += buf;
+      if (!render(e->addr, out)) return false;
+      out += ")";
+      return true;
     case ExprKind::kBin:
-      return std::string(binop_name(e->bop)) + "(" + to_string(e->lhs) + ", " +
-             to_string(e->rhs) + ")";
+      out += binop_name(e->bop);
+      out += "(";
+      if (!render(e->lhs, out)) return false;
+      out += ", ";
+      if (!render(e->rhs, out)) return false;
+      out += ")";
+      return true;
     case ExprKind::kUn:
-      return std::string(e->uop == UnOp::kNot ? "not" : "neg") + "(" + to_string(e->lhs) + ")";
+      out += e->uop == UnOp::kNot ? "not(" : "neg(";
+      if (!render(e->lhs, out)) return false;
+      out += ")";
+      return true;
     case ExprKind::kUnknown:
       std::snprintf(buf, sizeof buf, "unk%u", e->unknown_id);
-      return buf;
+      out += buf;
+      return true;
   }
-  return "?";
+  out += "?";
+  return true;
+}
+
+}  // namespace
+
+std::string to_string(ExprPtr e) {
+  std::string out;
+  if (!render(e, out)) out += "...";
+  return out;
 }
 
 }  // namespace senids::ir

@@ -1,5 +1,6 @@
 #include "ir/lifter.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "arch/decoder.hpp"
@@ -16,18 +17,12 @@ using arch::RegWidth;
 
 namespace {
 
-struct Store {
-  ExprPtr addr;
-  std::uint8_t width;
-  ExprPtr value;
-};
-
 /// Mutable machine state threaded through the trace.
 class Machine {
  public:
-  Machine() {
+  Machine(ExprArena& arena, std::vector<Event>& events) : arena(arena), events(events) {
     for (unsigned f = 0; f < 16; ++f) {
-      regs_[f] = mk_init(static_cast<RegFamily>(f));
+      regs_[f] = arena.mk_init(static_cast<RegFamily>(f));
     }
   }
 
@@ -41,7 +36,8 @@ class Machine {
     cur_end_offset_ = insn.end_offset();
   }
 
-  std::vector<Event> events;
+  ExprArena& arena;
+  std::vector<Event>& events;
   std::size_t approximated = 0;
 
   // ------------------------------------------------------------ registers
@@ -55,50 +51,77 @@ class Machine {
       case RegWidth::k32:
         return full;
       case RegWidth::k16:
-        return mk_bin(BinOp::kAnd, full, mk_const(0xffff));
+        return arena.mk_bin(BinOp::kAnd, full, arena.mk_const(0xffff));
       case RegWidth::k8Lo:
-        return mk_bin(BinOp::kAnd, full, mk_const(0xff));
+        return arena.mk_bin(BinOp::kAnd, full, arena.mk_const(0xff));
       case RegWidth::k8Hi:
-        return mk_bin(BinOp::kAnd, mk_bin(BinOp::kShr, full, mk_const(8)), mk_const(0xff));
+        return arena.mk_bin(BinOp::kAnd,
+                            arena.mk_bin(BinOp::kShr, full, arena.mk_const(8)),
+                            arena.mk_const(0xff));
     }
     return full;
   }
 
   void write_reg(Reg r, ExprPtr val, const Instruction& insn, std::size_t idx) {
     ExprPtr full = reg_full(r.family);
-    ExprPtr merged;
+    ExprPtr merged = nullptr;
     switch (r.width) {
       // A 32-bit write zero-extends to 64 on x86-64, so both full widths
       // replace the family expression outright under the low-32 model.
       case RegWidth::k64:
       case RegWidth::k32:
-        merged = std::move(val);
+        merged = val;
         break;
       case RegWidth::k16:
-        merged = mk_bin(BinOp::kOr, mk_bin(BinOp::kAnd, full, mk_const(0xffff0000u)),
-                        mk_bin(BinOp::kAnd, val, mk_const(0xffff)));
+        merged = arena.mk_bin(
+            BinOp::kOr, arena.mk_bin(BinOp::kAnd, full, arena.mk_const(0xffff0000u)),
+            arena.mk_bin(BinOp::kAnd, val, arena.mk_const(0xffff)));
         break;
       case RegWidth::k8Lo:
-        merged = mk_bin(BinOp::kOr, mk_bin(BinOp::kAnd, full, mk_const(0xffffff00u)),
-                        mk_bin(BinOp::kAnd, val, mk_const(0xff)));
+        merged = arena.mk_bin(
+            BinOp::kOr, arena.mk_bin(BinOp::kAnd, full, arena.mk_const(0xffffff00u)),
+            arena.mk_bin(BinOp::kAnd, val, arena.mk_const(0xff)));
         break;
       case RegWidth::k8Hi:
-        merged = mk_bin(BinOp::kOr, mk_bin(BinOp::kAnd, full, mk_const(0xffff00ffu)),
-                        mk_bin(BinOp::kShl, mk_bin(BinOp::kAnd, val, mk_const(0xff)),
-                               mk_const(8)));
+        merged = arena.mk_bin(
+            BinOp::kOr, arena.mk_bin(BinOp::kAnd, full, arena.mk_const(0xffff00ffu)),
+            arena.mk_bin(BinOp::kShl,
+                         arena.mk_bin(BinOp::kAnd, val, arena.mk_const(0xff)),
+                         arena.mk_const(8)));
         break;
     }
     regs_[static_cast<unsigned>(r.family)] = merged;
-    Event ev;
-    ev.kind = EventKind::kRegWrite;
-    ev.insn_index = idx;
-    ev.insn_offset = insn.offset;
+    Event& ev = emit(EventKind::kRegWrite, insn, idx);
     ev.reg = r.family;
     ev.value = merged;
-    events.push_back(std::move(ev));
   }
 
-  ExprPtr fresh_unknown() { return mk_unknown(unknown_counter_++); }
+  /// Append an event of `kind` raised by trace instruction `idx`.
+  Event& emit(EventKind kind, const Instruction& insn, std::size_t idx) {
+    Event& ev = events.emplace_back();
+    ev.kind = kind;
+    ev.insn_index = static_cast<std::uint32_t>(idx);
+    ev.insn_offset = static_cast<std::uint32_t>(insn.offset);
+    return ev;
+  }
+
+  /// A syscall event capturing every register family.
+  void syscall(std::uint16_t vector, const Instruction& insn, std::size_t idx) {
+    ExprPtr* regs = arena.mk_ptrs(regs_.size());
+    std::copy(regs_.begin(), regs_.end(), regs);
+    Event& ev = emit(EventKind::kSyscall, insn, idx);
+    ev.vector = vector;
+    ev.syscall_regs = regs;
+  }
+
+  ExprPtr fresh_unknown() { return arena.mk_unknown(unknown_counter_++); }
+
+  /// f := f + delta: pointer walks and count-downs.
+  void step_reg(RegFamily f, std::uint32_t delta, const Instruction& insn,
+                std::size_t idx) {
+    write_reg(Reg{f, RegWidth::k32},
+              arena.mk_bin(BinOp::kAdd, reg_full(f), arena.mk_const(delta)), insn, idx);
+  }
 
   /// Offset of the most recent FPU instruction (fnstenv stores it as FIP).
   std::optional<std::size_t> last_fpu_offset;
@@ -115,7 +138,7 @@ class Machine {
 
   /// Split an address into (symbolic base, constant offset) for cheap
   /// no-alias proofs: base+8 and base+16 can never overlap a 4-byte write.
-  static void split_addr(const ExprPtr& e, ExprPtr& base, std::int64_t& off) {
+  static void split_addr(ExprPtr e, ExprPtr& base, std::int64_t& off) {
     if (e->kind == ExprKind::kConst) {
       base = nullptr;
       off = e->cval;
@@ -129,9 +152,8 @@ class Machine {
     }
   }
 
-  static bool provably_distinct(const ExprPtr& a, unsigned wa, const ExprPtr& b,
-                                unsigned wb) {
-    ExprPtr ba, bb;
+  static bool provably_distinct(ExprPtr a, unsigned wa, ExprPtr b, unsigned wb) {
+    ExprPtr ba = nullptr, bb = nullptr;
     std::int64_t oa, ob;
     split_addr(a, ba, oa);
     split_addr(b, bb, ob);
@@ -142,30 +164,26 @@ class Machine {
            ob + static_cast<std::int64_t>(wb / 8) <= oa;
   }
 
-  ExprPtr load(const ExprPtr& addr, unsigned width) {
+  ExprPtr load(ExprPtr addr, unsigned width) {
     // Forward the newest store to a structurally identical address,
     // skipping stores provably disjoint from this load; stop at the first
     // store that may alias.
     for (auto it = stores_.rbegin(); it != stores_.rend(); ++it) {
-      if (it->width == width && struct_eq(it->addr, addr)) return it->value;
-      if (provably_distinct(addr, width, it->addr, it->width)) continue;
+      const Event& st = events[*it];
+      if (st.width == width && struct_eq(st.addr, addr)) return st.value;
+      if (provably_distinct(addr, width, st.addr, st.width)) continue;
       break;
     }
-    return mk_load(addr, width, generation());
+    return arena.mk_load(addr, width, generation());
   }
 
   void store(ExprPtr addr, unsigned width, ExprPtr value, const Instruction& insn,
              std::size_t idx) {
-    Event ev;
-    ev.kind = EventKind::kMemWrite;
-    ev.insn_index = idx;
-    ev.insn_offset = insn.offset;
+    stores_.push_back(static_cast<std::uint32_t>(events.size()));
+    Event& ev = emit(EventKind::kMemWrite, insn, idx);
     ev.addr = addr;
     ev.width = static_cast<std::uint8_t>(width);
     ev.value = value;
-    events.push_back(ev);
-    stores_.push_back(Store{std::move(addr), static_cast<std::uint8_t>(width),
-                            std::move(value)});
   }
 
   // ------------------------------------------------------------- operands
@@ -174,18 +192,18 @@ class Machine {
     if (m.rip) {
       // RIP-relative: a known in-buffer constant, same transparency as the
       // call/pop GetPC constant.
-      return mk_const(static_cast<std::uint32_t>(cur_end_offset_ + m.disp));
+      return arena.mk_const(static_cast<std::uint32_t>(cur_end_offset_ + m.disp));
     }
-    ExprPtr e;
+    ExprPtr e = nullptr;
     if (m.base) e = reg_full(m.base->family);
     if (m.index) {
       ExprPtr idx = reg_full(m.index->family);
-      if (m.scale != 1) idx = mk_bin(BinOp::kMul, idx, mk_const(m.scale));
-      e = e ? mk_bin(BinOp::kAdd, e, idx) : idx;
+      if (m.scale != 1) idx = arena.mk_bin(BinOp::kMul, idx, arena.mk_const(m.scale));
+      e = e ? arena.mk_bin(BinOp::kAdd, e, idx) : idx;
     }
     if (m.disp != 0 || !e) {
-      ExprPtr d = mk_const(static_cast<std::uint32_t>(m.disp));
-      e = e ? mk_bin(BinOp::kAdd, e, d) : d;
+      ExprPtr d = arena.mk_const(static_cast<std::uint32_t>(m.disp));
+      e = e ? arena.mk_bin(BinOp::kAdd, e, d) : d;
     }
     return e;
   }
@@ -203,21 +221,21 @@ class Machine {
         return read_reg(op.reg);
       case OperandKind::kImm:
       case OperandKind::kRel:
-        return mk_const(static_cast<std::uint32_t>(op.imm));
+        return arena.mk_const(static_cast<std::uint32_t>(op.imm));
       case OperandKind::kMem:
         return load(mem_addr(op.mem), width_bits_of(op.mem.width));
       case OperandKind::kNone:
-        return mk_const(0);
+        return arena.mk_const(0);
     }
-    return mk_const(0);
+    return arena.mk_const(0);
   }
 
   void write_operand(const Operand& op, ExprPtr val, const Instruction& insn,
                      std::size_t idx) {
     if (op.kind == OperandKind::kReg) {
-      write_reg(op.reg, std::move(val), insn, idx);
+      write_reg(op.reg, val, insn, idx);
     } else if (op.kind == OperandKind::kMem) {
-      store(mem_addr(op.mem), width_bits_of(op.mem.width), std::move(val), insn, idx);
+      store(mem_addr(op.mem), width_bits_of(op.mem.width), val, insn, idx);
     }
   }
 
@@ -225,22 +243,23 @@ class Machine {
 
   void push_value(ExprPtr val, const Instruction& insn, std::size_t idx) {
     const std::uint32_t stride = long_mode_ ? 0xfffffff8u : 0xfffffffcu;
-    ExprPtr esp = mk_bin(BinOp::kAdd, reg_full(RegFamily::kSp), mk_const(stride));
+    ExprPtr esp =
+        arena.mk_bin(BinOp::kAdd, reg_full(RegFamily::kSp), arena.mk_const(stride));
     regs_[static_cast<unsigned>(RegFamily::kSp)] = esp;
-    store(esp, long_mode_ ? 64 : 32, std::move(val), insn, idx);
+    store(esp, long_mode_ ? 64 : 32, val, insn, idx);
   }
 
   ExprPtr pop_value() {
     ExprPtr esp = reg_full(RegFamily::kSp);
     ExprPtr val = load(esp, long_mode_ ? 64 : 32);
     regs_[static_cast<unsigned>(RegFamily::kSp)] =
-        mk_bin(BinOp::kAdd, esp, mk_const(long_mode_ ? 8 : 4));
+        arena.mk_bin(BinOp::kAdd, esp, arena.mk_const(long_mode_ ? 8 : 4));
     return val;
   }
 
  private:
   std::array<ExprPtr, 16> regs_;
-  std::vector<Store> stores_;
+  std::vector<std::uint32_t> stores_;  // index in `events` of every store
   std::uint32_t unknown_counter_ = 0;
   bool long_mode_ = false;
   std::size_t cur_end_offset_ = 0;
@@ -265,25 +284,22 @@ std::optional<BinOp> alu_op(Mnemonic m) {
 
 void emit_branch(Machine& m, const Instruction& insn, std::size_t idx, bool conditional,
                  bool is_call = false) {
-  Event ev;
-  ev.kind = EventKind::kBranch;
-  ev.insn_index = idx;
-  ev.insn_offset = insn.offset;
+  Event& ev = m.emit(EventKind::kBranch, insn, idx);
   ev.conditional = conditional;
   ev.is_call = is_call;
-  ev.target = insn.branch_target();
-  ev.backward = ev.target.has_value() && *ev.target <= insn.offset;
-  m.events.push_back(std::move(ev));
+  if (auto target = insn.branch_target()) {
+    ev.target = static_cast<std::uint32_t>(*target);
+    ev.backward = *target <= insn.offset;
+  }
 }
 
 }  // namespace
 
 void lift(const std::vector<Instruction>& trace, LiftResult& out) {
-  Machine m;
-  // Reuse the caller's event buffer: the machine appends into it and
-  // hands it back, so repeated lifts amortize the allocation.
-  m.events = std::move(out.events);
-  m.events.clear();
+  ExprArena& arena = out.arena;
+  arena.reset();
+  out.events.clear();
+  Machine m(arena, out.events);
 
   for (std::size_t idx = 0; idx < trace.size(); ++idx) {
     const Instruction& insn = trace[idx];
@@ -291,8 +307,8 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
     m.set_insn(insn);
 
     if (auto op = alu_op(insn.mnemonic)) {
-      ExprPtr res = mk_bin(*op, m.read_operand(ops[0]), m.read_operand(ops[1]));
-      m.write_operand(ops[0], std::move(res), insn, idx);
+      ExprPtr res = arena.mk_bin(*op, m.read_operand(ops[0]), m.read_operand(ops[1]));
+      m.write_operand(ops[0], res, insn, idx);
       continue;
     }
 
@@ -318,36 +334,40 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
       case Mnemonic::kXchg: {
         ExprPtr a = m.read_operand(ops[0]);
         ExprPtr b = m.read_operand(ops[1]);
-        m.write_operand(ops[0], std::move(b), insn, idx);
-        m.write_operand(ops[1], std::move(a), insn, idx);
+        m.write_operand(ops[0], b, insn, idx);
+        m.write_operand(ops[1], a, insn, idx);
         break;
       }
 
       case Mnemonic::kInc:
-        m.write_operand(ops[0], mk_bin(BinOp::kAdd, m.read_operand(ops[0]), mk_const(1)),
+        m.write_operand(ops[0],
+                        arena.mk_bin(BinOp::kAdd, m.read_operand(ops[0]), arena.mk_const(1)),
                         insn, idx);
         break;
       case Mnemonic::kDec:
         m.write_operand(ops[0],
-                        mk_bin(BinOp::kAdd, m.read_operand(ops[0]), mk_const(0xffffffffu)),
+                        arena.mk_bin(BinOp::kAdd, m.read_operand(ops[0]),
+                                     arena.mk_const(0xffffffffu)),
                         insn, idx);
         break;
 
       case Mnemonic::kNot:
-        m.write_operand(ops[0], mk_un(UnOp::kNot, m.read_operand(ops[0])), insn, idx);
+        m.write_operand(ops[0], arena.mk_un(UnOp::kNot, m.read_operand(ops[0])), insn, idx);
         break;
       case Mnemonic::kNeg:
-        m.write_operand(ops[0], mk_un(UnOp::kNeg, m.read_operand(ops[0])), insn, idx);
+        m.write_operand(ops[0], arena.mk_un(UnOp::kNeg, m.read_operand(ops[0])), insn, idx);
         break;
 
       case Mnemonic::kImul:
         if (ops[2].kind != OperandKind::kNone) {
           m.write_operand(ops[0],
-                          mk_bin(BinOp::kMul, m.read_operand(ops[1]), m.read_operand(ops[2])),
+                          arena.mk_bin(BinOp::kMul, m.read_operand(ops[1]),
+                                       m.read_operand(ops[2])),
                           insn, idx);
         } else if (ops[1].kind != OperandKind::kNone) {
           m.write_operand(ops[0],
-                          mk_bin(BinOp::kMul, m.read_operand(ops[0]), m.read_operand(ops[1])),
+                          arena.mk_bin(BinOp::kMul, m.read_operand(ops[0]),
+                                       m.read_operand(ops[1])),
                           insn, idx);
         } else {
           m.clobber_reg(RegFamily::kAx, insn, idx);
@@ -392,7 +412,7 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
       case Mnemonic::kPop: {
         ExprPtr v = m.pop_value();
         if (ops[0].kind != OperandKind::kNone) {
-          m.write_operand(ops[0], std::move(v), insn, idx);
+          m.write_operand(ops[0], v, insn, idx);
         }
         break;
       }
@@ -412,7 +432,7 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
           ExprPtr v = m.pop_value();
           RegFamily fam = static_cast<RegFamily>(7 - f);
           if (fam == RegFamily::kSp) continue;  // popa discards the saved esp
-          m.write_reg(Reg{fam, RegWidth::k32}, std::move(v), insn, idx);
+          m.write_reg(Reg{fam, RegWidth::k32}, v, insn, idx);
         }
         break;
 
@@ -421,7 +441,7 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         m.write_reg(Reg{RegFamily::kSp, RegWidth::k32}, m.reg_full(RegFamily::kBp), insn,
                     idx);
         ExprPtr v = m.pop_value();
-        m.write_reg(Reg{RegFamily::kBp, RegWidth::k32}, std::move(v), insn, idx);
+        m.write_reg(Reg{RegFamily::kBp, RegWidth::k32}, v, insn, idx);
         break;
       }
       case Mnemonic::kEnter:
@@ -436,7 +456,8 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         // The pushed return address is a known in-buffer constant: this is
         // precisely what makes jmp/call/pop GetPC sequences transparent to
         // the matcher (the pop receives a constant buffer offset).
-        m.push_value(mk_const(static_cast<std::uint32_t>(insn.end_offset())), insn, idx);
+        m.push_value(arena.mk_const(static_cast<std::uint32_t>(insn.end_offset())), insn,
+                     idx);
         emit_branch(m, insn, idx, /*conditional=*/false, /*is_call=*/true);
         break;
 
@@ -458,39 +479,20 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
       case Mnemonic::kLoop:
       case Mnemonic::kLoope:
       case Mnemonic::kLoopne:
-        m.write_reg(Reg{RegFamily::kCx, RegWidth::k32},
-                    mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kCx), mk_const(0xffffffffu)),
-                    insn, idx);
+        m.step_reg(RegFamily::kCx, 0xffffffffu, insn, idx);
         emit_branch(m, insn, idx, /*conditional=*/true);
         break;
 
-      case Mnemonic::kInt: {
-        Event ev;
-        ev.kind = EventKind::kSyscall;
-        ev.insn_index = idx;
-        ev.insn_offset = insn.offset;
-        ev.vector = static_cast<std::uint8_t>(ops[0].imm);
-        for (unsigned f = 0; f < 16; ++f) {
-          ev.syscall_regs[f] = m.reg_full(static_cast<RegFamily>(f));
-        }
-        m.events.push_back(std::move(ev));
+      case Mnemonic::kInt:
+        m.syscall(static_cast<std::uint8_t>(ops[0].imm), insn, idx);
         // Linux convention: the kernel returns in eax.
         m.clobber_reg(RegFamily::kAx, insn, idx);
         break;
-      }
 
       case Mnemonic::kSyscall: {
         // x86-64 `syscall`: same event shape as int 0x80, distinguished by
         // the out-of-range vector so 32-bit templates can never match it.
-        Event ev;
-        ev.kind = EventKind::kSyscall;
-        ev.insn_index = idx;
-        ev.insn_offset = insn.offset;
-        ev.vector = kSyscallVector;
-        for (unsigned f = 0; f < 16; ++f) {
-          ev.syscall_regs[f] = m.reg_full(static_cast<RegFamily>(f));
-        }
-        m.events.push_back(std::move(ev));
+        m.syscall(kSyscallVector, insn, idx);
         // Return value in rax; the instruction itself clobbers rcx (return
         // RIP) and r11 (saved rflags).
         m.clobber_reg(RegFamily::kAx, insn, idx);
@@ -503,10 +505,8 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
       case Mnemonic::kStos: {
         const unsigned w = Machine::width_bits_of(insn.op_width);
         ExprPtr val = m.read_reg(Reg{RegFamily::kAx, insn.op_width});
-        m.store(m.reg_full(RegFamily::kDi), w, std::move(val), insn, idx);
-        m.write_reg(Reg{RegFamily::kDi, RegWidth::k32},
-                    mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kDi), mk_const(w / 8)), insn,
-                    idx);
+        m.store(m.reg_full(RegFamily::kDi), w, val, insn, idx);
+        m.step_reg(RegFamily::kDi, w / 8, insn, idx);
         if (insn.prefixes.rep || insn.prefixes.repne) {
           m.clobber_reg(RegFamily::kDi, insn, idx);
           m.clobber_reg(RegFamily::kCx, insn, idx);
@@ -520,40 +520,30 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         m.write_reg(Reg{RegFamily::kAx,
                         insn.op_width == RegWidth::k32 ? RegWidth::k32
                         : insn.op_width == RegWidth::k16 ? RegWidth::k16 : RegWidth::k8Lo},
-                    std::move(val), insn, idx);
-        m.write_reg(Reg{RegFamily::kSi, RegWidth::k32},
-                    mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kSi), mk_const(w / 8)), insn,
-                    idx);
+                    val, insn, idx);
+        m.step_reg(RegFamily::kSi, w / 8, insn, idx);
         break;
       }
       case Mnemonic::kMovs: {
         const unsigned w = Machine::width_bits_of(insn.op_width);
         ExprPtr val = m.load(m.reg_full(RegFamily::kSi), w);
-        m.store(m.reg_full(RegFamily::kDi), w, std::move(val), insn, idx);
-        m.write_reg(Reg{RegFamily::kSi, RegWidth::k32},
-                    mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kSi), mk_const(w / 8)), insn,
-                    idx);
-        m.write_reg(Reg{RegFamily::kDi, RegWidth::k32},
-                    mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kDi), mk_const(w / 8)), insn,
-                    idx);
+        m.store(m.reg_full(RegFamily::kDi), w, val, insn, idx);
+        m.step_reg(RegFamily::kSi, w / 8, insn, idx);
+        m.step_reg(RegFamily::kDi, w / 8, insn, idx);
         break;
       }
       case Mnemonic::kScas:
       case Mnemonic::kCmps: {
         const unsigned w = Machine::width_bits_of(insn.op_width);
         if (insn.mnemonic == Mnemonic::kCmps) {
-          m.write_reg(Reg{RegFamily::kSi, RegWidth::k32},
-                      mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kSi), mk_const(w / 8)), insn,
-                      idx);
+          m.step_reg(RegFamily::kSi, w / 8, insn, idx);
         }
-        m.write_reg(Reg{RegFamily::kDi, RegWidth::k32},
-                    mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kDi), mk_const(w / 8)), insn,
-                    idx);
+        m.step_reg(RegFamily::kDi, w / 8, insn, idx);
         break;
       }
 
       case Mnemonic::kXlat: {
-        ExprPtr addr = mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kBx),
+        ExprPtr addr = arena.mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kBx),
                               m.read_reg(Reg{RegFamily::kAx, RegWidth::k8Lo}));
         m.write_reg(Reg{RegFamily::kAx, RegWidth::k8Lo}, m.load(addr, 8), insn, idx);
         break;
@@ -622,9 +612,9 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         // exactly like call/pop.
         ExprPtr base = m.mem_addr(ops[0].mem);
         ExprPtr fip = m.last_fpu_offset
-                          ? mk_const(static_cast<std::uint32_t>(*m.last_fpu_offset))
+                          ? arena.mk_const(static_cast<std::uint32_t>(*m.last_fpu_offset))
                           : m.fresh_unknown();
-        m.store(mk_bin(BinOp::kAdd, base, mk_const(12)), 32, std::move(fip), insn, idx);
+        m.store(arena.mk_bin(BinOp::kAdd, base, arena.mk_const(12)), 32, fip, insn, idx);
         break;
       }
 
@@ -654,14 +644,7 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
     }
   }
 
-  out.events = std::move(m.events);
   out.approximated = m.approximated;
-}
-
-LiftResult lift(const std::vector<Instruction>& trace) {
-  LiftResult out;
-  lift(trace, out);
-  return out;
 }
 
 }  // namespace senids::ir

@@ -12,20 +12,21 @@
 
 namespace senids::ir {
 
+/// One lifted trace. `arena` owns every node that `events` reach, so
+/// the events (and any match bindings taken from them) stay valid until
+/// the next lift into this result; moving the result keeps them valid.
 struct LiftResult {
   std::vector<Event> events;
+  ExprArena arena;
   /// Instructions whose semantics the lifter models only through def/use
   /// clobbers (diagnostic counter; high ratios indicate data, not code).
   std::size_t approximated = 0;
 };
 
-/// Lift `trace` (from arch::execution_trace or linear_sweep).
-LiftResult lift(const std::vector<arch::Instruction>& trace);
-
-/// Buffer-reusing form: `out.events` is cleared and refilled in place,
-/// so a worker lifting thousands of traces reuses one event buffer
-/// instead of reallocating per trace (the expression nodes themselves
-/// are shared/ref-counted and not arena-managed).
+/// Lift `trace` (from arch::execution_trace or linear_sweep) into `out`,
+/// releasing whatever `out` held. The event buffer and the arena's
+/// chunks are reused, so a worker lifting thousands of traces into one
+/// result allocates only when it passes its high-water mark.
 void lift(const std::vector<arch::Instruction>& trace, LiftResult& out);
 
 }  // namespace senids::ir

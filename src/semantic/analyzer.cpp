@@ -200,7 +200,9 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
         d.threat = t.threat;
         d.entry_offset = entry;
         d.match_offset = m->start_offset;
-        d.bindings = std::move(m->bindings);
+        for (const auto& [var, value] : m->bindings) {
+          d.bindings.emplace(var, ir::to_string(value));
+        }
         detections.push_back(std::move(d));
       }
     }

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,7 +25,9 @@ struct Detection {
   ThreatClass threat{};
   std::size_t entry_offset = 0;  // code entry within the frame
   std::size_t match_offset = 0;  // first matched instruction
-  Env bindings;
+  /// Each template variable rendered by ir::to_string when the detection
+  /// was made. Owned strings, so they outlive the lift they came from.
+  std::map<std::string, std::string, std::less<>> bindings;
 };
 
 /// A count field of a stats struct: its name and where it lives. The
@@ -75,10 +78,11 @@ inline constexpr std::array kAnalyzerCountFields{
 
 /// Reusable per-worker working memory for analyze(). Every buffer the
 /// frame loop fills — candidate runs, entry offsets, the execution
-/// trace, the lifted IR events, plus the scanner's internal arrays —
-/// lives here, so a worker that keeps one scratch across calls analyzes
-/// frames without per-frame heap churn (buffers grow to the high-water
-/// mark and are then reused). Not thread-safe; one per worker thread.
+/// trace, the lifted IR events and their expression arena, plus the
+/// scanner's internal arrays — lives here, so a worker that keeps one
+/// scratch across calls analyzes frames without per-frame heap churn
+/// (buffers grow to the high-water mark and are then reused). Not thread-safe; one per worker thread,
+/// so no expression node is ever shared between threads.
 /// Passing no scratch (the classic analyze() signature) allocates a
 /// transient one per call, which is the old behaviour exactly.
 struct AnalyzerScratch {

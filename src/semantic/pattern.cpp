@@ -68,7 +68,7 @@ PatPtr p_transform(PatPtr base, std::vector<ir::BinOp> allowed, bool allow_not,
 namespace {
 
 /// Bind `var` to `e`, or verify consistency with an existing binding.
-bool bind(const std::string& var, const ExprPtr& e, Env& env) {
+bool bind(const std::string& var, ExprPtr e, Env& env) {
   if (var.empty()) return true;
   auto it = env.find(var);
   if (it == env.end()) {
@@ -100,7 +100,7 @@ struct TransformWalk {
   int const_leaves = 0;
   int ops = 0;
 
-  bool walk(const ExprPtr& e) {
+  bool walk(ExprPtr e) {
     // A base match takes priority: the base pattern is typically a load,
     // which can never be an allowed internal node anyway.
     {
@@ -138,7 +138,7 @@ struct TransformWalk {
 
 }  // namespace
 
-bool match_expr(const PatPtr& p, const ExprPtr& e, Env& env) {
+bool match_expr(const PatPtr& p, ExprPtr e, Env& env) {
   if (!p || !e) return false;
   switch (p->kind) {
     case PatKind::kAny:

@@ -61,7 +61,7 @@ using Env = std::map<std::string, ir::ExprPtr, std::less<>>;
 /// Match `e` against `p`, extending `env`. On failure `env` is left in an
 /// unspecified state — callers must match against a copy they can discard
 /// (the template matcher does exactly that).
-bool match_expr(const PatPtr& p, const ir::ExprPtr& e, Env& env);
+bool match_expr(const PatPtr& p, ir::ExprPtr e, Env& env);
 
 /// Debug rendering of a pattern.
 std::string to_string(const PatPtr& p);

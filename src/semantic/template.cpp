@@ -162,7 +162,7 @@ namespace {
 /// two forms shellcode produces: a folded constant (`xor eax,eax; mov
 /// al,N`) and an unfolded sub-register merge whose masked side cannot
 /// touch bits 0..7 (`mov al,N` over unknown eax).
-std::optional<std::uint8_t> low_byte_const(const ExprPtr& e) {
+std::optional<std::uint8_t> low_byte_const(ExprPtr e) {
   std::uint32_t v;
   if (ir::is_const(e, &v)) return static_cast<std::uint8_t>(v & 0xff);
   if (e && e->kind == ExprKind::kBin && e->bop == ir::BinOp::kOr) {
@@ -183,7 +183,7 @@ std::optional<std::uint8_t> low_byte_const(const ExprPtr& e) {
 /// `v`. Rotates are evaluated with 8-bit semantics, matching the byte
 /// registers the decoders rotate. Returns nullopt for trees containing
 /// initial-register or unknown leaves (not a pure byte function).
-std::optional<std::uint32_t> eval_byte_fn(const ExprPtr& e, std::uint32_t v) {
+std::optional<std::uint32_t> eval_byte_fn(ExprPtr e, std::uint32_t v) {
   switch (e->kind) {
     case ExprKind::kConst:
       return e->cval;
@@ -229,7 +229,7 @@ std::optional<std::uint32_t> eval_byte_fn(const ExprPtr& e, std::uint32_t v) {
 }
 
 /// Is the stored value a bijective byte transform of the loaded byte?
-bool is_invertible_byte_fn(const ExprPtr& e) {
+bool is_invertible_byte_fn(ExprPtr e) {
   bool seen[256] = {};
   for (std::uint32_t v = 0; v < 256; ++v) {
     auto out = eval_byte_fn(e, v);
@@ -243,29 +243,28 @@ bool is_invertible_byte_fn(const ExprPtr& e) {
 
 /// Strip trailing constant additions: returns the symbolic base (nullptr
 /// for a pure constant) and accumulates the constant displacement.
-const ExprPtr* addr_base(const ExprPtr& e, std::int64_t& off) {
-  const ExprPtr* cur = &e;
-  while ((*cur)->kind == ExprKind::kBin && (*cur)->bop == ir::BinOp::kAdd &&
-         (*cur)->rhs->kind == ExprKind::kConst) {
-    off += static_cast<std::int32_t>((*cur)->rhs->cval);
-    cur = &(*cur)->lhs;
+ExprPtr addr_base(ExprPtr e, std::int64_t& off) {
+  while (e->kind == ExprKind::kBin && e->bop == ir::BinOp::kAdd &&
+         e->rhs->kind == ExprKind::kConst) {
+    off += static_cast<std::int32_t>(e->rhs->cval);
+    e = e->lhs;
   }
-  if ((*cur)->kind == ExprKind::kConst) {
-    off += static_cast<std::int32_t>((*cur)->cval);
+  if (e->kind == ExprKind::kConst) {
+    off += static_cast<std::int32_t>(e->cval);
     return nullptr;
   }
-  return cur;
+  return e;
 }
 
 /// If a == b + c for a constant c, return c. Works whether the pointer is
 /// rooted in an initial register (init(esi) + 1), a derived expression, or
 /// a known buffer constant (jmp/call/pop pointers fold to constants).
-std::optional<std::int64_t> addr_diff(const ExprPtr& a, const ExprPtr& b) {
+std::optional<std::int64_t> addr_diff(ExprPtr a, ExprPtr b) {
   std::int64_t oa = 0, ob = 0;
-  const ExprPtr* ba = addr_base(a, oa);
-  const ExprPtr* bb = addr_base(b, ob);
+  ExprPtr ba = addr_base(a, oa);
+  ExprPtr bb = addr_base(b, ob);
   if (ba == nullptr && bb == nullptr) return oa - ob;
-  if (ba && bb && ir::struct_eq(*ba, *bb)) return oa - ob;
+  if (ba && bb && ir::struct_eq(ba, bb)) return oa - ob;
   return std::nullopt;
 }
 

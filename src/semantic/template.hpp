@@ -93,6 +93,8 @@ struct Template {
 };
 
 /// Everything the matcher needs to know about one analyzed code run.
+/// `events` is a LiftResult's event list; its nodes live in that
+/// result's arena.
 struct LiftedCode {
   const std::vector<arch::Instruction>* trace = nullptr;
   const std::vector<ir::Event>* events = nullptr;
@@ -102,6 +104,7 @@ struct LiftedCode {
 struct MatchResult {
   /// Event index matched by each statement, parallel to Template::stmts.
   std::vector<std::size_t> matched_events;
+  /// Nodes of the matched LiftResult: valid until the next lift into it.
   Env bindings;
   /// Offset of the first matched instruction within the buffer.
   std::size_t start_offset = 0;

@@ -46,14 +46,18 @@ struct ExprChecker {
   /// node first reached now was created no later than now, so its
   /// generation may not exceed this count.
   std::uint32_t mem_generation = 0;
+  /// The arena every node must lie in; nullptr skips the ownership and
+  /// allocation-order checks.
+  const ir::ExprArena* arena = nullptr;
 
-  void check(const ExprPtr& e, const std::string& where) {
+  void check(ExprPtr e, const std::string& where) {
     if (!e) {
       out.error(where, "null expression");
       return;
     }
-    if (!seen.insert(e.get()).second) return;
+    if (!seen.insert(e).second) return;
     const Expr& x = *e;
+    if (arena) check_ownership(x, where);
     if (x.value_bits > 32) {
       out.error(where, "value_bits " + std::to_string(x.value_bits) + " exceeds 32");
     }
@@ -123,6 +127,24 @@ struct ExprChecker {
     }
   }
 
+  /// The node lies in the LiftResult's own arena (a node from elsewhere
+  /// dies with its own arena, not with the events), and each child was
+  /// allocated before it, which also rules out cycles.
+  void check_ownership(const Expr& x, const std::string& where) {
+    const auto pos = arena->position(&x);
+    if (!pos) {
+      out.error(where, "node does not lie in the LiftResult's arena");
+      return;
+    }
+    for (ExprPtr child : {x.addr, x.lhs, x.rhs}) {
+      if (!child) continue;
+      const auto child_pos = arena->position(child);
+      if (child_pos && *child_pos >= *pos) {
+        out.error(where, "child node allocated after its parent");
+      }
+    }
+  }
+
   static std::string to_hex(std::uint32_t v) {
     char buf[16];
     std::snprintf(buf, sizeof buf, "%x", v);
@@ -132,15 +154,15 @@ struct ExprChecker {
 
 }  // namespace
 
-void verify_expr(const ir::ExprPtr& e, const std::string& where, Report& out) {
+void verify_expr(ir::ExprPtr e, const std::string& where, Report& out) {
   // Standalone entry point: no event context, so accept any generation.
-  ExprChecker ck{out, {}, ~0u};
+  ExprChecker ck{out, {}, ~0u, nullptr};
   ck.check(e, where);
 }
 
 Report verify_ir(const std::vector<arch::Instruction>& trace, const ir::LiftResult& lifted) {
   Report out;
-  ExprChecker ck{out, {}, 0};
+  ExprChecker ck{out, {}, 0, &lifted.arena};
 
   std::size_t prev_index = 0;
   for (std::size_t i = 0; i < lifted.events.size(); ++i) {
@@ -213,7 +235,11 @@ Report verify_ir(const std::vector<arch::Instruction>& trace, const ir::LiftResu
         break;
       }
       case EventKind::kSyscall:
-        for (std::size_t r = 0; r < ev.syscall_regs.size(); ++r) {
+        if (!ev.syscall_regs) {
+          out.error(where, "no captured registers");
+          break;
+        }
+        for (std::size_t r = 0; r < 16; ++r) {
           if (!ev.syscall_regs[r]) {
             out.error(where, "null captured register #" + std::to_string(r));
           } else {

@@ -12,8 +12,11 @@
 //  - no dangling event references: every event's insn_index/insn_offset
 //    must point at the originating trace instruction, events must be
 //    emitted in trace order, and per-kind payloads must be present
-//    (non-null values, all eight syscall registers, backward branches
+//    (non-null values, all sixteen syscall registers, backward branches
 //    carrying a target at or before the branch);
+//  - arena ownership: every node the events reach lies in the
+//    LiftResult's own arena, and every child was allocated before its
+//    parent;
 //  - deadcode-pass idempotence: removing the instructions find_dead_code
 //    marks dead and re-running it must find nothing new.
 //
@@ -35,6 +38,6 @@ Report verify_ir(const std::vector<arch::Instruction>& trace, const ir::LiftResu
 
 /// Expression-tree well-formedness only (exposed for targeted tests).
 /// `where` labels diagnostics; shared subtrees are visited once.
-void verify_expr(const ir::ExprPtr& e, const std::string& where, Report& out);
+void verify_expr(ir::ExprPtr e, const std::string& where, Report& out);
 
 }  // namespace senids::verify

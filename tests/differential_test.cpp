@@ -71,7 +71,8 @@ TEST_P(LifterVsEmulator, ConstantsAgree) {
 
   // Symbolic execution over the same trace.
   auto trace = arch::execution_trace(code, 0);
-  auto lifted = ir::lift(trace);
+  ir::LiftResult lifted;
+  ir::lift(trace, lifted);
 
   // Final symbolic value per register = last RegWrite event.
   std::array<ir::ExprPtr, 8> final_value{};
@@ -124,7 +125,8 @@ TEST_P(StackDifferential, PushPopAgree) {
   ASSERT_EQ(cpu.run(1000), emu::StopReason::kHalted);
 
   auto trace = arch::execution_trace(code, 0);
-  auto lifted = ir::lift(trace);
+  ir::LiftResult lifted;
+  ir::lift(trace, lifted);
   std::array<ir::ExprPtr, 8> final_value{};
   for (const auto& ev : lifted.events) {
     if (ev.kind == ir::EventKind::kRegWrite) {
@@ -217,7 +219,8 @@ TEST_P(MemoryDifferential, StoreLoadRoundTripsAgree) {
   // init-ebx dependent... so compare the *stored memory bytes* instead:
   // both engines must agree on what landed in the frame.
   auto trace = arch::execution_trace(code, 0);
-  auto lifted = ir::lift(trace);
+  ir::LiftResult lifted;
+  ir::lift(trace, lifted);
   std::uint32_t lifter_v1 = 0;
   bool found = false;
   for (const auto& ev : lifted.events) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "ir/expr.hpp"
 #include "util/prng.hpp"
 
@@ -7,6 +9,18 @@ namespace senids::ir {
 namespace {
 
 using arch::RegFamily;
+
+/// Every node these tests build lives in one arena that lasts as long as
+/// the test binary; the shorthands keep the tests reading like the IR.
+ExprArena arena;
+ExprPtr mk_const(std::uint32_t v) { return arena.mk_const(v); }
+ExprPtr mk_init(arch::RegFamily f) { return arena.mk_init(f); }
+ExprPtr mk_load(ExprPtr addr, unsigned width, std::uint32_t generation) {
+  return arena.mk_load(addr, width, generation);
+}
+ExprPtr mk_bin(BinOp op, ExprPtr l, ExprPtr r) { return arena.mk_bin(op, l, r); }
+ExprPtr mk_un(UnOp op, ExprPtr x) { return arena.mk_un(op, x); }
+ExprPtr mk_unknown(std::uint32_t id) { return arena.mk_unknown(id); }
 
 TEST(Expr, ConstFolding) {
   auto e = mk_bin(BinOp::kAdd, mk_const(0x31), mk_const(0x64));
@@ -175,7 +189,7 @@ TEST(Expr, HashConsistentWithEquality) {
   auto a1 = mk_bin(BinOp::kXor, mk_load(mk_init(RegFamily::kAx), 8, 0), mk_const(0x95));
   auto a2 = mk_bin(BinOp::kXor, mk_const(0x95), mk_load(mk_init(RegFamily::kAx), 8, 0));
   EXPECT_TRUE(struct_eq(a1, a2));
-  EXPECT_EQ(expr_hash(a1), expr_hash(a2));
+  EXPECT_EQ(a1->cached_hash, a2->cached_hash);
 }
 
 TEST(Expr, UnknownsAreDistinct) {
@@ -186,6 +200,22 @@ TEST(Expr, UnknownsAreDistinct) {
 TEST(Expr, ToStringRenders) {
   auto e = mk_bin(BinOp::kXor, mk_load(mk_init(RegFamily::kAx), 8, 0), mk_const(0x95));
   EXPECT_EQ(to_string(e), "xor(load8@0(init(eax)), 0x95)");
+}
+
+TEST(Expr, ToStringCutsSharedSubtrees) {
+  // add(x, x) nested 60 deep: 61 nodes, 2^60 leaves if unfolded.
+  auto e = mk_init(RegFamily::kSi);
+  for (int i = 0; i < 60; ++i) e = mk_bin(BinOp::kAdd, e, e);
+  const std::string s = to_string(e);
+  EXPECT_LE(s.size(), 1100u);
+  EXPECT_TRUE(s.starts_with("add(add("));
+  EXPECT_TRUE(s.ends_with("..."));
+}
+
+TEST(Expr, WideLoadHasThirtyTwoValueBits) {
+  // Values are 32 bits wide; a 64-bit load contributes its low half.
+  EXPECT_EQ(mk_load(mk_init(RegFamily::kSp), 64, 0)->value_bits, 32);
+  EXPECT_EQ(mk_load(mk_init(RegFamily::kSp), 16, 0)->value_bits, 16);
 }
 
 TEST(Expr, ShiftByConstZeroIsIdentity) {
@@ -204,6 +234,44 @@ TEST(Expr, FigureOneEquivalence) {
   auto indirect = mk_bin(BinOp::kXor, load, built_key);
   EXPECT_TRUE(struct_eq(direct, indirect));
 }
+
+TEST(ExprArena, NodesSurviveMovingTheArena) {
+  ExprArena a;
+  ExprPtr e = a.mk_bin(BinOp::kXor, a.mk_load(a.mk_init(RegFamily::kAx), 8, 0),
+                       a.mk_const(0x95));
+  const std::string before = to_string(e);
+  ExprArena b = std::move(a);
+  EXPECT_EQ(to_string(e), before);
+  EXPECT_TRUE(b.position(e).has_value());
+  EXPECT_FALSE(a.position(e).has_value());
+  // The moved-from arena owns nothing but still allocates.
+  EXPECT_TRUE(a.position(a.mk_const(1)).has_value());
+}
+
+TEST(ExprArena, ResetReusesChunksAndPositionsFollowAllocation) {
+  ExprArena a;
+  ExprPtr first = a.mk_const(1);
+  std::vector<ExprPtr> nodes;
+  for (std::uint32_t i = 0; i < 2000; ++i) nodes.push_back(a.mk_unknown(i));  // > 1 chunk
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    ASSERT_LT(*a.position(nodes[i - 1]), *a.position(nodes[i])) << i;
+  }
+  a.reset();
+  EXPECT_FALSE(a.position(first).has_value());
+  EXPECT_FALSE(a.position(nodes.back()).has_value());
+  EXPECT_EQ(a.mk_const(2), first);  // the first chunk is reused, not reallocated
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(ExprArenaDeathTest, NodeReadAfterResetIsReportedUnderAsan) {
+  // A reset poisons the released chunks, so ASan reports a stale node
+  // read even though the memory is not freed.
+  ExprArena a;
+  ExprPtr e = a.mk_const(0x95);
+  a.reset();
+  EXPECT_DEATH(std::printf("%u\n", e->cval), "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace senids::ir

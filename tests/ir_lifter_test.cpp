@@ -13,8 +13,11 @@ using gen::R8;
 using util::Bytes;
 using arch::RegFamily;
 
+/// Returned by value: the move keeps every node of the arena in place.
 LiftResult lift_code(const Bytes& code, std::size_t entry = 0) {
-  return lift(arch::execution_trace(code, entry));
+  LiftResult r;
+  lift(arch::execution_trace(code, entry), r);
+  return r;
 }
 
 const Event* find_mem_write(const LiftResult& r, std::size_t nth = 0) {
@@ -334,9 +337,30 @@ TEST(Lifter, UnmodeledInstructionCountsApproximated) {
 }
 
 TEST(Lifter, EmptyTrace) {
-  auto r = lift({});
+  LiftResult r;
+  lift({}, r);
   EXPECT_TRUE(r.events.empty());
   EXPECT_EQ(r.approximated, 0u);
+}
+
+TEST(Lifter, ReusedResultMatchesFreshLift) {
+  // Lifting into a result that already holds a longer trace releases the
+  // old events and nodes: what is left is exactly a fresh lift.
+  Asm big;
+  for (int i = 0; i < 200; ++i) big.xor_mem8_imm8(R32::eax, static_cast<std::uint8_t>(i));
+  Asm small;
+  small.mov_r32_imm32(R32::ebx, 0x1000);
+  small.xor_mem8_imm8(R32::ebx, 0x95);
+  const Bytes small_code = small.finish();
+  LiftResult reused = lift_code(big.finish());
+  lift(arch::execution_trace(small_code, 0), reused);
+  const LiftResult fresh = lift_code(small_code);
+  ASSERT_EQ(reused.events.size(), fresh.events.size());
+  for (std::size_t i = 0; i < fresh.events.size(); ++i) {
+    EXPECT_EQ(reused.events[i].kind, fresh.events[i].kind) << i;
+    EXPECT_EQ(to_string(reused.events[i].value), to_string(fresh.events[i].value)) << i;
+    EXPECT_EQ(to_string(reused.events[i].addr), to_string(fresh.events[i].addr)) << i;
+  }
 }
 
 }  // namespace
@@ -357,7 +381,7 @@ TEST(LifterMore, PushaPopaRoundTripRegisters) {
   a.mov_r32_imm32(R32::ebx, 0x99);
   a.raw8(0x61);  // popa: ebx restored
   a.mov_r32_r32(R32::edx, R32::ebx);
-  auto r = lift(arch::execution_trace(a.finish(), 0));
+  auto r = lift_code(a.finish());
   std::uint32_t v = 0;
   ASSERT_FALSE(r.events.empty());
   ASSERT_TRUE(is_const(r.events.back().value, &v));
@@ -372,7 +396,7 @@ TEST(LifterMore, LeaveRestoresFrame) {
   a.sub_r32_imm(R32::esp, 8);
   a.raw8(0xC9);                       // leave: esp = ebp; pop ebp
   a.mov_r32_r32(R32::eax, R32::ebp);  // eax = restored 0x1000
-  auto r = lift(arch::execution_trace(a.finish(), 0));
+  auto r = lift_code(a.finish());
   std::uint32_t v = 0;
   ASSERT_TRUE(is_const(r.events.back().value, &v));
   EXPECT_EQ(v, 0x1000u);
@@ -385,7 +409,7 @@ TEST(LifterMore, MoffsStoreProducesAbsoluteAddress) {
   a.raw8(0x33);
   a.raw8(0x22);
   a.raw8(0x11);
-  auto r = lift(arch::execution_trace(a.finish(), 0));
+  auto r = lift_code(a.finish());
   const Event* store = nullptr;
   for (const auto& ev : r.events) {
     if (ev.kind == EventKind::kMemWrite) store = &ev;
@@ -402,7 +426,7 @@ TEST(LifterMore, XchgWithMemory) {
   a.mov_r32_imm32(R32::ebx, 7);
   a.raw8(0x87);  // xchg [eax], ebx
   a.raw8(0x18);
-  auto r = lift(arch::execution_trace(a.finish(), 0));
+  auto r = lift_code(a.finish());
   // One store of the old ebx (7) at [eax]; ebx now holds the load.
   bool store_of_7 = false;
   for (const auto& ev : r.events) {
@@ -420,7 +444,7 @@ TEST(LifterMore, EnterEmitsFramePush) {
   a.raw8(0x10);
   a.raw8(0x00);
   a.raw8(0x00);
-  auto r = lift(arch::execution_trace(a.finish(), 0));
+  auto r = lift_code(a.finish());
   bool pushed_ebp = false;
   for (const auto& ev : r.events) {
     if (ev.kind == EventKind::kMemWrite && ir::to_string(ev.value) == "init(ebp)") {

@@ -183,7 +183,7 @@ TEST(EmulationMemo, ConfirmPlusDeepEmulatesEachFrameOnce) {
 
 // ------------------------------------------- worker count transparency
 
-TEST(WorkerScaling, ThreadsAndBatchSizeDoNotChangeTheReport) {
+TEST(WorkerScaling, ThreadsDoNotChangeTheReport) {
   const pcap::Capture capture = mixed_corpus(305);
 
   NidsOptions base;

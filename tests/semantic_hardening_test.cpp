@@ -7,6 +7,7 @@
 
 #include "gen/emitter.hpp"
 #include "ir/lifter.hpp"
+#include "semantic/analyzer.hpp"
 #include "semantic/library.hpp"
 #include "arch/scan.hpp"
 
@@ -21,7 +22,8 @@ using util::Bytes;
 std::optional<MatchResult> run_match(const Template& t, const Bytes& code,
                                      std::size_t entry = 0) {
   auto trace = arch::execution_trace(code, entry);
-  auto lifted = ir::lift(trace);
+  ir::LiftResult lifted;
+  ir::lift(trace, lifted);
   LiftedCode lc{&trace, &lifted.events, code};
   return match_template(t, lc);
 }
@@ -371,6 +373,7 @@ TEST(Hardening, ConstCounterInitAccepted) {
 struct CapProbe {
   std::vector<arch::Instruction> trace;
   std::vector<ir::Event> events;
+  ir::ExprArena arena;
   LiftedCode code() const { return LiftedCode{&trace, &events, {}}; }
 };
 
@@ -383,8 +386,8 @@ CapProbe make_cap_probe(std::size_t n) {
     ev.insn_index = i;
     ev.insn_offset = i;
     ev.kind = i < n ? ir::EventKind::kRegWrite : ir::EventKind::kMemWrite;
-    ev.value = ir::mk_const(static_cast<std::uint32_t>(i < n ? i + 1 : n));
-    if (i == n) ev.addr = ir::mk_const(0x1000);
+    ev.value = p.arena.mk_const(static_cast<std::uint32_t>(i < n ? i + 1 : n));
+    if (i == n) ev.addr = p.arena.mk_const(0x1000);
   }
   return p;
 }
@@ -407,6 +410,31 @@ TEST(Hardening, AttemptCapBoundsSearch) {
   // One more register write pushes the only match past the cap.
   const CapProbe beyond = make_cap_probe(n + 1);
   EXPECT_FALSE(match_template(t, beyond.code()));
+}
+
+// ------------------------------------------- bindings on shared subtrees
+
+TEST(Hardening, SharedSubtreeBindingRendersBounded) {
+  // 40 x `add esi, esi` before a xor decoder: each doubling is add(x, x)
+  // over one shared node, so the pointer the decoder walks is a DAG of 41
+  // nodes whose tree has 2^40 leaves. The detection must still be made,
+  // and rendering its bindings must stop early instead of unfolding it.
+  Bytes code;
+  for (int i = 0; i < 40; ++i) code.insert(code.end(), {0x01, 0xf6});  // add esi, esi
+  code.insert(code.end(), {0x80, 0x36, 0x95,                          // xor byte [esi], 0x95
+                           0x46,                                      // inc esi
+                           0xe2, 0xfa});                              // loop xor
+  SemanticAnalyzer analyzer(make_standard_library());
+  const auto detections = analyzer.analyze(code);
+  ASSERT_FALSE(detections.empty());
+  bool cut = false;
+  for (const auto& d : detections) {
+    for (const auto& [var, value] : d.bindings) {
+      EXPECT_LE(value.size(), 1100u) << var;
+      cut = cut || value.ends_with("...");
+    }
+  }
+  EXPECT_TRUE(cut);
 }
 
 }  // namespace

@@ -6,14 +6,21 @@ namespace senids::semantic {
 namespace {
 
 using ir::BinOp;
-using ir::mk_bin;
-using ir::mk_const;
-using ir::mk_init;
-using ir::mk_load;
-using ir::mk_un;
-using ir::mk_unknown;
+using ir::ExprPtr;
 using ir::UnOp;
 using arch::RegFamily;
+
+/// Every node these tests build lives in one arena that lasts as long as
+/// the test binary; the shorthands keep the tests reading like the IR.
+ir::ExprArena arena;
+ExprPtr mk_const(std::uint32_t v) { return arena.mk_const(v); }
+ExprPtr mk_init(arch::RegFamily f) { return arena.mk_init(f); }
+ExprPtr mk_load(ExprPtr addr, unsigned width, std::uint32_t generation) {
+  return arena.mk_load(addr, width, generation);
+}
+ExprPtr mk_bin(BinOp op, ExprPtr l, ExprPtr r) { return arena.mk_bin(op, l, r); }
+ExprPtr mk_un(UnOp op, ExprPtr x) { return arena.mk_un(op, x); }
+ExprPtr mk_unknown(std::uint32_t id) { return arena.mk_unknown(id); }
 
 TEST(Pattern, AnyMatchesEverythingAndBinds) {
   Env env;

@@ -16,11 +16,14 @@ using gen::R32;
 using gen::R8;
 using util::Bytes;
 
-/// Trace, lift, and match one template against a code buffer.
+/// Trace, lift, and match one template against a code buffer. Every
+/// call lifts into one result, so a match's bindings stay valid until the
+/// next run_match.
 std::optional<MatchResult> run_match(const Template& t, const Bytes& code,
                                      std::size_t entry = 0) {
+  static ir::LiftResult lifted;
   auto trace = arch::execution_trace(code, entry);
-  auto lifted = ir::lift(trace);
+  ir::lift(trace, lifted);
   LiftedCode lc{&trace, &lifted.events, code};
   return match_template(t, lc);
 }
@@ -421,7 +424,8 @@ TEST(Template, FnstenvDecoderMatchesStatically) {
   // call/pop form.
   auto payload = gen::make_fnstenv_decoder_payload(0x7e);
   auto trace = arch::execution_trace(payload, 0);
-  auto lifted = ir::lift(trace);
+  ir::LiftResult lifted;
+  ir::lift(trace, lifted);
   LiftedCode lc{&trace, &lifted.events, payload};
   EXPECT_TRUE(match_template(tmpl_xor_decrypt_loop(), lc).has_value());
 }
@@ -435,7 +439,8 @@ namespace {
 TEST(Template, FormatMatchExplainsStatements) {
   auto code = figure_1a();
   auto trace = arch::execution_trace(code, 0);
-  auto lifted = ir::lift(trace);
+  ir::LiftResult lifted;
+  ir::lift(trace, lifted);
   LiftedCode lc{&trace, &lifted.events, code};
   const Template t = tmpl_xor_decrypt_loop();
   auto m = match_template(t, lc);

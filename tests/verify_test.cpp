@@ -47,7 +47,8 @@ void expect_clean_ir(util::ByteView code, const std::string& label) {
   for (std::size_t entry : entries) {
     auto trace = arch::execution_trace(code, entry, 4096);
     if (trace.empty()) continue;
-    ir::LiftResult lifted = ir::lift(trace);
+    ir::LiftResult lifted;
+    ir::lift(trace, lifted);
     verify::Report r = verify::verify_ir(trace, lifted);
     EXPECT_TRUE(r.ok()) << label << " entry " << entry << ":\n" << r.str();
   }
@@ -105,6 +106,21 @@ TEST(TableCheck, DecoderAndDefUseTablesConsistent) {
 
 // ---------------------------------------------------- malformed IR cases
 
+/// A node in `arena` for a test to overwrite by hand. The factories
+/// never hand out mutable nodes, but the storage is the test's own.
+ir::Expr* hand_built(ir::ExprArena& arena) {
+  return const_cast<ir::Expr*>(arena.mk_unknown(0));
+}
+
+/// One reg-write event of `value` by the first instruction.
+ir::Event reg_write_of(ir::ExprPtr value) {
+  ir::Event ev;
+  ev.kind = ir::EventKind::kRegWrite;
+  ev.reg = arch::RegFamily::kAx;
+  ev.value = value;
+  return ev;
+}
+
 /// mov eax, ebx ; inc eax — two instructions, two reg-write events.
 std::vector<arch::Instruction> tiny_trace() {
   static const std::uint8_t kCode[] = {0x89, 0xD8, 0x40};
@@ -115,13 +131,15 @@ std::vector<arch::Instruction> tiny_trace() {
 
 TEST(IrVerify, CleanTinyTracePasses) {
   auto trace = tiny_trace();
-  ir::LiftResult lifted = ir::lift(trace);
+  ir::LiftResult lifted;
+  ir::lift(trace, lifted);
   EXPECT_TRUE(verify::verify_ir(trace, lifted).ok());
 }
 
 TEST(IrVerify, FlagsDanglingEventIndex) {
   auto trace = tiny_trace();
-  ir::LiftResult lifted = ir::lift(trace);
+  ir::LiftResult lifted;
+  ir::lift(trace, lifted);
   ASSERT_FALSE(lifted.events.empty());
   lifted.events[0].insn_index = 7;
   verify::Report r = verify::verify_ir(trace, lifted);
@@ -131,7 +149,8 @@ TEST(IrVerify, FlagsDanglingEventIndex) {
 
 TEST(IrVerify, FlagsMismatchedEventOffset) {
   auto trace = tiny_trace();
-  ir::LiftResult lifted = ir::lift(trace);
+  ir::LiftResult lifted;
+  ir::lift(trace, lifted);
   ASSERT_FALSE(lifted.events.empty());
   lifted.events[0].insn_offset += 1;
   verify::Report r = verify::verify_ir(trace, lifted);
@@ -146,7 +165,7 @@ TEST(IrVerify, FlagsNullStoredValue) {
   ev.kind = ir::EventKind::kMemWrite;
   ev.insn_index = 0;
   ev.insn_offset = 0;
-  ev.addr = ir::mk_const(0x1000);
+  ev.addr = lifted.arena.mk_const(0x1000);
   ev.value = nullptr;
   ev.width = 8;
   lifted.events.push_back(ev);
@@ -162,8 +181,8 @@ TEST(IrVerify, FlagsImpossibleStoreWidth) {
   ev.kind = ir::EventKind::kMemWrite;
   ev.insn_index = 0;
   ev.insn_offset = 0;
-  ev.addr = ir::mk_const(0x1000);
-  ev.value = ir::mk_const(0x41);
+  ev.addr = lifted.arena.mk_const(0x1000);
+  ev.value = lifted.arena.mk_const(0x41);
   ev.width = 24;
   lifted.events.push_back(ev);
   verify::Report r = verify::verify_ir(trace, lifted);
@@ -173,19 +192,13 @@ TEST(IrVerify, FlagsImpossibleStoreWidth) {
 
 TEST(IrVerify, FlagsBinaryNodeMissingOperand) {
   auto trace = tiny_trace();
-  auto broken = std::make_shared<ir::Expr>();
+  ir::LiftResult lifted;
+  ir::Expr* broken = hand_built(lifted.arena);
   broken->kind = ir::ExprKind::kBin;
   broken->bop = ir::BinOp::kXor;
-  broken->lhs = ir::mk_const(1);
+  broken->lhs = lifted.arena.mk_const(1);
   broken->rhs = nullptr;
-  ir::LiftResult lifted;
-  ir::Event ev;
-  ev.kind = ir::EventKind::kRegWrite;
-  ev.insn_index = 0;
-  ev.insn_offset = 0;
-  ev.reg = arch::RegFamily::kAx;
-  ev.value = broken;
-  lifted.events.push_back(ev);
+  lifted.events.push_back(reg_write_of(broken));
   verify::Report r = verify::verify_ir(trace, lifted);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.mentions("binary expression missing an operand")) << r.str();
@@ -193,19 +206,13 @@ TEST(IrVerify, FlagsBinaryNodeMissingOperand) {
 
 TEST(IrVerify, FlagsStaleCachedHash) {
   auto trace = tiny_trace();
-  auto node = std::make_shared<ir::Expr>();
+  ir::LiftResult lifted;
+  ir::Expr* node = hand_built(lifted.arena);
   node->kind = ir::ExprKind::kConst;
   node->cval = 0x41;
   node->value_bits = 7;
   node->cached_hash = 12345;  // not what the factories compute
-  ir::LiftResult lifted;
-  ir::Event ev;
-  ev.kind = ir::EventKind::kRegWrite;
-  ev.insn_index = 0;
-  ev.insn_offset = 0;
-  ev.reg = arch::RegFamily::kAx;
-  ev.value = node;
-  lifted.events.push_back(ev);
+  lifted.events.push_back(reg_write_of(node));
   verify::Report r = verify::verify_ir(trace, lifted);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.mentions("cached hash is stale")) << r.str();
@@ -214,21 +221,64 @@ TEST(IrVerify, FlagsStaleCachedHash) {
 TEST(IrVerify, FlagsLoadFromFutureGeneration) {
   auto trace = tiny_trace();
   ir::LiftResult lifted;
-  ir::Event ev;
-  ev.kind = ir::EventKind::kRegWrite;
-  ev.insn_index = 0;
-  ev.insn_offset = 0;
-  ev.reg = arch::RegFamily::kAx;
-  ev.value = ir::mk_load(ir::mk_const(0x1000), 8, /*generation=*/5);
-  lifted.events.push_back(ev);
+  lifted.events.push_back(
+      reg_write_of(lifted.arena.mk_load(lifted.arena.mk_const(0x1000), 8, /*generation=*/5)));
   verify::Report r = verify::verify_ir(trace, lifted);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.mentions("use before def")) << r.str();
 }
 
+TEST(IrVerify, FlagsNodeFromAForeignArena) {
+  auto trace = tiny_trace();
+  ir::LiftResult lifted;
+  ir::ExprArena other;
+  lifted.events.push_back(reg_write_of(other.mk_const(0x41)));
+  verify::Report r = verify::verify_ir(trace, lifted);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.mentions("does not lie in the LiftResult's arena")) << r.str();
+}
+
+TEST(IrVerify, FlagsForeignNodeInASyscallSnapshot) {
+  auto trace = tiny_trace();
+  ir::LiftResult lifted;
+  ir::lift(trace, lifted);
+  ASSERT_TRUE(verify::verify_ir(trace, lifted).ok());
+  ir::ExprArena other;
+  ir::ExprPtr* regs = lifted.arena.mk_ptrs(16);
+  for (std::size_t f = 0; f < 16; ++f) regs[f] = lifted.arena.mk_const(0);
+  regs[3] = other.mk_const(0x1000);
+  ir::Event ev;
+  ev.kind = ir::EventKind::kSyscall;
+  ev.insn_index = 1;
+  ev.insn_offset = static_cast<std::uint32_t>(trace[1].offset);
+  ev.vector = 0x80;
+  ev.syscall_regs = regs;
+  lifted.events.push_back(ev);
+  verify::Report r = verify::verify_ir(trace, lifted);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.mentions("reg #3")) << r.str();
+  EXPECT_TRUE(r.mentions("does not lie in the LiftResult's arena")) << r.str();
+}
+
+TEST(IrVerify, FlagsChildAllocatedAfterItsParent) {
+  auto trace = tiny_trace();
+  ir::LiftResult lifted;
+  ir::Expr* parent = hand_built(lifted.arena);
+  parent->kind = ir::ExprKind::kUn;
+  parent->uop = ir::UnOp::kNot;
+  parent->lhs = lifted.arena.mk_init(arch::RegFamily::kBx);  // allocated later
+  parent->cached_hash = ir::recompute_hash(*parent);
+  lifted.events.push_back(reg_write_of(parent));
+  verify::Report r = verify::verify_ir(trace, lifted);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.mentions("child node allocated after its parent")) << r.str();
+  EXPECT_FALSE(r.mentions("cached hash is stale")) << r.str();
+}
+
 TEST(IrVerify, FlagsEventOrderRegression) {
   auto trace = tiny_trace();
-  ir::LiftResult lifted = ir::lift(trace);
+  ir::LiftResult lifted;
+  ir::lift(trace, lifted);
   ASSERT_GE(lifted.events.size(), 2u);
   std::swap(lifted.events.front(), lifted.events.back());
   verify::Report r = verify::verify_ir(trace, lifted);

@@ -112,27 +112,28 @@ int main(int argc, char** argv) {
   }
 
   if (events) {
-    auto lifted = ir::lift(trace);
+    ir::LiftResult lifted;
+    ir::lift(trace, lifted);
     std::printf("\n; semantic events (%zu, %zu approximations)\n", lifted.events.size(),
                 lifted.approximated);
     for (const auto& ev : lifted.events) {
       switch (ev.kind) {
         case ir::EventKind::kMemWrite:
-          std::printf("  @%04zx  mem%u[%s] := %s\n", ev.insn_offset, ev.width,
+          std::printf("  @%04x  mem%u[%s] := %s\n", ev.insn_offset, ev.width,
                       ir::to_string(ev.addr).c_str(), ir::to_string(ev.value).c_str());
           break;
         case ir::EventKind::kRegWrite:
-          std::printf("  @%04zx  %s := %s\n", ev.insn_offset,
+          std::printf("  @%04x  %s := %s\n", ev.insn_offset,
                       arch::Reg{ev.reg, arch::RegWidth::k32}.name().data(),
                       ir::to_string(ev.value).c_str());
           break;
         case ir::EventKind::kBranch:
-          std::printf("  @%04zx  branch%s%s target=%s\n", ev.insn_offset,
+          std::printf("  @%04x  branch%s%s target=%s\n", ev.insn_offset,
                       ev.conditional ? " cond" : "", ev.is_call ? " call" : "",
                       ev.target ? std::to_string(*ev.target).c_str() : "?");
           break;
         case ir::EventKind::kSyscall:
-          std::printf("  @%04zx  int 0x%02x eax=%s ebx=%s\n", ev.insn_offset, ev.vector,
+          std::printf("  @%04x  int 0x%02x eax=%s ebx=%s\n", ev.insn_offset, ev.vector,
                       ir::to_string(ev.syscall_regs[0]).c_str(),
                       ir::to_string(ev.syscall_regs[3]).c_str());
           break;
@@ -147,13 +148,14 @@ int main(int argc, char** argv) {
     auto detections = analyzer.analyze(code);
     std::printf("\n; template verdicts\n");
     if (detections.empty()) std::printf("  no matches\n");
+    ir::LiftResult mlift;
     for (const auto& d : detections) {
       std::printf("  MATCH %-28s (%s) entry=+0x%zx\n", d.template_name.c_str(),
                   std::string(semantic::threat_class_name(d.threat)).c_str(),
                   d.entry_offset);
       // Re-run the match at the detected entry to show the explanation.
       auto mtrace = arch::execution_trace(code, d.entry_offset);
-      auto mlift = ir::lift(mtrace);
+      ir::lift(mtrace, mlift);
       semantic::LiftedCode lc{&mtrace, &mlift.events, code};
       for (const auto& t : analyzer.templates()) {
         if (t.name != d.template_name) continue;
