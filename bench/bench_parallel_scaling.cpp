@@ -13,8 +13,19 @@
 // workers is at least kMinSpeedupAt8 times the 1-worker figure. Smaller
 // runners print the measurements but cannot fail the floor (a 2-core
 // box can never show 3x).
+//
+// The last section measures the worker pool (threads=4, shards=1)
+// against shard-local analysis (threads=0, shards=4) on spread,
+// single-source-dominated and triage-dominated benign captures; it has
+// no floor. For a run of at least a second per configuration, set
+// SENIDS_POOL_SHARD_FLOWS (e.g. 6000).
+#include <algorithm>
 #include <cstdio>
+#include <map>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/senids.hpp"
@@ -30,6 +41,159 @@ namespace {
 
 /// Scaling floor at 8 workers over 1 worker, end-to-end, cache off.
 constexpr double kMinSpeedupAt8 = 3.0;
+
+/// Linear-interpolated quantile of `v` (sorted in place), q in [0, 1].
+double quantile(std::vector<double>& v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+/// Repetitions of each configuration in the pool vs shard-local section.
+constexpr std::size_t kPoolShardReps = 5;
+
+/// Benign flows per exploit flow in the triage-dominated capture: a
+/// benign unit costs a small fraction of an ADMmutate unit, so the
+/// capture carries more of them.
+constexpr std::size_t kBenignFlowsPerExploitFlow = 20;
+
+/// The report's alerts, one rendered line each (timestamp included), in
+/// report order.
+std::vector<std::string> alert_lines(const core::Report& report) {
+  std::vector<std::string> lines;
+  for (const core::Alert& alert : report.alerts) {
+    lines.push_back(std::to_string(alert.ts_sec) + " " + alert.str());
+  }
+  return lines;
+}
+
+/// Worker pool (threads=4, shards=1) against shard-local analysis
+/// (threads=0, shards=4) on three captures to a honeypot: one ADMmutate
+/// flow per source spread over up to 250 sources; the same with one
+/// source sending 19 of every 20 flows; and benign payloads spread over
+/// 250 sources, where triage rejects most units cheaply and stage (a)
+/// dominates. Shard-local analysis keeps every unit on the shard that
+/// owns its source, so a dominant source serializes its analysis on one
+/// shard; the pool spreads units over all workers but runs stage (a) on
+/// one producer thread. The configurations run interleaved,
+/// kPoolShardReps times, and the table reports the median and
+/// interquartile range of end-to-end wall; the keys go into `json`.
+/// SENIDS_POOL_SHARD_FLOWS sets the exploit flow count per capture
+/// (default SENIDS_ATTACK_FLOWS, i.e. 120). Returns whether every run
+/// reported the same alerts as the first run on its capture.
+bool pool_vs_shard_local(const util::Bytes& payload, net::Ipv4Addr honeypot,
+                         bench::JsonReport& json) {
+  const std::size_t flows = bench::env_size(
+      "SENIDS_POOL_SHARD_FLOWS", bench::env_size("SENIDS_ATTACK_FLOWS", 120));
+
+  struct Workload {
+    const char* name;
+    const char* key;
+    pcap::Capture capture;
+    double top_source_share = 0;  // of the analyzed payload bytes
+  };
+  std::vector<Workload> workloads;
+  for (const char* key : {"spread", "skewed", "benign"}) {
+    const bool skewed = key == std::string_view("skewed");
+    const bool benign = key == std::string_view("benign");
+    gen::TraceBuilder tb(skewed ? 31340 : benign ? 31341 : 31339);
+    util::Prng& prng = tb.prng();
+    std::map<std::uint32_t, std::size_t> bytes_by_source;
+    std::size_t total_bytes = 0;
+    const std::size_t count = benign ? flows * kBenignFlowsPerExploitFlow : flows;
+    for (std::size_t i = 0; i < count; ++i) {
+      const bool heavy = skewed && i % 20 != 0;
+      const net::Ipv4Addr src =
+          heavy ? net::Ipv4Addr::from_octets(198, 51, 100, 1)
+                : net::Ipv4Addr::from_octets(192, 0, 2, static_cast<std::uint8_t>(1 + i % 250));
+      const util::Bytes unit =
+          benign ? gen::make_benign_payload(prng).data
+                 : gen::wrap_in_overflow(gen::admmutate_encode(payload, prng).bytes, prng);
+      // 40001 is coprime with 250, so no two spread flows share a source
+      // port; the dominant source repeats one after 40001 flows.
+      tb.add_tcp_flow(net::Endpoint{src, static_cast<std::uint16_t>(20000 + i % 40001)},
+                      net::Endpoint{honeypot, 80}, unit);
+      bytes_by_source[src.value] += unit.size();
+      total_bytes += unit.size();
+    }
+    std::size_t top = 0;
+    for (const auto& [src, bytes] : bytes_by_source) top = std::max(top, bytes);
+    workloads.push_back({skewed   ? "one source >= 90%"
+                         : benign ? "spread benign"
+                                  : "spread sources",
+                         key, tb.take(),
+                         static_cast<double>(top) / static_cast<double>(total_bytes)});
+  }
+
+  struct Config {
+    const char* name;
+    std::size_t threads, shards;
+  };
+  const Config configs[] = {{"pool t=4 s=1", 4, 1}, {"local t=0 s=4", 0, 4}};
+  // seconds[workload][config], one entry per repetition.
+  std::vector<std::vector<std::vector<double>>> seconds(
+      workloads.size(), std::vector<std::vector<double>>(std::size(configs)));
+  std::vector<std::vector<std::string>> alerts(workloads.size());
+  bool consistent = true;
+  for (std::size_t rep = 0; rep < kPoolShardReps; ++rep) {
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+      for (std::size_t c = 0; c < std::size(configs); ++c) {
+        core::NidsOptions options;
+        options.threads = configs[c].threads;
+        options.shards = configs[c].shards;
+        options.triage.mode = triage::TriageMode::kOn;
+        core::NidsEngine nids(options);
+        nids.classifier().honeypots().add_decoy(honeypot);
+        util::WallTimer timer;
+        const core::Report report = nids.process_capture(workloads[w].capture);
+        seconds[w][c].push_back(timer.seconds());
+        std::vector<std::string> lines = alert_lines(report);
+        if (rep == 0 && c == 0) {
+          alerts[w] = std::move(lines);
+        } else {
+          consistent = consistent && lines == alerts[w];
+        }
+      }
+    }
+  }
+
+  bench::section("worker pool vs shard-local analysis (interleaved repetitions)");
+  std::printf("exploit flows per capture: %zu, benign flows: %zu, repetitions: %zu, "
+              "hardware threads: %u\n",
+              flows, flows * kBenignFlowsPerExploitFlow, kPoolShardReps,
+              std::thread::hardware_concurrency());
+  std::printf("%-18s %10s %-14s %10s %10s %10s %8s\n", "capture", "top src", "config",
+              "median(s)", "q1(s)", "q3(s)", "alerts");
+  bench::rule();
+  for (std::size_t w = 0; w < workloads.size(); ++w) {
+    for (std::size_t c = 0; c < std::size(configs); ++c) {
+      std::vector<double>& v = seconds[w][c];
+      const double median = quantile(v, 0.5);
+      const double q1 = quantile(v, 0.25);
+      const double q3 = quantile(v, 0.75);
+      std::printf("%-18s %9.1f%% %-14s %10.3f %10.3f %10.3f %8zu\n", workloads[w].name,
+                  workloads[w].top_source_share * 100.0, configs[c].name, median, q1, q3,
+                  alerts[w].size());
+      const std::string key = std::string("pool_shard_") + workloads[w].key + "_t" +
+                              std::to_string(configs[c].threads) + "_s" +
+                              std::to_string(configs[c].shards);
+      json.set(key + "_median_s", median);
+      json.set(key + "_q1_s", q1);
+      json.set(key + "_q3_s", q3);
+    }
+    json.set(std::string("pool_shard_") + workloads[w].key + "_top_source_share",
+             workloads[w].top_source_share);
+  }
+  bench::rule();
+  std::printf("alerts identical across configurations and repetitions: %s\n",
+              consistent ? "yes" : "NO");
+  json.set("pool_shard_flows", flows);
+  json.set("pool_shard_repetitions", kPoolShardReps);
+  json.set("pool_shard_alerts_consistent", consistent);
+  return consistent;
+}
 
 }  // namespace
 
@@ -178,7 +342,6 @@ int main() {
               dup_consistent ? "yes" : "NO");
   json.set("dup_alerts", dup_base_alerts);
   json.set("alerts_consistent", consistent && dup_consistent);
-  json.write();
 
   // ---- source-affine shard sweep ------------------------------------
   // Stage (a) itself scales: with worker threads pinned at 1, every
@@ -230,7 +393,10 @@ int main() {
   json2.set("speedup_observed", shard_speedup);
   json2.write();
 
-  const bool ok =
-      consistent && dup_consistent && shard_consistent && (!floor_enforced || floor_met);
+  const bool pool_shard_consistent = pool_vs_shard_local(payload, honeypot, json);
+  json.write();
+
+  const bool ok = consistent && dup_consistent && shard_consistent && pool_shard_consistent &&
+                  (!floor_enforced || floor_met);
   return ok ? 0 : 1;
 }

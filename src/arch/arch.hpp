@@ -55,26 +55,13 @@ class Arch {
   [[nodiscard]] Instruction decode(util::ByteView code, std::size_t offset) const {
     return arch::decode(code, offset, mode_);
   }
-  [[nodiscard]] std::vector<Instruction> linear_sweep(
-      util::ByteView code, std::size_t offset = 0,
-      std::size_t max_insns = SIZE_MAX) const {
-    return arch::linear_sweep(code, offset, max_insns, mode_);
-  }
   void linear_sweep(util::ByteView code, std::size_t offset, std::size_t max_insns,
                     std::vector<Instruction>& out) const {
     arch::linear_sweep(code, offset, max_insns, out, mode_);
   }
-  [[nodiscard]] std::vector<CodeRun> find_code_runs(util::ByteView code,
-                                                    std::size_t min_insns = 6) const {
-    return arch::find_code_runs(code, min_insns, mode_);
-  }
   void find_code_runs(util::ByteView code, std::size_t min_insns,
                       std::vector<CodeRun>& out, ScanScratch& scratch) const {
     arch::find_code_runs(code, min_insns, out, scratch, mode_);
-  }
-  [[nodiscard]] std::vector<Instruction> execution_trace(
-      util::ByteView code, std::size_t entry, std::size_t max_insns = 4096) const {
-    return arch::execution_trace(code, entry, max_insns, mode_);
   }
   void execution_trace(util::ByteView code, std::size_t entry, std::size_t max_insns,
                        std::vector<Instruction>& out, ScanScratch& scratch) const {

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "arch/arch.hpp"
 #include "cache/fingerprint.hpp"
@@ -25,6 +26,10 @@
 namespace senids::core {
 
 namespace {
+
+/// Self-modified frame bytes a sandbox run must show for a static
+/// decoder alert to count as confirmed (confirm_decoders_by_emulation).
+constexpr std::size_t kMinDecodedBytes = 8;
 
 /// Saturating seconds -> microseconds for flight-recorder fields.
 std::uint32_t to_flight_us(double seconds) {
@@ -59,20 +64,13 @@ void append_format(std::string& out, const char* fmt, ...) {
   va_end(args);
 }
 
-void merge_analyzer(semantic::AnalyzerStats& into, const semantic::AnalyzerStats& from) {
-  for (const auto& f : semantic::kAnalyzerCountFields) into.*f.field += from.*f.field;
-  into.disasm_seconds += from.disasm_seconds;
-  into.lift_seconds += from.lift_seconds;
-  into.match_seconds += from.match_seconds;
-}
-
 // Folds both worker-local analysis stats and per-shard stage-(a) stats
 // into the report; a worker's stage-(a) fields are simply zero (and vice
 // versa), so one helper serves both. dispatch_seconds is deliberately
 // not merged — it is caller-thread wall the engine sets directly.
 void merge_stats(NidsStats& into, const NidsStats& from) {
   for (const auto& f : kNidsCountFields) into.*f.field += from.*f.field;
-  merge_analyzer(into.analyzer, from.analyzer);
+  semantic::merge_analyzer(into.analyzer, from.analyzer);
   for (std::size_t i = 0; i < into.stages.size(); ++i) {
     into.stages[i].count += from.stages[i].count;
     into.stages[i].seconds += from.stages[i].seconds;
@@ -111,7 +109,8 @@ struct UnitAccumulator {
   const std::uint64_t unit_id;
   const bool tracing = obs::Tracer::enabled();
   const bool clocked = obs::metrics_enabled() || tracing;
-  const SteadyClock::time_point start = now();
+  /// Read even when not `clocked`: the unit's wall is its analysis_seconds.
+  const SteadyClock::time_point start = SteadyClock::now();
   std::uint64_t span_cursor_us = tracing ? obs::Tracer::instance().now_us() : 0;
   /// This unit's share of NidsStats; stages[].seconds are its per-stage
   /// totals (many frames can contribute to one stage).
@@ -121,18 +120,31 @@ struct UnitAccumulator {
 };
 
 /// The one exit of analyze_payload, whichever way the unit went: the
-/// only place a unit reaches the unit, frame and alert counters, the
-/// unit-latency histogram, the flight recorder and the caller's stats.
+/// only place a unit gets its analysis_seconds and reaches the unit,
+/// frame, alert, triage and cache counters, the unit-latency histogram,
+/// the flight recorder and the caller's stats.
 std::vector<Alert> finish_unit(UnitAccumulator& unit, NidsStats* stats) {
   obs::PipelineMetrics& pm = obs::pipeline_metrics();
-  const NidsStats& c = unit.counts;
-  pm.units->add();
-  pm.frames->add(c.frames_extracted);
-  pm.bytes_analyzed->add(c.bytes_analyzed);
-  pm.alerts->add(unit.alerts.size());
+  NidsStats& c = unit.counts;
+  const double total = seconds_since(unit.start);
+  c.analysis_seconds = total;
+  const std::pair<obs::Counter*, std::size_t> published[] = {
+      {pm.units, 1},
+      {pm.frames, c.frames_extracted},
+      {pm.bytes_analyzed, c.bytes_analyzed},
+      {pm.alerts, unit.alerts.size()},
+      {pm.triage_screened, c.triage_screened},
+      {pm.triage_escalated, c.triage_escalated},
+      {pm.triage_rejected, c.triage_rejected},
+      {pm.triage_rejected_bytes, c.triage_rejected_bytes},
+      {pm.cache_bypass, c.cache_bypass},
+      {pm.cache_bytes_saved, c.cache_bytes_saved},
+  };
+  for (const auto& [counter, n] : published) {
+    if (n) counter->add(n);
+  }
   if (stats) merge_stats(*stats, c);
   if (unit.clocked) {
-    const double total = seconds_since(unit.start);
     pm.unit_seconds->observe(total);
     if (unit.tracing && unit.cache == obs::CacheDisposition::kHit) {
       obs::Tracer::instance().record({"cache-hit", unit.unit_id, unit.span_cursor_us,
@@ -371,7 +383,6 @@ cache::Digest compute_config_fingerprint(const NidsOptions& o,
   opt("an.max_total_insns", a.max_total_insns);
   opt("enable_emulation", o.enable_emulation ? 1 : 0);
   opt("confirm_decoders", o.confirm_decoders_by_emulation ? 1 : 0);
-  opt("min_decoded_bytes", o.min_decoded_bytes);
   opt("emu.max_steps", o.emulator.max_steps);
   opt("emu.max_syscalls", o.emulator.max_syscalls);
   opt("emu.max_entries", o.emulator.max_entries);
@@ -408,6 +419,7 @@ bool NidsEngine::is_tainted(net::Ipv4Addr src) const {
 NidsEngine::NidsEngine(NidsOptions options, std::vector<semantic::Template> templates)
     : options_(with_debug_verification(with_arch_defaults(std::move(options)))),
       classifier_(options_.classifier),
+      extractor_(options_.extractor),
       analyzer_(std::move(templates), options_.analyzer) {
   config_fingerprint_ = compute_config_fingerprint(options_, analyzer_.templates());
   if (options_.verdict_cache_bytes) {
@@ -421,20 +433,12 @@ NidsEngine::NidsEngine(NidsOptions options, std::vector<semantic::Template> temp
   }
 }
 
-AnalysisContext::AnalysisContext(
-    const NidsOptions& options,
-    std::shared_ptr<const std::vector<semantic::Template>> templates)
-    : extractor_(options.extractor), analyzer_(std::move(templates), options.analyzer) {}
-
-AnalysisContext NidsEngine::make_analysis_context() const {
-  return AnalysisContext(options_, analyzer_.shared_templates());
-}
+AnalysisContext NidsEngine::make_analysis_context() const { return AnalysisContext(); }
 
 std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteView payload,
                                                const Alert& meta_prototype,
                                                NidsStats* stats,
                                                std::uint64_t unit_id) const {
-  obs::PipelineMetrics& pm = obs::pipeline_metrics();
   UnitAccumulator unit(payload, meta_prototype, unit_id);
   NidsStats& counts = unit.counts;
 
@@ -450,15 +454,11 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
     escalated = triage_->screen(payload, meta_prototype.dst_port).escalate;
     unit.stage(obs::Stage::kTriage, unit.since(t0), payload.size());
     ++counts.triage_screened;
-    pm.triage_screened->add();
     if (escalated) {
       ++counts.triage_escalated;
-      pm.triage_escalated->add();
     } else {
       ++counts.triage_rejected;
       counts.triage_rejected_bytes += payload.size();
-      pm.triage_rejected->add();
-      pm.triage_rejected_bytes->add(payload.size());
     }
   }
 
@@ -474,7 +474,6 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
   if (vcache && !cacheable) {
     unit.cache = obs::CacheDisposition::kBypass;
     ++counts.cache_bypass;
-    pm.cache_bypass->add();
   }
   if (cacheable) {
     cache::Sha256 key_ctx;
@@ -487,7 +486,6 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
   if (verdict) {
     ++counts.cache_hits;
     counts.cache_bytes_saved = verdict->bytes_analyzed;
-    pm.cache_bytes_saved->add(verdict->bytes_analyzed);
     // Logical-work counters are replayed from the verdict so the report
     // describes the same detection work whether the cache served it or
     // not (see NidsStats). bytes_analyzed stays fresh-only; the replayed
@@ -507,7 +505,7 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
   } else if (escalated) {
     if (cacheable) ++counts.cache_misses;
     const SteadyClock::time_point t0 = unit.now();
-    ctx.extractor_.extract(payload, ctx.frames_);
+    extractor_.extract(payload, ctx.frames_);
     unit.stage(obs::Stage::kExtract, unit.since(t0), payload.size());
     const std::vector<extract::BinaryFrame>& frames = ctx.frames_;
     counts.frames_extracted = frames.size();
@@ -519,7 +517,7 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
     semantic::AnalyzerStats& an = counts.analyzer;
     auto analyze_frame = [&](util::ByteView data) {
       const semantic::AnalyzerStats before = an;
-      auto detections = ctx.analyzer_.analyze(data, &an, ctx.scratch_);
+      auto detections = analyzer_.analyze(data, &an, ctx.scratch_);
       if (an.frames > before.frames) {
         unit.stage(obs::Stage::kDisasm, an.disasm_seconds - before.disasm_seconds, data.size());
         unit.stage(obs::Stage::kLift, an.lift_seconds - before.lift_seconds, data.size());
@@ -573,7 +571,7 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
         std::any_of(unit.alerts.begin(), unit.alerts.end(), is_decoder)) {
       bool confirmed = false;
       for (std::size_t fi = 0; fi < frames.size() && !confirmed; ++fi) {
-        confirmed = emulate(fi).frame_bytes_modified >= options_.min_decoded_bytes;
+        confirmed = emulate(fi).frame_bytes_modified >= kMinDecodedBytes;
       }
       if (!confirmed) {
         // Forget the erased names too: the deep pass below may rediscover
@@ -679,9 +677,9 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
       pool->submit([this, i, &queue, &merge_point] {
         // Long-running consumer: drain units until the producers close
         // the queue, then merge local results once. Each worker owns a
-        // private AnalysisContext (no shared extractor/analyzer state on
-        // the hot path); verdicts are per-unit and the report is fully
-        // sorted, so scheduling cannot change the output.
+        // private AnalysisContext (its working memory; the extractor and
+        // analyzer are the engine's const ones); verdicts are per-unit and
+        // the report is fully sorted, so scheduling cannot change the output.
         obs::WorkerSlot& wslot = obs::WorkerTable::instance().slot("worker", i);
         wslot.begin_run();
         NidsStats local;
@@ -695,13 +693,11 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
           wslot.add_idle(idle_timer.seconds());
           if (!unit) break;
           wslot.heartbeat();
-          util::WallTimer unit_timer;
+          const double analysis_before = local.analysis_seconds;
           auto found = analyze_payload(ctx, unit->payload, unit->meta, &local, unit->unit_id);
-          const double unit_seconds = unit_timer.seconds();
-          local.analysis_seconds += unit_seconds;
           alerts.insert(alerts.end(), std::make_move_iterator(found.begin()),
                         std::make_move_iterator(found.end()));
-          wslot.add_busy(unit_seconds);
+          wslot.add_busy(local.analysis_seconds - analysis_before);
           wslot.add_units(1);
         }
         merge_point.merge(std::move(alerts), local);
@@ -717,7 +713,6 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
   // list (merged after the shards join — analyze_payload is const and
   // safe to call concurrently). With threads == 0, shards == N this is
   // how the whole pipeline scales N ways with no global queue.
-  std::vector<double> inline_analysis(nshards, 0.0);
   std::vector<std::vector<Alert>> inline_alerts(nshards);
   std::vector<AnalysisContext> inline_ctx;
   if (!workers) {
@@ -727,7 +722,7 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
   std::vector<PipelineShard::UnitSink> sinks;
   sinks.reserve(nshards);
   for (std::size_t si = 0; si < nshards; ++si) {
-    sinks.push_back([this, si, workers, &queue, &inline_analysis, &inline_alerts,
+    sinks.push_back([this, si, workers, &queue, &inline_alerts,
                      &inline_ctx](util::Bytes payload, const Alert& meta,
                                   std::uint64_t unit_id) {
       if (payload.empty()) return;
@@ -735,12 +730,8 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
         const std::size_t weight = payload.size();
         queue.push(Unit{std::move(payload), meta, unit_id}, weight);
       } else {
-        util::WallTimer unit_timer;
-        NidsStats& sstats = shards_[si]->stats();
-        auto alerts = analyze_payload(inline_ctx[si], payload, meta, &sstats, unit_id);
-        const double unit_seconds = unit_timer.seconds();
-        inline_analysis[si] += unit_seconds;
-        sstats.analysis_seconds += unit_seconds;
+        auto alerts =
+            analyze_payload(inline_ctx[si], payload, meta, &shards_[si]->stats(), unit_id);
         auto& out = inline_alerts[si];
         out.insert(out.end(), std::make_move_iterator(alerts.begin()),
                    std::make_move_iterator(alerts.end()));
@@ -759,7 +750,8 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
       shards_[0]->process_record(rec.data, rec.ts_sec, rec.ts_usec, sinks[0]);
     }
     shards_[0]->finish_capture(sinks[0]);
-    shards_[0]->stats().classify_seconds = classify_timer.seconds() - inline_analysis[0];
+    NidsStats& sstats = shards_[0]->stats();
+    sstats.classify_seconds = classify_timer.seconds() - sstats.analysis_seconds;
   } else {
     // --------------------------------- stage (a), source-affine shard fanout
     // The caller thread only peeks each frame's IPv4 source and routes the
@@ -785,7 +777,7 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
     {
       util::ThreadPool shard_pool(nshards);
       for (std::size_t si = 0; si < nshards; ++si) {
-        shard_pool.submit([this, si, &shard_queues, &sinks, &inline_analysis] {
+        shard_pool.submit([this, si, &shard_queues, &sinks] {
           PipelineShard& shard = *shards_[si];
           auto& q = *shard_queues[si];
           obs::WorkerSlot& sslot = obs::WorkerTable::instance().slot("shard", si);
@@ -813,7 +805,7 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
           sslot.add_busy(drain);
           // Same stage-(a) definition the caller thread uses at
           // shards == 1: producer wall minus inline analysis.
-          shard.stats().classify_seconds = wall - inline_analysis[si];
+          shard.stats().classify_seconds = wall - shard.stats().analysis_seconds;
           sslot.end_run();
         });
       }
@@ -853,8 +845,8 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
 
   // Streaming drain: close the queue so the consumers finish the backlog
   // and merge their results, then join them. analysis_seconds accrues
-  // per-unit in the workers and arrives via merge_stats (the inline path
-  // added it to the shard's stats in the sink).
+  // per unit in the workers' stats (or, inline, the shard's) and
+  // arrives via merge_stats.
   queue.close();
   if (pool) {
     pool->wait_idle();

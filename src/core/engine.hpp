@@ -17,13 +17,16 @@
 // Each suspicious payload or reassembled stream becomes an analysis
 // unit handed through one bounded queue to a pool of workers running
 // stages (b)-(e) — pure functions of one unit — *while* classification
-// continues. Each worker owns a private AnalysisContext (its own
-// extractor and analyzer sharing the engine's immutable template
-// library, plus reusable scratch buffers), dequeues one unit at a time,
-// and merges its results once at the end — the per-unit hot loop touches no
-// cross-worker mutable state beyond the sharded obs counters and the
-// internally synchronized verdict cache. The queue bounds both unit
-// count and queued bytes, so a traffic burst backpressures the
+// continues. The engine holds the one extractor and the one analyzer;
+// both are const and every worker, shard and session calls them. Each
+// worker owns only an AnalysisContext — working memory, no analysis
+// state — dequeues one unit at a time, and merges its results once at
+// the end; the per-unit hot loop touches no cross-worker mutable state
+// beyond the sharded obs counters and the internally synchronized
+// verdict cache. Those counters have two writers: analyze()'s exit adds
+// each frame's analyzer counts, and analyze_payload's exit (finish_unit)
+// adds each unit's counts and its analysis_seconds. The queue bounds
+// both unit count and queued bytes, so a traffic burst backpressures the
 // producers instead of exhausting memory; flow tables are LRU-managed
 // with an idle timeout and a live-flow cap, so long-lived or hostile
 // flows cannot exhaust state either (evicted flows are flushed as
@@ -34,6 +37,9 @@
 // that formed them, each shard with its own AnalysisContext; with
 // threads == 0 and shards == N that is the explicit scale-by-shards
 // mode (the whole pipeline parallelizes N ways with no global queue).
+// It keeps each unit on its source's shard, so only the pool spreads a
+// dominant source's analysis; shard-local is faster when triage rejects
+// most units (EXPERIMENTS.md "Worker pool vs shard-local analysis").
 #pragma once
 
 #include <array>
@@ -123,12 +129,7 @@ struct NidsOptions {
   /// paper for a measurably zero false-positive rate on corpora with
   /// large amounts of high-entropy data. Off by default.
   bool confirm_decoders_by_emulation = false;
-  /// Minimum self-modified frame bytes for a confirmed decoder.
-  std::size_t min_decoded_bytes = 8;
   emu::EmulatorOptions emulator;
-  /// LiveSession only: log a one-line metrics snapshot (util::Log, info
-  /// level) every this many seconds of capture time. 0 = disabled.
-  std::uint32_t metrics_log_interval_sec = 0;
   /// Byte budget for the content-addressed verdict cache (0 = disabled).
   /// Keyed on SHA-256(config fingerprint || unit bytes): a hit replays
   /// the stored verdict and skips stages (b)-(e) entirely. Behaviour-
@@ -264,12 +265,11 @@ struct Report {
   [[nodiscard]] std::string str() const;
 };
 
-/// Per-worker state for the analysis stages (b)-(e): a private extractor
-/// and analyzer — the template library itself is shared read-only
-/// between the engine and every context — plus the reusable working
-/// memory the per-unit hot loop needs (extraction frames, scanner
+/// Per-worker working memory for the analysis stages (b)-(e): the
+/// buffers the per-unit hot loop reuses (extraction frames, scanner
 /// arrays, execution traces, lifted IR events, the per-unit emulation
-/// memo and alert-dedup set). One context per worker or shard thread
+/// memo and alert-dedup set). It holds no analysis state: the extractor
+/// and analyzer are the engine's. One context per worker or shard thread
 /// keeps the loop free of cross-worker mutable state and, after
 /// warm-up, free of per-frame heap churn. Construct via
 /// NidsEngine::make_analysis_context(); movable, not thread-safe.
@@ -280,11 +280,8 @@ class AnalysisContext {
 
  private:
   friend class NidsEngine;
-  AnalysisContext(const NidsOptions& options,
-                  std::shared_ptr<const std::vector<semantic::Template>> templates);
+  AnalysisContext() = default;
 
-  extract::BinaryExtractor extractor_;
-  semantic::SemanticAnalyzer analyzer_;
   semantic::AnalyzerScratch scratch_;
   std::vector<extract::BinaryFrame> frames_;
   /// Per-frame emulation results, memoized within one unit so the
@@ -334,7 +331,8 @@ class NidsEngine {
   /// make_analysis_context() and must not be used from two threads at
   /// once; the engine itself stays const and shareable. Whichever way
   /// the unit goes, its bookkeeping is written once on the way out: the
-  /// unit/frame/alert counters, the unit-latency histogram, one flight-
+  /// unit's wall time as its analysis_seconds, the unit/frame/alert/
+  /// triage/cache counters, the unit-latency histogram, one flight-
   /// recorder record, and — when `stats` is given — one merge of the
   /// unit's counts into it. `unit_id` correlates this unit's tracer
   /// spans (0 = unlabelled).
@@ -342,9 +340,7 @@ class NidsEngine {
                                      const Alert& meta_prototype, NidsStats* stats = nullptr,
                                      std::uint64_t unit_id = 0) const;
 
-  /// A per-worker context for analyze_payload: its extractor/analyzer
-  /// are configured like the engine's own and share the engine's
-  /// immutable template library (no template copies).
+  /// Fresh per-worker working memory for analyze_payload.
   [[nodiscard]] AnalysisContext make_analysis_context() const;
 
   [[nodiscard]] const NidsOptions& options() const noexcept { return options_; }
@@ -379,6 +375,9 @@ class NidsEngine {
 
   NidsOptions options_;
   classify::TrafficClassifier classifier_;
+  /// Stages (b) and (c)-(e): the only instances, called by every worker,
+  /// shard and session.
+  extract::BinaryExtractor extractor_;
   semantic::SemanticAnalyzer analyzer_;
   cache::Digest config_fingerprint_{};
   std::unique_ptr<cache::VerdictCache> verdict_cache_;

@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "obs/pipeline.hpp"
-#include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace senids::core {
@@ -25,13 +24,11 @@ LiveSession::LiveSession(NidsEngine& engine, AlertSink sink)
       ctx_(engine.make_analysis_context()),
       shard_(engine.options(), engine.classifier()),
       unit_sink_([this](util::Bytes payload, const Alert& meta, std::uint64_t unit_id) {
-        util::WallTimer unit_timer;
-        NidsStats& stats = shard_.stats();
-        for (const Alert& alert : engine_.analyze_payload(ctx_, payload, meta, &stats, unit_id)) {
+        for (const Alert& alert :
+             engine_.analyze_payload(ctx_, payload, meta, &shard_.stats(), unit_id)) {
           ++alerts_emitted_;
           if (sink_) sink_(alert);
         }
-        stats.analysis_seconds += unit_timer.seconds();
       }),
       worker_slot_(claim_session_slot()),
       sink_(std::move(sink)) {
@@ -67,27 +64,6 @@ void LiveSession::feed(util::ByteView frame, std::uint32_t ts_sec, std::uint32_t
   if (stats.units_analyzed > units_before) {
     worker_slot_.add_units(stats.units_analyzed - units_before);
   }
-  maybe_log_metrics(ts_sec);
-}
-
-void LiveSession::maybe_log_metrics(std::uint32_t ts_sec) {
-  const std::uint32_t interval = engine_.options().metrics_log_interval_sec;
-  if (interval == 0 || ts_sec == 0) return;
-  if (next_metrics_log_ts_ == 0) {
-    next_metrics_log_ts_ = ts_sec + interval;
-    return;
-  }
-  if (ts_sec < next_metrics_log_ts_) return;
-  next_metrics_log_ts_ = ts_sec + interval;
-  const NidsStats& s = stats();
-  util::log_info() << "session metrics: packets=" << s.packets
-                   << " suspicious=" << s.suspicious_packets
-                   << " units=" << s.units_analyzed << " frames=" << s.frames_extracted
-                   << " alerts=" << alerts_emitted_ << " flows=" << shard_.live_flows()
-                   << " truncated=" << s.streams_truncated << " cache_hits=" << s.cache_hits
-                   << " cache_misses=" << s.cache_misses
-                   << " classify_s=" << s.classify_seconds
-                   << " analysis_s=" << s.analysis_seconds;
 }
 
 void LiveSession::finish() {

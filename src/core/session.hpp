@@ -2,7 +2,8 @@
 // frames as they arrive; alerts come back incrementally. A session is one
 // PipelineShard (classifier taint, IP defragmentation, TCP reassembly —
 // the same stage (a) the batch engine runs) driven frame by frame, plus
-// one AnalysisContext that analyzes each unit inline. Its flow table is
+// one AnalysisContext — working memory for the engine's extractor and
+// analyzer — on which each unit is analyzed inline. Its flow table is
 // bounded like the engine's: idle flows time out, the live-flow count is
 // capped, and over-long streams are flushed truncated — a session pinned
 // to live traffic can run indefinitely with bounded memory.
@@ -56,14 +57,10 @@ class LiveSession {
   [[nodiscard]] std::size_t alerts_emitted() const noexcept { return alerts_emitted_; }
 
  private:
-  /// Periodic one-line metrics snapshot through util::Log, driven by
-  /// capture time (NidsOptions::metrics_log_interval_sec; 0 = off).
-  void maybe_log_metrics(std::uint32_t ts_sec);
-
   NidsEngine& engine_;
-  /// The session's reusable analysis state — a session is one logical
+  /// The session's reusable working memory — a session is one logical
   /// worker, so it holds one context for its lifetime instead of paying
-  /// a fresh extractor/analyzer/scratch allocation per unit.
+  /// fresh scratch allocations per unit.
   AnalysisContext ctx_;
   PipelineShard shard_;
   /// Analyzes each unit the shard forms, inline, into shard_.stats().
@@ -74,7 +71,6 @@ class LiveSession {
   std::uint64_t last_feed_end_ns_ = 0;
   AlertSink sink_;
   std::size_t alerts_emitted_ = 0;
-  std::uint32_t next_metrics_log_ts_ = 0;
 };
 
 }  // namespace senids::core

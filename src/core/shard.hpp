@@ -66,7 +66,6 @@ class PipelineShard {
   [[nodiscard]] bool is_tainted(net::Ipv4Addr src) const {
     return classifier_.is_tainted(src);
   }
-  [[nodiscard]] std::size_t live_flows() const noexcept { return flows_.size(); }
 
  private:
   struct FlowState {

@@ -12,35 +12,19 @@ namespace senids::semantic {
 
 namespace {
 
-/// Process-wide analyzer counters, registered once. Sharded increments:
-/// every worker thread funnels through here.
-struct AnalyzerMetrics {
-  obs::Counter& frames;
-  obs::Counter& runs;
-  obs::Counter& traces;
-  obs::Counter& insns_lifted;
-  obs::Counter& matches_tried;
-  obs::Counter& templates_skipped;
-  obs::Counter& entry_budget_exhausted;
-  obs::Counter& insn_budget_exhausted;
-};
+/// The senids_analyzer_*_total series, parallel to kAnalyzerCountFields.
+using AnalyzerCounters = std::array<obs::Counter*, kAnalyzerCountFields.size()>;
 
-AnalyzerMetrics& analyzer_metrics() {
-  auto& r = obs::Registry::instance();
-  static AnalyzerMetrics m{
-      r.counter("senids_analyzer_frames_total", "Frames run through the semantic analyzer"),
-      r.counter("senids_analyzer_runs_total", "Candidate decode runs found"),
-      r.counter("senids_analyzer_traces_total", "Execution traces lifted to IR"),
-      r.counter("senids_analyzer_insns_lifted_total", "Instructions lifted to IR"),
-      r.counter("senids_analyzer_matches_tried_total", "Template match attempts"),
-      r.counter("senids_analyzer_templates_skipped_total",
-                "Templates not tried on a trace that lacks their anchor features"),
-      r.counter("senids_analyzer_entry_budget_exhausted_total",
-                "Frames that filled the candidate-entry budget"),
-      r.counter("senids_analyzer_insn_budget_exhausted_total",
-                "Frames that burned the per-frame instruction budget"),
-  };
-  return m;
+const AnalyzerCounters& analyzer_counters() {
+  static const AnalyzerCounters counters = [] {
+    AnalyzerCounters c{};
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      c[i] = &obs::Registry::instance().counter(kAnalyzerCountFields[i].metric,
+                                                kAnalyzerCountFields[i].help);
+    }
+    return c;
+  }();
+  return counters;
 }
 
 /// Accumulating stopwatch that reads the clock only while metrics are on.
@@ -70,15 +54,16 @@ std::vector<AnchorWord> anchors_of(const std::vector<Template>& templates) {
 
 }  // namespace
 
-SemanticAnalyzer::SemanticAnalyzer(std::vector<Template> templates, Options options)
-    : SemanticAnalyzer(
-          std::make_shared<const std::vector<Template>>(std::move(templates)),
-          std::move(options)) {}
+void merge_analyzer(AnalyzerStats& into, const AnalyzerStats& from) {
+  for (const auto& f : kAnalyzerCountFields) into.*f.field += from.*f.field;
+  into.disasm_seconds += from.disasm_seconds;
+  into.lift_seconds += from.lift_seconds;
+  into.match_seconds += from.match_seconds;
+}
 
-SemanticAnalyzer::SemanticAnalyzer(std::shared_ptr<const std::vector<Template>> templates,
-                                   Options options)
+SemanticAnalyzer::SemanticAnalyzer(std::vector<Template> templates, Options options)
     : templates_(std::move(templates)),
-      anchors_(anchors_of(*templates_)),
+      anchors_(anchors_of(templates_)),
       options_(std::move(options)) {}
 
 std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame,
@@ -89,13 +74,12 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame,
 
 std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerStats* stats,
                                                  AnalyzerScratch& scratch) const {
-  const std::vector<Template>& templates = *templates_;
   const arch::Arch& isa = options_.arch ? *options_.arch : arch::Arch::x86_32();
   std::vector<Detection> detections;
-  if (frame.empty()) return detections;
-  AnalyzerMetrics& metrics = analyzer_metrics();
-  metrics.frames.add();
-  if (stats) ++stats->frames;
+  // This call's counts and stage times. They are written out once, at
+  // the end; an empty frame finds no runs and counts as no frame.
+  AnalyzerStats counts;
+  counts.frames = frame.empty() ? 0 : 1;
   StageClock clock(obs::metrics_enabled());
 
   // 1. Candidate entry points: starts of maximal decode runs, plus the
@@ -106,8 +90,7 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
   entries.clear();
   std::vector<arch::CodeRun>& runs = scratch.runs;
   isa.find_code_runs(frame, options_.min_run_insns, runs, scratch.scan);
-  metrics.runs.add(runs.size());
-  if (stats) stats->candidate_runs += runs.size();
+  counts.candidate_runs = runs.size();
   // Long decode runs first: real code (decoders, shellcode bodies) forms
   // long coherent runs, while text/noise fragments into thousands of
   // short ones. Without this ordering a large frame can exhaust the
@@ -118,12 +101,11 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
   });
   std::vector<char>& seen = scratch.entry_seen;
   seen.assign(frame.size(), 0);
-  bool entry_budget_hit = false;
   auto add_entry = [&](std::size_t off) {
     if (off >= frame.size() || seen[off]) return;
     seen[off] = 1;
     if (entries.size() >= options_.max_entries) {
-      entry_budget_hit = true;
+      counts.entry_budget_exhausted = 1;
       return;
     }
     entries.push_back(off);
@@ -144,54 +126,45 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
       }
     }
   }
-  double disasm_seconds = 0.0;
-  clock.stop(disasm_seconds);
+  clock.stop(counts.disasm_seconds);
 
   // 2. Trace + lift + match. Stop trying a template once it has fired on
   //    this frame (one detection per template per frame).
-  double lift_seconds = 0.0;
-  double match_seconds = 0.0;
-  bool insn_budget_hit = false;
   std::vector<char>& fired = scratch.fired;
-  fired.assign(templates.size(), 0);
+  fired.assign(templates_.size(), 0);
   std::size_t fired_count = 0;
   std::size_t lifted_budget = options_.max_total_insns;
   std::vector<arch::Instruction>& trace = scratch.trace;
   ir::LiftResult& lifted = scratch.lifted;
   for (std::size_t entry : entries) {
-    if (fired_count == templates.size()) break;
+    if (fired_count == templates_.size()) break;
     if (lifted_budget == 0) {  // per-frame work cap reached
-      insn_budget_hit = true;
+      counts.insn_budget_exhausted = 1;
       break;
     }
     clock.start();
     isa.execution_trace(frame, entry, std::min(options_.max_trace_insns, lifted_budget),
                         trace, scratch.scan);
-    clock.stop(disasm_seconds);
+    clock.stop(counts.disasm_seconds);
     if (trace.size() < options_.min_run_insns) continue;
     lifted_budget -= std::min(lifted_budget, trace.size());
-    metrics.traces.add();
-    metrics.insns_lifted.add(trace.size());
-    if (stats) {
-      ++stats->traces;
-      stats->instructions_lifted += trace.size();
-    }
+    ++counts.traces;
+    counts.instructions_lifted += trace.size();
     clock.start();
     ir::lift(trace, lifted);
-    clock.stop(lift_seconds);
+    clock.stop(counts.lift_seconds);
     if (options_.post_lift_hook) options_.post_lift_hook(trace, lifted);
     LiftedCode code{&trace, &lifted.events, frame};
     clock.start();
     const AnchorWord features = trace_anchors(lifted.events);
-    std::size_t tried = 0, skipped = 0;
-    for (std::size_t ti = 0; ti < templates.size(); ++ti) {
+    for (std::size_t ti = 0; ti < templates_.size(); ++ti) {
       if (fired[ti]) continue;
       if (!anchors_admit(anchors_[ti], features)) {
-        ++skipped;
+        ++counts.templates_skipped;
         continue;
       }
-      ++tried;
-      const Template& t = templates[ti];
+      ++counts.template_matches_tried;
+      const Template& t = templates_[ti];
       if (auto m = match_template(t, code)) {
         fired[ti] = 1;
         ++fired_count;
@@ -206,28 +179,14 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
         detections.push_back(std::move(d));
       }
     }
-    clock.stop(match_seconds);
-    metrics.matches_tried.add(tried);
-    metrics.templates_skipped.add(skipped);
-    if (stats) {
-      stats->template_matches_tried += tried;
-      stats->templates_skipped += skipped;
-    }
+    clock.stop(counts.match_seconds);
   }
 
-  if (entry_budget_hit) {
-    metrics.entry_budget_exhausted.add();
-    if (stats) ++stats->entry_budget_exhausted;
+  const AnalyzerCounters& counters = analyzer_counters();
+  for (std::size_t i = 0; i < counters.size(); ++i) {
+    if (const std::size_t n = counts.*kAnalyzerCountFields[i].field) counters[i]->add(n);
   }
-  if (insn_budget_hit) {
-    metrics.insn_budget_exhausted.add();
-    if (stats) ++stats->insn_budget_exhausted;
-  }
-  if (stats) {
-    stats->disasm_seconds += disasm_seconds;
-    stats->lift_seconds += lift_seconds;
-    stats->match_seconds += match_seconds;
-  }
+  if (stats) merge_analyzer(*stats, counts);
   return detections;
 }
 

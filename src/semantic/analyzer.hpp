@@ -5,7 +5,6 @@
 #include <array>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,32 +32,39 @@ struct Detection {
 /// A count field of a stats struct: its name and where it lives. The
 /// count fields of AnalyzerStats and core::NidsStats are each declared
 /// once, as an X-macro list, and every merge, rendering and parity check
-/// loops over the matching array of these.
+/// loops over the matching array of these. A field that has its own
+/// registry series also names it (`metric`, `help`).
 template <class Stats>
 struct CountField {
   const char* name;
   std::size_t Stats::*field;
+  const char* metric = nullptr;
+  const char* help = nullptr;
 };
 
-#define SENIDS_DECLARE_COUNT_FIELD(name) std::size_t name = 0;
+#define SENIDS_DECLARE_COUNT_FIELD(name, ...) std::size_t name = 0;
 
-/// The count fields of AnalyzerStats, declared once.
+/// The count fields of AnalyzerStats, declared once, each with the
+/// suffix and help text of its senids_analyzer_<suffix>_total series.
 #define SENIDS_ANALYZER_COUNT_FIELDS(X)                                        \
-  X(frames)                                                                    \
-  X(candidate_runs)                                                            \
-  X(traces)                                                                    \
-  X(instructions_lifted)                                                       \
+  X(frames, frames, "Frames run through the semantic analyzer")               \
+  X(candidate_runs, runs, "Candidate decode runs found")                       \
+  X(traces, traces, "Execution traces lifted to IR")                           \
+  X(instructions_lifted, insns_lifted, "Instructions lifted to IR")            \
   /* match_template calls that ran, and templates left untried on a trace     \
      because the trace lacks a feature the template's anchors require. On a    \
      frame where nothing fires, tried + skipped = traces x templates. */       \
-  X(template_matches_tried)                                                    \
-  X(templates_skipped)                                                         \
+  X(template_matches_tried, matches_tried, "Template match attempts")          \
+  X(templates_skipped, templates_skipped,                                      \
+    "Templates not tried on a trace that lacks their anchor features")         \
   /* Work-budget bailouts: frames that filled the candidate-entry budget       \
      (max_entries) or burned the per-frame instruction budget                  \
      (max_total_insns). A spike is itself a signal — adversarial frames        \
      shaped to exhaust the analyzer look exactly like this. */                 \
-  X(entry_budget_exhausted)                                                    \
-  X(insn_budget_exhausted)
+  X(entry_budget_exhausted, entry_budget_exhausted,                            \
+    "Frames that filled the candidate-entry budget")                           \
+  X(insn_budget_exhausted, insn_budget_exhausted,                              \
+    "Frames that burned the per-frame instruction budget")
 
 struct AnalyzerStats {
   SENIDS_ANALYZER_COUNT_FIELDS(SENIDS_DECLARE_COUNT_FIELD)
@@ -70,11 +76,15 @@ struct AnalyzerStats {
   double match_seconds = 0.0;
 };
 
-#define SENIDS_ANALYZER_COUNT_ENTRY(name) \
-  CountField<AnalyzerStats>{#name, &AnalyzerStats::name},
+#define SENIDS_ANALYZER_COUNT_ENTRY(name, metric, help)                 \
+  CountField<AnalyzerStats>{#name, &AnalyzerStats::name,                 \
+                            "senids_analyzer_" #metric "_total", help},
 inline constexpr std::array kAnalyzerCountFields{
     SENIDS_ANALYZER_COUNT_FIELDS(SENIDS_ANALYZER_COUNT_ENTRY)};
 #undef SENIDS_ANALYZER_COUNT_ENTRY
+
+/// Adds every count and stage time of `from` into `into`.
+void merge_analyzer(AnalyzerStats& into, const AnalyzerStats& from);
 
 /// Reusable per-worker working memory for analyze(). Every buffer the
 /// frame loop fills — candidate runs, entry offsets, the execution
@@ -96,12 +106,10 @@ struct AnalyzerScratch {
   std::vector<char> fired;        // per-template "already fired" flags
 };
 
-/// Thread-compatible analyzer: `analyze` is const and side-effect free
-/// apart from the stats/scratch objects the caller passes in. The
-/// template library is held behind a shared_ptr, so per-worker analyzer
-/// clones (make per-worker instances via the sharing constructor) all
-/// read one immutable template set — cloning an analyzer never copies
-/// the templates.
+/// Thread-safe analyzer: `analyze` is const and writes only the
+/// stats/scratch objects the caller passes in and the process-wide
+/// senids_analyzer_*_total counters, so one instance serves every thread
+/// (the engine keeps exactly one), each thread with its own scratch.
 ///
 /// Each template carries an anchor word (template_anchors): the event
 /// features its statements require. After lifting a trace, analyze()
@@ -140,27 +148,21 @@ class SemanticAnalyzer {
   explicit SemanticAnalyzer(std::vector<Template> templates)
       : SemanticAnalyzer(std::move(templates), Options{}) {}
   SemanticAnalyzer(std::vector<Template> templates, Options options);
-  /// Sharing constructor: the per-worker clone path. The new analyzer
-  /// reads the same immutable template set as every sibling.
-  SemanticAnalyzer(std::shared_ptr<const std::vector<Template>> templates, Options options);
 
   /// Analyze one binary frame; returns at most one detection per template.
+  /// The frame's counts go out once, on the way out: merged into `*stats`
+  /// when given, and added to the senids_analyzer_*_total counters.
   std::vector<Detection> analyze(util::ByteView frame, AnalyzerStats* stats = nullptr) const;
   /// Scratch-reusing form for the worker hot loop (see AnalyzerScratch).
   std::vector<Detection> analyze(util::ByteView frame, AnalyzerStats* stats,
                                  AnalyzerScratch& scratch) const;
 
-  [[nodiscard]] const std::vector<Template>& templates() const noexcept { return *templates_; }
-  /// The shared template set, for constructing per-worker clones.
-  [[nodiscard]] const std::shared_ptr<const std::vector<Template>>& shared_templates()
-      const noexcept {
-    return templates_;
-  }
+  [[nodiscard]] const std::vector<Template>& templates() const noexcept { return templates_; }
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
  private:
-  std::shared_ptr<const std::vector<Template>> templates_;
-  /// template_anchors() of each template, parallel to *templates_.
+  std::vector<Template> templates_;
+  /// template_anchors() of each template, parallel to templates_.
   std::vector<AnchorWord> anchors_;
   Options options_;
 };

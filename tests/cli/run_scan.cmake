@@ -1,0 +1,37 @@
+# Runs senids_scan and checks how it exits. Invoked by the senids_scan.*
+# tests in tests/CMakeLists.txt as
+#
+#   cmake -DSCAN=<senids_scan> -DEXPECT_EXIT=<code> -DEXPECT_STDOUT=<file or empty>
+#         -P run_scan.cmake -- <senids_scan arguments...>
+#
+# The exit code must equal EXPECT_EXIT. With a nonempty EXPECT_STDOUT,
+# standard output must equal that file byte for byte. A nonzero expected exit
+# other than 3 (threats found) is a refusal, so it must also say why on
+# standard error.
+set(args)
+set(after_separator OFF)
+math(EXPR last "${CMAKE_ARGC} - 1")
+foreach(i RANGE ${last})
+  if(after_separator)
+    list(APPEND args "${CMAKE_ARGV${i}}")
+  elseif(CMAKE_ARGV${i} STREQUAL "--")
+    set(after_separator ON)
+  endif()
+endforeach()
+
+execute_process(COMMAND "${SCAN}" ${args}
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc STREQUAL "${EXPECT_EXIT}")
+  message(FATAL_ERROR "senids_scan ${args}: exit ${rc}, want ${EXPECT_EXIT}\n"
+                      "stdout:\n${out}\nstderr:\n${err}")
+endif()
+if(EXPECT_STDOUT)
+  file(READ "${EXPECT_STDOUT}" want)
+  if(NOT out STREQUAL want)
+    message(FATAL_ERROR "senids_scan ${args}: stdout differs from ${EXPECT_STDOUT}\n"
+                        "got:\n${out}\nwant:\n${want}")
+  endif()
+endif()
+if(NOT EXPECT_EXIT EQUAL 0 AND NOT EXPECT_EXIT EQUAL 3 AND err STREQUAL "")
+  message(FATAL_ERROR "senids_scan ${args}: exit ${rc} with nothing on stderr")
+endif()

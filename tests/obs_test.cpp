@@ -442,6 +442,7 @@ TEST(Engine, UnitBookkeepingPerExit) {
     EXPECT_EQ(o.frames, o.record.frames);
     EXPECT_EQ(o.record.emulate_us, 0u);
     EXPECT_EQ(o.stats.units_analyzed, 1u);
+    EXPECT_GT(o.stats.analysis_seconds, 0.0) << "unit " << unit_id;
     EXPECT_EQ(o.stats.triage_screened, 1u);
     EXPECT_EQ(stage(o.stats, Stage::kTriage), 1u);
     EXPECT_EQ(o.stats.frames_emulated, 0u);
@@ -531,6 +532,15 @@ TEST(Engine, UnitBookkeepingPerExit) {
   Tracer::set_enabled(false);
   tracer.reset();
   fr.configure({.slots = 0});
+
+  // The unit's wall is timed even with observability off.
+  set_metrics_enabled(false);
+  core::NidsStats unobserved;
+  uncached.analyze_payload(uncached_ctx, benign, meta, &unobserved);
+  uncached.analyze_payload(uncached_ctx, exploit, meta, &unobserved);
+  set_metrics_enabled(true);
+  EXPECT_EQ(unobserved.units_analyzed, 2u);
+  EXPECT_GT(unobserved.analysis_seconds, 0.0);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "gen/shellcode.hpp"
 #include "gen/shellcode64.hpp"
 #include "ir/lifter.hpp"
+#include "obs/metrics.hpp"
 #include "semantic/analyzer.hpp"
 #include "semantic/dsl.hpp"
 #include "semantic/library.hpp"
@@ -342,7 +343,9 @@ void for_each_trace(const SemanticAnalyzer& analyzer, util::ByteView frame, Visi
   const SemanticAnalyzer::Options& opt = analyzer.options();
   const arch::Arch& isa = opt.arch ? *opt.arch : arch::Arch::x86_32();
   if (frame.empty()) return;
-  auto runs = isa.find_code_runs(frame, opt.min_run_insns);
+  arch::ScanScratch scan;
+  std::vector<arch::CodeRun> runs;
+  isa.find_code_runs(frame, opt.min_run_insns, runs, scan);
   std::stable_sort(runs.begin(), runs.end(), [](const arch::CodeRun& a,
                                                 const arch::CodeRun& b) {
     return a.insn_count > b.insn_count;
@@ -354,10 +357,12 @@ void for_each_trace(const SemanticAnalyzer& analyzer, util::ByteView frame, Visi
     seen[off] = 1;
     if (entries.size() < opt.max_entries) entries.push_back(off);
   };
+  std::vector<arch::Instruction> sweep;
   for (const auto& run : runs) {
     if (entries.size() >= opt.max_entries) break;
     add_entry(run.start);
-    for (const auto& insn : isa.linear_sweep(frame, run.start, opt.max_trace_insns)) {
+    isa.linear_sweep(frame, run.start, opt.max_trace_insns, sweep);
+    for (const auto& insn : sweep) {
       if (auto target = insn.branch_target(); target && *target < insn.offset) {
         add_entry(*target);
       }
@@ -365,11 +370,11 @@ void for_each_trace(const SemanticAnalyzer& analyzer, util::ByteView frame, Visi
     }
   }
   std::size_t budget = opt.max_total_insns;
+  std::vector<arch::Instruction> trace;
   ir::LiftResult lifted;
   for (std::size_t entry : entries) {
     if (budget == 0) return;
-    const auto trace =
-        isa.execution_trace(frame, entry, std::min(opt.max_trace_insns, budget));
+    isa.execution_trace(frame, entry, std::min(opt.max_trace_insns, budget), trace, scan);
     if (trace.size() < opt.min_run_insns) continue;
     budget -= std::min(budget, trace.size());
     ir::lift(trace, lifted);
@@ -465,6 +470,92 @@ TEST(Analyzer, TriedPlusSkippedCoversEveryTemplateOnEveryTrace) {
   EXPECT_GT(stats.templates_skipped, 0u);
   EXPECT_EQ(stats.template_matches_tried + stats.templates_skipped,
             stats.traces * analyzer.templates().size());
+}
+
+TEST(Analyzer, RegistryCountersMatchStats) {
+  // analyze() publishes each frame's counts once, on its way out: every
+  // senids_analyzer_*_total series advances by exactly the matching
+  // AnalyzerStats field, whether or not the caller asked for the stats.
+  struct Series {
+    const char* name;
+    const char* help;
+    std::size_t AnalyzerStats::*field;
+  };
+  const Series series[] = {
+      {"senids_analyzer_frames_total", "Frames run through the semantic analyzer",
+       &AnalyzerStats::frames},
+      {"senids_analyzer_runs_total", "Candidate decode runs found",
+       &AnalyzerStats::candidate_runs},
+      {"senids_analyzer_traces_total", "Execution traces lifted to IR",
+       &AnalyzerStats::traces},
+      {"senids_analyzer_insns_lifted_total", "Instructions lifted to IR",
+       &AnalyzerStats::instructions_lifted},
+      {"senids_analyzer_matches_tried_total", "Template match attempts",
+       &AnalyzerStats::template_matches_tried},
+      {"senids_analyzer_templates_skipped_total",
+       "Templates not tried on a trace that lacks their anchor features",
+       &AnalyzerStats::templates_skipped},
+      {"senids_analyzer_entry_budget_exhausted_total",
+       "Frames that filled the candidate-entry budget", &AnalyzerStats::entry_budget_exhausted},
+      {"senids_analyzer_insn_budget_exhausted_total",
+       "Frames that burned the per-frame instruction budget",
+       &AnalyzerStats::insn_budget_exhausted},
+  };
+  ASSERT_EQ(std::size(series), kAnalyzerCountFields.size());
+  obs::set_metrics_enabled(true);
+  obs::Registry& registry = obs::Registry::instance();
+
+  util::Prng prng(2024);
+  std::vector<util::Bytes> frames;
+  for (int i = 0; i < 3; ++i) {
+    frames.push_back(gen::admmutate_encode(gen::make_shell_spawn_corpus()[1].code, prng).bytes);
+  }
+  std::string html = "<html><body>";
+  for (int i = 0; i < 200; ++i) html += "completely ordinary web page text ";
+  html += "</body></html>";
+  frames.emplace_back(html.begin(), html.end());
+  frames.push_back(prng.bytes(4096));
+  frames.emplace_back();  // empty: counts nothing
+
+  // The default budgets, and budgets small enough that both bailouts fire.
+  SemanticAnalyzer::Options tight;
+  tight.max_entries = 4;
+  tight.max_total_insns = 40;
+  const SemanticAnalyzer analyzers[] = {SemanticAnalyzer(make_standard_library()),
+                                        SemanticAnalyzer(make_standard_library(), tight)};
+  // The analyzer registers its series (with their help text) on first
+  // use; let it, before the lookups below could register them bare.
+  analyzers[0].analyze(frames.back());
+  AnalyzerStats total;
+  for (const SemanticAnalyzer& analyzer : analyzers) {
+    for (const util::Bytes& frame : frames) {
+      AnalyzerStats expected;
+      for (const bool with_stats : {true, false}) {
+        std::vector<std::uint64_t> before;
+        for (const Series& s : series) before.push_back(registry.counter(s.name).value());
+        AnalyzerStats stats;
+        analyzer.analyze(frame, with_stats ? &stats : nullptr);
+        if (with_stats) expected = stats;
+        for (std::size_t i = 0; i < std::size(series); ++i) {
+          EXPECT_EQ(registry.counter(series[i].name).value() - before[i],
+                    expected.*series[i].field)
+              << series[i].name << " on a " << frame.size() << "-byte frame, "
+              << (with_stats ? "with" : "without") << " stats";
+        }
+      }
+      merge_analyzer(total, expected);
+    }
+  }
+  // Every series moved at least once here, and each is registered under
+  // its pinned name and help text.
+  const std::string text = registry.prometheus_text();
+  for (const Series& s : series) {
+    EXPECT_GT(total.*s.field, 0u) << s.name;
+    EXPECT_NE(text.find(std::string("# HELP ") + s.name + " " + s.help + "\n"),
+              std::string::npos)
+        << s.name;
+  }
+  EXPECT_EQ(total.frames, 2 * (frames.size() - 1));
 }
 }  // namespace
 }  // namespace senids::semantic

@@ -40,8 +40,14 @@
 //                             after the run so scrapers can collect
 //     --flight-recorder-slots <n>  per-worker flight-recorder ring size
 //                             (default 256 with --telemetry-port, else 0)
+//
+//   Numeric values (and the --dark prefix length) must be whole decimal
+//   numbers within the flag's range; anything else exits 2, like a
+//   missing value or an unknown flag.
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -61,6 +67,12 @@
 using namespace senids;
 
 namespace {
+
+/// Upper bound for --threads and --shards.
+constexpr std::uint64_t kMaxThreads = 1024;
+/// Upper bound for the seconds flags (--metrics-interval,
+/// --telemetry-linger): one day.
+constexpr std::uint64_t kMaxSeconds = 86'400;
 
 struct CliOptions {
   const arch::Arch* arch = nullptr;  // nullptr = x86_32
@@ -127,6 +139,24 @@ void usage(const char* argv0) {
                argv0);
 }
 
+/// The value of a numeric flag: a whole decimal number in [min, max],
+/// nothing else (no sign, fraction, exponent or trailing text). Anything
+/// else is a bad flag: print why and exit 2.
+std::uint64_t parse_number(std::string_view flag, std::string_view text, std::uint64_t min,
+                           std::uint64_t max) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || v < min || v > max) {
+    std::fprintf(stderr, "bad %.*s value '%.*s': want a whole number from %llu to %llu\n",
+                 static_cast<int>(flag.size()), flag.data(), static_cast<int>(text.size()),
+                 text.data(), static_cast<unsigned long long>(min),
+                 static_cast<unsigned long long>(max));
+    std::exit(2);
+  }
+  return v;
+}
+
 std::optional<classify::Prefix> parse_prefix(std::string_view text) {
   const std::size_t slash = text.find('/');
   std::string addr_part(text.substr(0, slash));
@@ -134,9 +164,8 @@ std::optional<classify::Prefix> parse_prefix(std::string_view text) {
   if (!addr) return std::nullopt;
   std::uint8_t bits = 32;
   if (slash != std::string_view::npos) {
-    const int v = std::atoi(std::string(text.substr(slash + 1)).c_str());
-    if (v < 0 || v > 32) return std::nullopt;
-    bits = static_cast<std::uint8_t>(v);
+    bits = static_cast<std::uint8_t>(
+        parse_number("--dark prefix length", text.substr(slash + 1), 0, 32));
   }
   return classify::Prefix{*addr, bits};
 }
@@ -244,6 +273,10 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](std::uint64_t min, std::uint64_t max) -> std::size_t {
+      const char* flag = argv[i];
+      return parse_number(flag, next(), min, max);
+    };
     if (arg == "--honeypot") {
       auto ip = net::Ipv4Addr::parse(next());
       if (!ip) {
@@ -259,7 +292,7 @@ int main(int argc, char** argv) {
       }
       cli.dark.push_back(*prefix);
     } else if (arg == "--dark-threshold") {
-      cli.dark_threshold = static_cast<std::size_t>(std::atoll(next()));
+      cli.dark_threshold = number(1, 1'000'000);
     } else if (arg == "--arch") {
       const char* name = next();
       cli.arch = arch::Arch::by_name(name);
@@ -282,37 +315,33 @@ int main(int argc, char** argv) {
     } else if (arg == "--emulate") {
       cli.emulate = true;
     } else if (arg == "--threads") {
-      cli.threads = static_cast<std::size_t>(std::atoll(next()));
+      cli.threads = number(0, kMaxThreads);
     } else if (arg == "--shards") {
-      cli.shards = static_cast<std::size_t>(std::atoll(next()));
+      cli.shards = number(1, kMaxThreads);
     } else if (arg == "--verdict-cache-mb") {
-      cli.verdict_cache_mb = static_cast<std::size_t>(std::atoll(next()));
+      cli.verdict_cache_mb = number(0, 1u << 20);
     } else if (arg == "--no-verdict-cache") {
       cli.verdict_cache_mb = 0;
     } else if (arg == "--no-triage") {
       cli.triage = false;
     } else if (arg == "--flow-timeout") {
-      cli.flow_timeout = static_cast<std::uint32_t>(std::atoll(next()));
+      cli.flow_timeout = static_cast<std::uint32_t>(number(0, UINT32_MAX));
     } else if (arg == "--max-flows") {
-      cli.max_flows = static_cast<std::size_t>(std::atoll(next()));
+      cli.max_flows = number(0, UINT32_MAX);
     } else if (arg == "--json") {
       cli.json = true;
     } else if (arg == "--metrics-out") {
       cli.metrics_out = next();
     } else if (arg == "--metrics-interval") {
-      cli.metrics_interval = std::atof(next());
+      cli.metrics_interval = static_cast<double>(number(0, kMaxSeconds));
     } else if (arg == "--trace-out") {
       cli.trace_out = next();
     } else if (arg == "--telemetry-port") {
-      cli.telemetry_port = std::atoi(next());
-      if (cli.telemetry_port < 0 || cli.telemetry_port > 65535) {
-        std::fprintf(stderr, "bad --telemetry-port (0-65535)\n");
-        return 2;
-      }
+      cli.telemetry_port = static_cast<int>(number(0, 65535));
     } else if (arg == "--telemetry-linger") {
-      cli.telemetry_linger = std::atof(next());
+      cli.telemetry_linger = static_cast<double>(number(0, kMaxSeconds));
     } else if (arg == "--flight-recorder-slots") {
-      cli.flight_slots = static_cast<std::size_t>(std::atoll(next()));
+      cli.flight_slots = number(0, 1u << 20);
     } else if (arg == "--quiet") {
       cli.quiet = true;
     } else if (arg == "--summary") {
