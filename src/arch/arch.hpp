@@ -55,18 +55,34 @@ class Arch {
   [[nodiscard]] Instruction decode(util::ByteView code, std::size_t offset) const {
     return arch::decode(code, offset, mode_);
   }
-  void linear_sweep(util::ByteView code, std::size_t offset, std::size_t max_insns,
-                    std::vector<Instruction>& out) const {
-    arch::linear_sweep(code, offset, max_insns, out, mode_);
-  }
+  /// Find decode runs of at least `min_insns` instructions into `out`,
+  /// longest first (ties in start order). Runs contained in a longer run
+  /// (same synchronization) are suppressed, so the result is a small set
+  /// of candidate shellcode entry points. Decodes each offset once.
   void find_code_runs(util::ByteView code, std::size_t min_insns,
-                      std::vector<CodeRun>& out, ScanScratch& scratch) const {
-    arch::find_code_runs(code, min_insns, out, scratch, mode_);
-  }
+                      std::vector<CodeRun>& out, ScanScratch& scratch) const;
+
+  /// Candidate entries from one decode: find_code_runs into `runs`, then
+  /// each run's first `max_trace_insns` instructions, read from `scratch`,
+  /// propose the run start, every backward-branch target (a loop head: a
+  /// run may begin inside an unrolled loop body) and every post-call
+  /// offset (GetPC data, and the payload once a decoder has unrolled).
+  /// `entries` gets each proposed offset once, in order, at most
+  /// `max_entries`. Returns true when some candidate went untried.
+  [[nodiscard]] bool find_entries(util::ByteView code, std::size_t min_insns,
+                                  std::size_t max_trace_insns, std::size_t max_entries,
+                                  std::vector<CodeRun>& runs,
+                                  std::vector<std::size_t>& entries,
+                                  ScanScratch& scratch) const;
+
+  /// Execution-order trace from `entry` into `out`: decodes, then follows
+  /// unconditional jmps and calls with in-buffer targets; conditional
+  /// branches and loops fall through. Stops at invalid bytes,
+  /// flow-ending instructions, buffer exit, an already-visited offset
+  /// (loop closure), or `max_insns`. The result is the de-obfuscated
+  /// instruction stream handed to the IR lifter.
   void execution_trace(util::ByteView code, std::size_t entry, std::size_t max_insns,
-                       std::vector<Instruction>& out, ScanScratch& scratch) const {
-    arch::execution_trace(code, entry, max_insns, out, scratch, mode_);
-  }
+                       std::vector<Instruction>& out, ScanScratch& scratch) const;
 
   /// Def/use summary. The tables are mode-keyed through Instruction::mode,
   /// so this simply forwards; it exists so callers never need the free

@@ -825,21 +825,15 @@ Instruction decode(util::ByteView code, std::size_t offset, Mode mode) {
   }
 }
 
-void linear_sweep(util::ByteView code, std::size_t offset, std::size_t max_insns,
-                  std::vector<Instruction>& out, Mode mode) {
-  out.clear();
+std::vector<Instruction> linear_sweep(util::ByteView code, std::size_t offset,
+                                      std::size_t max_insns, Mode mode) {
+  std::vector<Instruction> out;
   while (offset < code.size() && out.size() < max_insns) {
     Instruction insn = decode(code, offset, mode);
     if (!insn.valid()) break;
     offset = insn.end_offset();
     out.push_back(std::move(insn));
   }
-}
-
-std::vector<Instruction> linear_sweep(util::ByteView code, std::size_t offset,
-                                      std::size_t max_insns, Mode mode) {
-  std::vector<Instruction> out;
-  linear_sweep(code, offset, max_insns, out, mode);
   return out;
 }
 

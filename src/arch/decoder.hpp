@@ -25,9 +25,4 @@ std::vector<Instruction> linear_sweep(util::ByteView code, std::size_t offset = 
                                       std::size_t max_insns = SIZE_MAX,
                                       Mode mode = Mode::k32);
 
-/// Buffer-reusing form: clears and refills `out` (capacity preserved),
-/// for callers that sweep many runs in a loop.
-void linear_sweep(util::ByteView code, std::size_t offset, std::size_t max_insns,
-                  std::vector<Instruction>& out, Mode mode = Mode::k32);
-
 }  // namespace senids::arch

@@ -1,9 +1,10 @@
 // Shellcode-oriented code discovery. Network payloads carry code at
 // unknown offsets, so the scanner (a) finds plausible decode runs via a
-// right-to-left dynamic program over the whole buffer, and (b) produces
-// the *execution-order* instruction stream from an entry point by
-// following unconditional jumps — which is exactly the normalization that
-// defeats the out-of-order obfuscation of Figure 1(c) in the paper.
+// right-to-left dynamic program over the whole buffer, (b) proposes
+// candidate entry points from what that one decode recorded, and (c)
+// produces the *execution-order* instruction stream from an entry point
+// by following unconditional jumps — which is exactly the normalization
+// that defeats the out-of-order obfuscation of Figure 1(c) in the paper.
 #pragma once
 
 #include <vector>
@@ -20,49 +21,33 @@ struct CodeRun {
   std::size_t byte_len = 0;
 };
 
-/// Reusable working memory for the scanner. find_code_runs sizes two
-/// dynamic-programming arrays and a tail-suppression bitmap to the frame
-/// length, and execution_trace tracks visited offsets — all allocation
-/// the analysis hot loop would otherwise repeat per frame. A worker
-/// keeps one ScanScratch and passes it to every call; the buffers grow
-/// to the largest frame seen and are then reused allocation-free.
+/// Reusable working memory for the scanner: frame-sized arrays a worker
+/// keeps across calls, so scanning allocates only when a frame is larger
+/// than any before it.
 struct ScanScratch {
+  /// Per offset, from find_code_runs' one decode (what find_entries
+  /// reads instead of decoding again): the instruction count of the
+  /// linear run from it (0 when invalid), the offset after its
+  /// instruction, flag bits, and the target of its backward branch
+  /// (meaningful under kBackBranch).
+  enum : std::uint8_t { kTail = 1, kCall = 2, kBackBranch = 4 };
   std::vector<std::uint32_t> run_len;
   std::vector<std::uint32_t> next;
-  std::vector<char> is_tail;
-  /// Generation-stamped visited set for execution_trace: a slot is
-  /// "visited" iff it equals visit_gen, so starting a new trace is one
-  /// increment instead of an O(frame) clear (frames are traced from
-  /// thousands of entry points).
-  std::vector<std::uint32_t> visited;
-  std::uint32_t visit_gen = 0;
+  std::vector<std::uint8_t> flags;
+  std::vector<std::uint32_t> back_target;
+  /// Generation-stamped marks (visited offsets, listed entries): a slot
+  /// is marked iff it equals mark_gen, so a new trace or entry list is
+  /// one increment instead of an O(frame) clear.
+  std::vector<std::uint32_t> marks;
+  std::uint32_t mark_gen = 0;
 };
 
-/// Find decode runs of at least `min_insns` instructions. Runs contained
-/// in a longer run (same synchronization) are suppressed, so the result
-/// is a small set of candidate shellcode entry points.
+/// One-shot forms of Arch::find_code_runs and Arch::execution_trace
+/// (arch.hpp), each with a fresh ScanScratch, for tests and tools.
 std::vector<CodeRun> find_code_runs(util::ByteView code, std::size_t min_insns = 6,
                                     Mode mode = Mode::k32);
-
-/// Buffer-reusing form: clears and fills `out` (capacity preserved),
-/// using `scratch` for the internal arrays instead of allocating.
-void find_code_runs(util::ByteView code, std::size_t min_insns, std::vector<CodeRun>& out,
-                    ScanScratch& scratch, Mode mode = Mode::k32);
-
-/// Execution-order trace from `entry`: decodes, then follows unconditional
-/// jmps with in-buffer targets; conditional branches and loops fall
-/// through. Stops at invalid bytes, flow-ending instructions, buffer exit,
-/// an already-visited offset (loop closure), or `max_insns`.
-/// The returned sequence is the de-obfuscated instruction stream handed to
-/// the IR lifter.
 std::vector<Instruction> execution_trace(util::ByteView code, std::size_t entry,
                                          std::size_t max_insns = 4096,
                                          Mode mode = Mode::k32);
-
-/// Buffer-reusing form: clears and fills `out` (capacity preserved),
-/// using `scratch.visited` for the loop-closure bitmap.
-void execution_trace(util::ByteView code, std::size_t entry, std::size_t max_insns,
-                     std::vector<Instruction>& out, ScanScratch& scratch,
-                     Mode mode = Mode::k32);
 
 }  // namespace senids::arch

@@ -386,7 +386,6 @@ cache::Digest compute_config_fingerprint(const NidsOptions& o,
   opt("emu.max_steps", o.emulator.max_steps);
   opt("emu.max_syscalls", o.emulator.max_syscalls);
   opt("emu.max_entries", o.emulator.max_entries);
-  opt("emu.min_run_insns", o.emulator.min_run_insns);
   return ctx.finish();
 }
 
@@ -711,7 +710,7 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
   // — shard-local stages (b)-(e): each shard gets its own
   // AnalysisContext, and results land in that shard's stats and alert
   // list (merged after the shards join — analyze_payload is const and
-  // safe to call concurrently). With threads == 0, shards == N this is
+  // safe to call concurrently). With threads <= 1, shards == N this is
   // how the whole pipeline scales N ways with no global queue.
   std::vector<std::vector<Alert>> inline_alerts(nshards);
   std::vector<AnalysisContext> inline_ctx;

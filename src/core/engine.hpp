@@ -32,10 +32,10 @@
 // flows cannot exhaust state either (evicted flows are flushed as
 // units, not dropped). Alerts are merged and sorted on the full key at
 // the end, so 1-shard and N-shard runs produce byte-identical reports.
-// With threads <= 1 the queue/pool machinery is bypassed entirely and
-// units are analyzed shard-local — inline on the shard consumer thread
-// that formed them, each shard with its own AnalysisContext; with
-// threads == 0 and shards == N that is the explicit scale-by-shards
+// With threads 0 or 1 (one mode, two spellings) the queue/pool
+// machinery is bypassed entirely and units are analyzed shard-local —
+// inline on the shard consumer thread that formed them, each shard with
+// its own AnalysisContext; with shards == N that is the scale-by-shards
 // mode (the whole pipeline parallelizes N ways with no global queue).
 // It keeps each unit on its source's shard, so only the pool spreads a
 // dominant source's analysis; shard-local is faster when triage rejects
@@ -78,13 +78,13 @@ struct NidsOptions {
   classify::ClassifierOptions classifier;
   extract::ExtractorOptions extractor;
   semantic::SemanticAnalyzer::Options analyzer;
-  /// Worker threads for the analysis stages (b)-(e). 1 = fully serial
-  /// (the default). 0 = shard-local: no worker pool or global unit
-  /// queue; every unit is analyzed inline on the shard consumer thread
-  /// that formed it, so with shards == N the entire pipeline scales N
-  /// ways with no cross-shard handoff (0 and 1 are identical when
-  /// shards == 1). With threads > 1, a pool of that many workers drains
-  /// one shared unit queue.
+  /// Worker threads for the analysis stages (b)-(e). 0 and 1 are the
+  /// same shard-local mode, at any shard count: no worker pool or global
+  /// unit queue; every unit is analyzed inline on the shard consumer
+  /// thread that formed it. With shards == 1 (the default) that is fully
+  /// serial; with shards == N the entire pipeline scales N ways with no
+  /// cross-shard handoff. With threads > 1, a pool of that many workers
+  /// drains one shared unit queue.
   std::size_t threads = 1;
   /// Stage-(a) pipeline shards. Records are routed to shards by a
   /// source-IP hash, and each shard owns its classifier state /

@@ -48,6 +48,9 @@ namespace {
 const std::uint16_t kSyscall64Vector =
     senids::arch::Arch::x86_64().syscall_conventions()[0].vector;
 
+// Decode-run length that makes a candidate entry (the analyzer's default).
+constexpr std::size_t kMinRunInsns = 6;
+
 }  // namespace
 
 bool EmulationResult::made_syscall() const {
@@ -149,11 +152,7 @@ EmulationResult emulate_entry(util::ByteView frame, std::size_t entry,
 
 EmulationResult emulate_frame(util::ByteView frame, const EmulatorOptions& options) {
   emu_metrics().frames.add();
-  auto runs = arch::find_code_runs(frame, options.min_run_insns, options.mode);
-  std::stable_sort(runs.begin(), runs.end(), [](const arch::CodeRun& a,
-                                                const arch::CodeRun& b) {
-    return a.insn_count > b.insn_count;
-  });
+  const auto runs = arch::find_code_runs(frame, kMinRunInsns, options.mode);
 
   EmulationResult best;
   auto better = [](const EmulationResult& a, const EmulationResult& b) {

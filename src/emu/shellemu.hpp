@@ -53,7 +53,6 @@ struct EmulatorOptions {
   std::size_t max_steps = 100000;
   std::size_t max_syscalls = 16;
   std::size_t max_entries = 64;   // candidate entry points tried per frame
-  std::size_t min_run_insns = 6;  // candidate threshold (as in the analyzer)
   /// Instruction-set rules the sandbox decodes and executes under.
   arch::Mode mode = arch::Mode::k32;
 };

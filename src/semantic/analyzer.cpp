@@ -6,7 +6,6 @@
 #include "ir/lifter.hpp"
 #include "obs/metrics.hpp"
 #include "arch/arch.hpp"
-#include "arch/scan.hpp"
 
 namespace senids::semantic {
 
@@ -82,50 +81,15 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
   counts.frames = frame.empty() ? 0 : 1;
   StageClock clock(obs::metrics_enabled());
 
-  // 1. Candidate entry points: starts of maximal decode runs, plus the
-  //    targets of backward branches inside them (loop heads — needed when
-  //    a run begins inside an already-unrolled loop body).
+  // 1. Candidate entry points, from one decode of the frame: starts of
+  //    maximal decode runs, longest first, plus the loop heads and
+  //    post-call offsets inside them (arch::Arch::find_entries).
   clock.start();
   std::vector<std::size_t>& entries = scratch.entries;
-  entries.clear();
-  std::vector<arch::CodeRun>& runs = scratch.runs;
-  isa.find_code_runs(frame, options_.min_run_insns, runs, scratch.scan);
-  counts.candidate_runs = runs.size();
-  // Long decode runs first: real code (decoders, shellcode bodies) forms
-  // long coherent runs, while text/noise fragments into thousands of
-  // short ones. Without this ordering a large frame can exhaust the
-  // entry budget on noise before reaching the payload.
-  std::stable_sort(runs.begin(), runs.end(), [](const arch::CodeRun& a,
-                                                const arch::CodeRun& b) {
-    return a.insn_count > b.insn_count;
-  });
-  std::vector<char>& seen = scratch.entry_seen;
-  seen.assign(frame.size(), 0);
-  auto add_entry = [&](std::size_t off) {
-    if (off >= frame.size() || seen[off]) return;
-    seen[off] = 1;
-    if (entries.size() >= options_.max_entries) {
-      counts.entry_budget_exhausted = 1;
-      return;
-    }
-    entries.push_back(off);
-  };
-  for (const auto& run : runs) {
-    if (entries.size() >= options_.max_entries) break;
-    add_entry(run.start);
-    isa.linear_sweep(frame, run.start, options_.max_trace_insns, scratch.entry_sweep);
-    for (const auto& insn : scratch.entry_sweep) {
-      if (auto target = insn.branch_target(); target && *target < insn.offset) {
-        add_entry(*target);
-      }
-      // The byte after a call is the classic GetPC data/payload location;
-      // once a decoder has been unrolled (or emulated away) it is also
-      // where the real payload's code begins.
-      if (insn.mnemonic == arch::Mnemonic::kCall) {
-        add_entry(insn.end_offset());
-      }
-    }
-  }
+  counts.entry_budget_exhausted =
+      isa.find_entries(frame, options_.min_run_insns, options_.max_trace_insns,
+                       options_.max_entries, scratch.runs, entries, scratch.scan);
+  counts.candidate_runs = scratch.runs.size();
   clock.stop(counts.disasm_seconds);
 
   // 2. Trace + lift + match. Stop trying a template once it has fired on

@@ -57,10 +57,11 @@ struct CountField {
   X(template_matches_tried, matches_tried, "Template match attempts")          \
   X(templates_skipped, templates_skipped,                                      \
     "Templates not tried on a trace that lacks their anchor features")         \
-  /* Work-budget bailouts: frames that filled the candidate-entry budget       \
-     (max_entries) or burned the per-frame instruction budget                  \
-     (max_total_insns). A spike is itself a signal — adversarial frames        \
-     shaped to exhaust the analyzer look exactly like this. */                 \
+  /* Work-budget bailouts: frames that left a candidate entry untried         \
+     because the entry budget (max_entries) was full, or burned the            \
+     per-frame instruction budget (max_total_insns). A spike is itself a       \
+     signal — adversarial frames shaped to exhaust the analyzer look exactly   \
+     like this. */                                                             \
   X(entry_budget_exhausted, entry_budget_exhausted,                            \
     "Frames that filled the candidate-entry budget")                           \
   X(insn_budget_exhausted, insn_budget_exhausted,                              \
@@ -99,10 +100,8 @@ struct AnalyzerScratch {
   arch::ScanScratch scan;
   std::vector<arch::CodeRun> runs;
   std::vector<std::size_t> entries;
-  std::vector<arch::Instruction> entry_sweep;  // linear sweep per run
   std::vector<arch::Instruction> trace;
   ir::LiftResult lifted;
-  std::vector<char> entry_seen;   // offset dedup bitmap, frame-sized
   std::vector<char> fired;        // per-template "already fired" flags
 };
 

@@ -335,6 +335,47 @@ std::vector<std::pair<std::string, std::vector<Template>>> anchor_template_sets(
           {"hand-built", hand_built_templates()}};
 }
 
+/// The candidate entries analyze() tries on `frame`, and whether any
+/// candidate went untried, rebuilt independently of
+/// arch::Arch::find_entries: the runs sorted here again, every run swept
+/// again with the by-value decoder, and every candidate enumerated
+/// before the entry budget is applied.
+struct EntryList {
+  std::vector<std::size_t> entries;
+  bool untried = false;
+};
+
+EntryList reference_entries(const SemanticAnalyzer::Options& opt, util::ByteView frame) {
+  const arch::Arch& isa = opt.arch ? *opt.arch : arch::Arch::x86_32();
+  auto runs = arch::find_code_runs(frame, opt.min_run_insns, isa.mode());
+  std::stable_sort(runs.begin(), runs.end(), [](const arch::CodeRun& a,
+                                                const arch::CodeRun& b) {
+    return a.insn_count > b.insn_count;
+  });
+  std::vector<std::size_t> candidates;
+  std::vector<char> seen(frame.size(), 0);
+  auto add = [&](std::size_t off) {
+    if (off >= frame.size() || seen[off]) return;
+    seen[off] = 1;
+    candidates.push_back(off);
+  };
+  for (const auto& run : runs) {
+    add(run.start);
+    for (const auto& insn :
+         arch::linear_sweep(frame, run.start, opt.max_trace_insns, isa.mode())) {
+      if (auto target = insn.branch_target(); target && *target < insn.offset) {
+        add(*target);
+      }
+      if (insn.mnemonic == arch::Mnemonic::kCall) add(insn.end_offset());
+    }
+  }
+  EntryList out;
+  out.untried = candidates.size() > opt.max_entries;
+  if (out.untried) candidates.resize(opt.max_entries);
+  out.entries = std::move(candidates);
+  return out;
+}
+
 /// Calls `visit(entry, code)` for every lifted trace analyze() examines
 /// on `frame`, in the same order, rebuilt from the public arch and ir
 /// calls with the analyzer's options. Stops when `visit` returns false.
@@ -342,43 +383,92 @@ template <class Visit>
 void for_each_trace(const SemanticAnalyzer& analyzer, util::ByteView frame, Visit visit) {
   const SemanticAnalyzer::Options& opt = analyzer.options();
   const arch::Arch& isa = opt.arch ? *opt.arch : arch::Arch::x86_32();
-  if (frame.empty()) return;
   arch::ScanScratch scan;
-  std::vector<arch::CodeRun> runs;
-  isa.find_code_runs(frame, opt.min_run_insns, runs, scan);
-  std::stable_sort(runs.begin(), runs.end(), [](const arch::CodeRun& a,
-                                                const arch::CodeRun& b) {
-    return a.insn_count > b.insn_count;
-  });
-  std::vector<char> seen(frame.size(), 0);
-  std::vector<std::size_t> entries;
-  auto add_entry = [&](std::size_t off) {
-    if (off >= frame.size() || seen[off]) return;
-    seen[off] = 1;
-    if (entries.size() < opt.max_entries) entries.push_back(off);
-  };
-  std::vector<arch::Instruction> sweep;
-  for (const auto& run : runs) {
-    if (entries.size() >= opt.max_entries) break;
-    add_entry(run.start);
-    isa.linear_sweep(frame, run.start, opt.max_trace_insns, sweep);
-    for (const auto& insn : sweep) {
-      if (auto target = insn.branch_target(); target && *target < insn.offset) {
-        add_entry(*target);
-      }
-      if (insn.mnemonic == arch::Mnemonic::kCall) add_entry(insn.end_offset());
-    }
-  }
   std::size_t budget = opt.max_total_insns;
   std::vector<arch::Instruction> trace;
   ir::LiftResult lifted;
-  for (std::size_t entry : entries) {
+  for (std::size_t entry : reference_entries(opt, frame).entries) {
     if (budget == 0) return;
     isa.execution_trace(frame, entry, std::min(opt.max_trace_insns, budget), trace, scan);
     if (trace.size() < opt.min_run_insns) continue;
     budget -= std::min(budget, trace.size());
     ir::lift(trace, lifted);
     if (!visit(entry, LiftedCode{&trace, &lifted.events, frame})) return;
+  }
+}
+
+/// `bytes` of the analyzer bomb: a 16-byte `inc eax; xor [esi],al;
+/// inc esi; dec ecx; jnz; call +0` block, repeated.
+util::Bytes analyzer_bomb(std::size_t bytes) {
+  static constexpr std::uint8_t kBlock[] = {0x40, 0x30, 0x06, 0x46, 0x49, 0x0F,
+                                            0x85, 0xF5, 0xFF, 0xFF, 0xFF, 0xE8,
+                                            0x00, 0x00, 0x00, 0x00};
+  util::Bytes out;
+  while (out.size() < bytes) out.insert(out.end(), std::begin(kBlock), std::end(kBlock));
+  out.resize(bytes);
+  return out;
+}
+
+TEST(Analyzer, EntryListMatchesReference) {
+  std::vector<std::pair<std::string, util::Bytes>> frames;
+  for (AnchorFrame& f : anchor_corpus()) frames.emplace_back(f.name, std::move(f.bytes));
+  util::Prng noise(4096);
+  frames.emplace_back("random 4 KB", noise.bytes(4096));
+  frames.emplace_back("bomb 4 KB", analyzer_bomb(4096));
+  std::vector<std::pair<std::string, SemanticAnalyzer::Options>> limits(4);
+  limits[0].first = "default limits";
+  limits[1].first = "max_entries 1";
+  limits[1].second.max_entries = 1;
+  limits[2].first = "max_entries 4";
+  limits[2].second.max_entries = 4;
+  limits[3].first = "max_trace_insns 8";
+  limits[3].second.max_trace_insns = 8;
+
+  arch::ScanScratch scratch;  // reused across frames, as a worker does
+  std::vector<arch::CodeRun> runs;
+  std::vector<std::size_t> entries;
+  std::size_t untried = 0, complete = 0;
+  for (const arch::Arch* isa : arch::Arch::all()) {
+    for (auto& [limit_name, opt] : limits) {
+      opt.arch = isa;
+      for (const auto& [frame_name, frame] : frames) {
+        const EntryList want = reference_entries(opt, frame);
+        const bool got_untried =
+            isa->find_entries(frame, opt.min_run_insns, opt.max_trace_insns,
+                              opt.max_entries, runs, entries, scratch);
+        const std::string where =
+            std::string(isa->name()) + ", " + limit_name + ", " + frame_name;
+        EXPECT_EQ(entries, want.entries) << where;
+        EXPECT_EQ(got_untried, want.untried) << where;
+        ++(want.untried ? untried : complete);
+      }
+    }
+  }
+  // Both outcomes of the budget are exercised.
+  EXPECT_GT(untried, 0u);
+  EXPECT_GT(complete, 0u);
+}
+
+TEST(Analyzer, EntryBudgetFlagsUntriedRuns) {
+  // Eight 0x41, one 0x0F, eight 0x42: two decode runs, at offsets 0 and
+  // 9 (0F 42 42 42 is a cmovb, so the run at 0 is out of step with the
+  // run at 9). With room for one entry the second run goes untried, and
+  // the frame says so.
+  util::Bytes frame(8, 0x41);
+  frame.push_back(0x0F);
+  frame.insert(frame.end(), 8, 0x42);
+  const auto runs = arch::find_code_runs(frame);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].start, 0u);
+  EXPECT_EQ(runs[1].start, 9u);
+  for (const std::size_t max_entries : {1u, 2u}) {
+    SemanticAnalyzer::Options opt;
+    opt.max_entries = max_entries;
+    AnalyzerStats stats;
+    SemanticAnalyzer(make_standard_library(), opt).analyze(frame, &stats);
+    EXPECT_EQ(stats.traces, max_entries);
+    EXPECT_EQ(stats.entry_budget_exhausted, max_entries == 1 ? 1u : 0u)
+        << "max_entries " << max_entries;
   }
 }
 

@@ -60,6 +60,25 @@ TEST(FindCodeRuns, MinInsnsFiltersShortRuns) {
   EXPECT_TRUE(runs.empty());
 }
 
+TEST(FindCodeRuns, LongestRunFirst) {
+  // NOP runs of 6, 10, 6 and 10 instructions, split by invalid bytes:
+  // longest first, and runs of equal length in start order.
+  Bytes code;
+  std::vector<std::size_t> starts;
+  for (std::size_t len : {6u, 10u, 6u, 10u}) {
+    starts.push_back(code.size());
+    code.insert(code.end(), len, 0x90);
+    code.push_back(0xD8);  // x87 escape: invalid
+  }
+  auto runs = find_code_runs(code, 6);
+  ASSERT_EQ(runs.size(), 4u);
+  const std::size_t want[] = {starts[1], starts[3], starts[0], starts[2]};
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].start, want[i]) << "run " << i;
+    EXPECT_EQ(runs[i].insn_count, i < 2 ? 10u : 6u) << "run " << i;
+  }
+}
+
 TEST(FindCodeRuns, ShellcodeYieldsLongRun) {
   util::Prng prng(3);
   gen::PolyResult poly = gen::admmutate_encode(util::to_bytes("payloadpayload"), prng);

@@ -87,17 +87,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Pick the entry: explicit, or the longest candidate run.
+  // Pick the entry: explicit, or the longest candidate run (the scanner
+  // lists it first).
   if (entry == SIZE_MAX) {
-    auto runs = arch::find_code_runs(code, 1);
-    entry = 0;
-    std::size_t best = 0;
-    for (const auto& run : runs) {
-      if (run.insn_count > best) {
-        best = run.insn_count;
-        entry = run.start;
-      }
-    }
+    const auto runs = arch::find_code_runs(code, 1);
+    entry = runs.empty() ? 0 : runs.front().start;
   }
 
   auto trace = arch::execution_trace(code, entry);

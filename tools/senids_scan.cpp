@@ -13,7 +13,7 @@
 //     --extended              use the extended template library
 //     --emulate               enable emulation-backed deep analysis
 //     --threads <n>           analysis worker threads (default 1;
-//                             0 = shard-local: analyze on the shard
+//                             0 and 1 both analyze on the shard
 //                             threads, no global unit queue)
 //     --shards <n>            source-affine stage-(a) shards (default 1)
 //     --verdict-cache-mb <n>  verdict cache byte budget in MB (default 64)
@@ -114,7 +114,7 @@ void usage(const char* argv0) {
                "  --sig-rules <file>    also run Snort-style content rules\n"
                "  --extended            use the extended template library\n"
                "  --emulate             enable emulation deep analysis\n"
-               "  --threads <n>         analysis worker threads (0 = shard-local)\n"
+               "  --threads <n>         analysis worker threads (0, 1: inline on the shards)\n"
                "  --shards <n>          source-affine stage-(a) shards\n"
                "  --verdict-cache-mb <n>  verdict cache byte budget (default 64)\n"
                "  --no-verdict-cache    disable the verdict cache\n"
