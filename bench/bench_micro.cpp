@@ -15,7 +15,7 @@
 #include "semantic/analyzer.hpp"
 #include "semantic/library.hpp"
 #include "sig/rules.hpp"
-#include "arch/scan.hpp"
+#include "arch/arch.hpp"
 
 using namespace senids;
 
@@ -37,6 +37,15 @@ util::Bytes benign_blob(std::size_t size) {
   return out;
 }
 
+/// `mov eax, 0x90909090` repeated: every block's nops start a run that
+/// converges onto the same chain, the scanner's worst case for run count.
+util::Bytes convergent_blob(std::size_t size) {
+  util::Bytes out;
+  while (out.size() < size) out.insert(out.end(), {0xB8, 0x90, 0x90, 0x90, 0x90});
+  out.resize(size);
+  return out;
+}
+
 void BM_DecodeLinear(benchmark::State& state) {
   const util::Bytes code = poly_sample();
   for (auto _ : state) {
@@ -46,14 +55,66 @@ void BM_DecodeLinear(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeLinear);
 
-void BM_FindCodeRuns(benchmark::State& state) {
-  const util::Bytes blob = benign_blob(static_cast<std::size_t>(state.range(0)));
+/// One decode at every offset of a 4 KB benign blob: the candidate
+/// scan's access pattern, without its tables or any allocation.
+void BM_DecodeEveryOffset(benchmark::State& state) {
+  const util::Bytes blob = benign_blob(4 << 10);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(arch::find_code_runs(blob, 6));
+    for (std::size_t i = 0; i < blob.size(); ++i) {
+      benchmark::DoNotOptimize(arch::decode(blob, i));
+    }
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * blob.size()));
 }
-BENCHMARK(BM_FindCodeRuns)->Arg(4 << 10)->Arg(64 << 10);
+BENCHMARK(BM_DecodeEveryOffset);
+
+/// Candidate scan of arg 0 bytes of benign payloads (arg 1 = 0) or of
+/// the convergent pattern (arg 1 = 1), with one reused scratch as the
+/// analyzer keeps it. Per-byte cost stays flat from 4 to 64 KB while the
+/// scan is linear.
+void BM_FindCodeRuns(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  const bool convergent = state.range(1) == 1;
+  const util::Bytes blob = convergent ? convergent_blob(size) : benign_blob(size);
+  arch::ScanScratch scratch;
+  std::vector<arch::CodeRun> runs;
+  for (auto _ : state) {
+    arch::Arch::x86_32().find_code_runs(blob, 6, runs, scratch);
+    benchmark::DoNotOptimize(runs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * blob.size()));
+  state.SetLabel(convergent ? "convergent" : "benign");
+}
+BENCHMARK(BM_FindCodeRuns)
+    ->Args({4 << 10, 0})
+    ->Args({64 << 10, 0})
+    ->Args({4 << 10, 1})
+    ->Args({64 << 10, 1});
+
+/// Execution traces from every candidate entry of a 1.4 KB benign frame,
+/// with one scratch that holds the frame's scan. Items are traced
+/// instructions.
+void BM_ExecutionTrace(benchmark::State& state) {
+  const arch::Arch& isa = arch::Arch::x86_32();
+  const util::Bytes frame = benign_blob(1400);
+  arch::ScanScratch scratch;
+  std::vector<arch::CodeRun> runs;
+  std::vector<std::size_t> entries;
+  (void)isa.find_entries(frame, 6, 4096, 8192, runs, entries, scratch);
+  std::vector<arch::Instruction> trace;
+  std::size_t insns = 0;
+  for (auto _ : state) {
+    for (std::size_t entry : entries) {
+      isa.execution_trace(frame, entry, 4096, trace, scratch);
+      insns += trace.size();
+      benchmark::DoNotOptimize(trace.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(insns));
+}
+BENCHMARK(BM_ExecutionTrace);
 
 void BM_ExecutionTraceAndLift(benchmark::State& state) {
   const util::Bytes code = poly_sample();

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   auto trace = arch::execution_trace(poly.bytes, 0);
   auto junk_marks = ir::find_dead_code(trace);
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    std::printf("%08zx:  %-36s%s\n", trace[i].offset,
+    std::printf("%08zx:  %-36s%s\n", std::size_t{trace[i].offset},
                 arch::format(trace[i]).c_str(), junk_marks.dead[i] ? " ; junk" : "");
   }
   std::printf("(%zu of %zu instructions are junk)\n\n", junk_marks.dead_count,

@@ -58,7 +58,8 @@ class Arch {
   /// Find decode runs of at least `min_insns` instructions into `out`,
   /// longest first (ties in start order). Runs contained in a longer run
   /// (same synchronization) are suppressed, so the result is a small set
-  /// of candidate shellcode entry points. Decodes each offset once.
+  /// of candidate shellcode entry points. Decodes each offset once and
+  /// keeps every decode in `scratch`, which then holds this frame.
   void find_code_runs(util::ByteView code, std::size_t min_insns,
                       std::vector<CodeRun>& out, ScanScratch& scratch) const;
 
@@ -75,12 +76,15 @@ class Arch {
                                   std::vector<std::size_t>& entries,
                                   ScanScratch& scratch) const;
 
-  /// Execution-order trace from `entry` into `out`: decodes, then follows
-  /// unconditional jmps and calls with in-buffer targets; conditional
-  /// branches and loops fall through. Stops at invalid bytes,
-  /// flow-ending instructions, buffer exit, an already-visited offset
-  /// (loop closure), or `max_insns`. The result is the de-obfuscated
-  /// instruction stream handed to the IR lifter.
+  /// Execution-order trace from `entry` into `out`: follows unconditional
+  /// jmps and calls with in-buffer targets; conditional branches and
+  /// loops fall through. Stops at invalid bytes, flow-ending
+  /// instructions, buffer exit, an already-visited offset (loop closure),
+  /// or `max_insns`. The result is the de-obfuscated instruction stream
+  /// handed to the IR lifter. Calls no decoder: each instruction is copied
+  /// from `scratch`'s per-offset table, which should hold this frame
+  /// (find_code_runs / find_entries on `code` with the same scratch).
+  /// When it holds another frame, the scan's decode pass runs first.
   void execution_trace(util::ByteView code, std::size_t entry, std::size_t max_insns,
                        std::vector<Instruction>& out, ScanScratch& scratch) const;
 

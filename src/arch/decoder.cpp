@@ -67,9 +67,9 @@ Reg reg_of_width(unsigned index, RegWidth w) noexcept {
 Operand decode_rm(Reader& r, const ModRM& m, RegWidth width, Mode mode,
                   const Prefixes& pre) noexcept {
   if (m.mod == 3) {
-    const unsigned rm_ext = m.rm + (pre.rex_b ? 8u : 0u);
+    const unsigned rm_ext = m.rm + (pre.has(Prefixes::kRexB) ? 8u : 0u);
     if (width == RegWidth::k8Lo || width == RegWidth::k8Hi) {
-      return Operand::make_reg(reg8(rm_ext, pre.rex));
+      return Operand::make_reg(reg8(rm_ext, pre.has(Prefixes::kRex)));
     }
     return Operand::make_reg(reg_of_width(rm_ext, width));
   }
@@ -83,8 +83,8 @@ Operand decode_rm(Reader& r, const ModRM& m, RegWidth width, Mode mode,
   if (m.rm == 4) {
     const std::uint8_t sib = r.u8();
     const unsigned ss = sib >> 6;
-    const unsigned idx = ((sib >> 3) & 7) + (pre.rex_x ? 8u : 0u);
-    const unsigned base = (sib & 7) + (pre.rex_b ? 8u : 0u);
+    const unsigned idx = ((sib >> 3) & 7) + (pre.has(Prefixes::kRexX) ? 8u : 0u);
+    const unsigned base = (sib & 7) + (pre.has(Prefixes::kRexB) ? 8u : 0u);
     if (idx != 4) {  // index encoding 4 means "no index" (but r12 is valid)
       mem.index = addr_reg(idx);
       mem.scale = static_cast<std::uint8_t>(1u << ss);
@@ -98,7 +98,7 @@ Operand decode_rm(Reader& r, const ModRM& m, RegWidth width, Mode mode,
     mem.disp = r.s32();       // absolute disp32 (32-bit mode)
     mem.rip = long_mode;      // [rip + disp32] in 64-bit mode
   } else {
-    mem.base = addr_reg(m.rm + (pre.rex_b ? 8u : 0u));
+    mem.base = addr_reg(m.rm + (pre.has(Prefixes::kRexB) ? 8u : 0u));
   }
   if (m.mod == 1) mem.disp = r.s8();
   else if (m.mod == 2) mem.disp = r.s32();
@@ -124,7 +124,7 @@ constexpr Mnemonic kArithFamily[] = {Mnemonic::kAdd, Mnemonic::kOr,  Mnemonic::k
 
 Instruction decode(util::ByteView code, std::size_t offset, Mode mode) {
   Instruction insn;
-  insn.offset = offset;
+  insn.offset = static_cast<std::uint32_t>(offset);
   insn.mode = mode;
   if (offset >= code.size()) return insn;  // invalid, length 0: caller must stop
 
@@ -145,52 +145,53 @@ Instruction decode(util::ByteView code, std::size_t offset, Mode mode) {
     if (mode == Mode::k64 && b >= 0x40 && b <= 0x4F) {
       // REX prefix. It only applies when it immediately precedes the
       // opcode; a later legacy prefix voids it (below), matching CPUs.
-      pre.rex = true;
-      pre.rex_w = (b & 8) != 0;
-      pre.rex_r = (b & 4) != 0;
-      pre.rex_x = (b & 2) != 0;
-      pre.rex_b = (b & 1) != 0;
+      pre.bits = static_cast<std::uint16_t>(
+          (pre.bits & ~Prefixes::kRexAll) | Prefixes::kRex |
+          ((b & 8) ? Prefixes::kRexW : 0) | ((b & 4) ? Prefixes::kRexR : 0) |
+          ((b & 2) ? Prefixes::kRexX : 0) | ((b & 1) ? Prefixes::kRexB : 0));
       continue;
     }
-    bool is_prefix = true;
+    std::uint16_t bit = 0;
     switch (b) {
-      case 0x66: pre.opsize = true; break;
-      case 0x67: pre.addrsize = true; break;
-      case 0xF0: pre.lock = true; break;
-      case 0xF2: pre.repne = true; break;
-      case 0xF3: pre.rep = true; break;
+      case 0x66: bit = Prefixes::kOpsize; break;
+      case 0x67: bit = Prefixes::kAddrsize; break;
+      case 0xF0: bit = Prefixes::kLock; break;
+      case 0xF2: bit = Prefixes::kRepne; break;
+      case 0xF3: bit = Prefixes::kRep; break;
       case 0x26: case 0x2E: case 0x36: case 0x3E: case 0x64: case 0x65:
-        pre.segment = true;
+        bit = Prefixes::kSegment;
         break;
       default:
-        is_prefix = false;
         break;
     }
-    if (!is_prefix) {
+    if (bit == 0) {
       r.pos--;  // unread the opcode byte
       break;
     }
-    pre.rex = pre.rex_w = pre.rex_r = pre.rex_x = pre.rex_b = false;
+    pre.bits = static_cast<std::uint16_t>((pre.bits | bit) & ~Prefixes::kRexAll);
   }
   insn.prefixes = pre;
 
   // 16-bit addressing (0x67) is never emitted by our corpus generators and
   // changes ModRM semantics entirely; refuse rather than mis-decode.
-  if (pre.addrsize) {
+  if (pre.has(Prefixes::kAddrsize)) {
     insn.length = 1;
     return insn;
   }
 
   const bool long_mode = mode == Mode::k64;
-  const RegWidth vw = pre.rex_w     ? RegWidth::k64
-                      : pre.opsize  ? RegWidth::k16
-                                    : RegWidth::k32;  // "v" width
+  const bool opsize = pre.has(Prefixes::kOpsize);
+  const bool rex = pre.has(Prefixes::kRex);
+  const bool rex_w = pre.has(Prefixes::kRexW);
+  const RegWidth vw = rex_w    ? RegWidth::k64
+                      : opsize ? RegWidth::k16
+                               : RegWidth::k32;  // "v" width
   // Stack operations (push/pop/call/ret) default to 64-bit in long mode.
   const RegWidth stackw = long_mode ? RegWidth::k64 : vw;
   insn.op_width = vw;
   // REX extensions for the ModRM.reg field and opcode-embedded registers.
-  auto xr = [&](unsigned f) { return f + (pre.rex_r ? 8u : 0u); };
-  auto xb = [&](unsigned f) { return f + (pre.rex_b ? 8u : 0u); };
+  auto xr = [&](unsigned f) { return f + (pre.has(Prefixes::kRexR) ? 8u : 0u); };
+  auto xb = [&](unsigned f) { return f + (pre.has(Prefixes::kRexB) ? 8u : 0u); };
 
   auto finish = [&](Mnemonic m) -> Instruction& {
     insn.mnemonic = m;
@@ -209,8 +210,8 @@ Instruction decode(util::ByteView code, std::size_t offset, Mode mode) {
 
   // Immediate of "z" size: 16 bits with the opsize prefix, else 32.
   auto imm_z = [&]() -> std::int64_t {
-    return pre.opsize ? static_cast<std::int64_t>(static_cast<std::int16_t>(r.u16()))
-                      : static_cast<std::int64_t>(r.s32());
+    return opsize ? static_cast<std::int64_t>(static_cast<std::int16_t>(r.u16()))
+                  : static_cast<std::int64_t>(r.s32());
   };
   // Relative branch target, resolved to an absolute buffer offset.
   auto rel8_target = [&]() -> std::int64_t {
@@ -218,7 +219,7 @@ Instruction decode(util::ByteView code, std::size_t offset, Mode mode) {
     return static_cast<std::int64_t>(r.pos) + d;  // r.pos is the next-insn offset
   };
   auto relz_target = [&]() -> std::int64_t {
-    const std::int64_t d = pre.opsize
+    const std::int64_t d = opsize
         ? static_cast<std::int64_t>(static_cast<std::int16_t>(r.u16()))
         : static_cast<std::int64_t>(r.s32());
     return static_cast<std::int64_t>(r.pos) + d;
@@ -235,7 +236,7 @@ Instruction decode(util::ByteView code, std::size_t offset, Mode mode) {
       case 0: {  // op rm8, r8
         ModRM mm = read_modrm(r);
         insn.ops[0] = decode_rm(r, mm, RegWidth::k8Lo, mode, pre);
-        insn.ops[1] = Operand::make_reg(reg8(xr(mm.reg), pre.rex));
+        insn.ops[1] = Operand::make_reg(reg8(xr(mm.reg), rex));
         insn.op_width = RegWidth::k8Lo;
         return finish(m);
       }
@@ -248,7 +249,7 @@ Instruction decode(util::ByteView code, std::size_t offset, Mode mode) {
       case 2: {  // op r8, rm8
         ModRM mm = read_modrm(r);
         insn.ops[1] = decode_rm(r, mm, RegWidth::k8Lo, mode, pre);
-        insn.ops[0] = Operand::make_reg(reg8(xr(mm.reg), pre.rex));
+        insn.ops[0] = Operand::make_reg(reg8(xr(mm.reg), rex));
         insn.op_width = RegWidth::k8Lo;
         return finish(m);
       }
@@ -380,7 +381,7 @@ Instruction decode(util::ByteView code, std::size_t offset, Mode mode) {
     case 0x84: {  // test rm8, r8
       ModRM mm = read_modrm(r);
       insn.ops[0] = decode_rm(r, mm, RegWidth::k8Lo, mode, pre);
-      insn.ops[1] = Operand::make_reg(reg8(xr(mm.reg), pre.rex));
+      insn.ops[1] = Operand::make_reg(reg8(xr(mm.reg), rex));
       insn.op_width = RegWidth::k8Lo;
       return finish(Mnemonic::kTest);
     }
@@ -393,7 +394,7 @@ Instruction decode(util::ByteView code, std::size_t offset, Mode mode) {
     case 0x86: {  // xchg rm8, r8
       ModRM mm = read_modrm(r);
       insn.ops[0] = decode_rm(r, mm, RegWidth::k8Lo, mode, pre);
-      insn.ops[1] = Operand::make_reg(reg8(xr(mm.reg), pre.rex));
+      insn.ops[1] = Operand::make_reg(reg8(xr(mm.reg), rex));
       insn.op_width = RegWidth::k8Lo;
       return finish(Mnemonic::kXchg);
     }
@@ -408,7 +409,7 @@ Instruction decode(util::ByteView code, std::size_t offset, Mode mode) {
     case 0x88: {
       ModRM mm = read_modrm(r);
       insn.ops[0] = decode_rm(r, mm, RegWidth::k8Lo, mode, pre);
-      insn.ops[1] = Operand::make_reg(reg8(xr(mm.reg), pre.rex));
+      insn.ops[1] = Operand::make_reg(reg8(xr(mm.reg), rex));
       insn.op_width = RegWidth::k8Lo;
       return finish(Mnemonic::kMov);
     }
@@ -421,7 +422,7 @@ Instruction decode(util::ByteView code, std::size_t offset, Mode mode) {
     case 0x8A: {
       ModRM mm = read_modrm(r);
       insn.ops[1] = decode_rm(r, mm, RegWidth::k8Lo, mode, pre);
-      insn.ops[0] = Operand::make_reg(reg8(xr(mm.reg), pre.rex));
+      insn.ops[0] = Operand::make_reg(reg8(xr(mm.reg), rex));
       insn.op_width = RegWidth::k8Lo;
       return finish(Mnemonic::kMov);
     }
@@ -509,7 +510,7 @@ Instruction decode(util::ByteView code, std::size_t offset, Mode mode) {
     // ---- mov reg, imm
     case 0xB0: case 0xB1: case 0xB2: case 0xB3:
     case 0xB4: case 0xB5: case 0xB6: case 0xB7:
-      insn.ops[0] = Operand::make_reg(reg8(xb(op - 0xB0), pre.rex));
+      insn.ops[0] = Operand::make_reg(reg8(xb(op - 0xB0), rex));
       insn.ops[1] = Operand::make_imm(r.u8());
       insn.op_width = RegWidth::k8Lo;
       return finish(Mnemonic::kMov);
@@ -518,7 +519,7 @@ Instruction decode(util::ByteView code, std::size_t offset, Mode mode) {
       insn.ops[0] = Operand::make_reg(reg_of_width(xb(op - 0xB8), vw));
       // B8+r is the one instruction with a true 64-bit immediate.
       insn.ops[1] = Operand::make_imm(
-          pre.rex_w ? static_cast<std::int64_t>(r.u64()) : imm_z());
+          rex_w ? static_cast<std::int64_t>(r.u64()) : imm_z());
       return finish(Mnemonic::kMov);
 
     // ---- shift groups
@@ -723,7 +724,7 @@ Instruction decode(util::ByteView code, std::size_t offset, Mode mode) {
       if (op2 >= 0xC8 && op2 <= 0xCF) {
         insn.ops[0] = Operand::make_reg(
             long_mode ? reg_of_width(xb(op2 - 0xC8),
-                                     pre.rex_w ? RegWidth::k64 : RegWidth::k32)
+                                     rex_w ? RegWidth::k64 : RegWidth::k32)
                       : reg32(op2 - 0xC8));
         return finish(Mnemonic::kBswap);
       }

@@ -22,8 +22,9 @@ namespace {
 /// access direction.
 void touch_mem(const Operand& op, bool is_write, DefUse& du) noexcept {
   if (op.kind != OperandKind::kMem) return;
-  if (op.mem.base) du.uses.add(*op.mem.base);
-  if (op.mem.index) du.uses.add(*op.mem.index);
+  const MemRef& m = op.mem();
+  if (m.has_base()) du.uses.add(m.base);
+  if (m.has_index()) du.uses.add(m.index);
   (is_write ? du.mem_write : du.mem_read) = true;
 }
 
@@ -87,8 +88,9 @@ DefUse def_use(const Instruction& insn) noexcept {
       // but memory itself is untouched.
       write_dst(ops[0], du);
       if (ops[1].kind == OperandKind::kMem) {
-        if (ops[1].mem.base) du.uses.add(*ops[1].mem.base);
-        if (ops[1].mem.index) du.uses.add(*ops[1].mem.index);
+        const MemRef& m = ops[1].mem();
+        if (m.has_base()) du.uses.add(m.base);
+        if (m.has_index()) du.uses.add(m.index);
       }
       break;
 
@@ -450,7 +452,7 @@ DefUse def_use(const Instruction& insn) noexcept {
     case Mnemonic::kStos:
     case Mnemonic::kLods:
     case Mnemonic::kScas:
-      if (insn.prefixes.rep || insn.prefixes.repne) {
+      if (insn.prefixes.has(Prefixes::kRep | Prefixes::kRepne)) {
         du.uses.add_family(RegFamily::kCx);
         du.defs.add_family(RegFamily::kCx);
       }

@@ -153,43 +153,44 @@ std::string format_operand(const Operand& op) {
     case OperandKind::kReg:
       return std::string(op.reg.name());
     case OperandKind::kImm:
-      if (op.imm < 0) {
+      if (op.imm() < 0) {
         std::snprintf(buf, sizeof buf, "-0x%llx",
-                      static_cast<unsigned long long>(-op.imm));
+                      static_cast<unsigned long long>(-op.imm()));
       } else {
-        std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(op.imm));
+        std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(op.imm()));
       }
       return buf;
     case OperandKind::kRel:
-      std::snprintf(buf, sizeof buf, "loc_%llx", static_cast<unsigned long long>(op.imm));
+      std::snprintf(buf, sizeof buf, "loc_%llx", static_cast<unsigned long long>(op.imm()));
       return buf;
     case OperandKind::kMem: {
-      std::string out = width_ptr_name(op.mem.width);
+      const MemRef& m = op.mem();
+      std::string out = width_ptr_name(m.width);
       out.push_back('[');
       bool need_plus = false;
-      if (op.mem.rip) {
+      if (m.rip) {
         out += "rip";
         need_plus = true;
       }
-      if (op.mem.base) {
-        out += op.mem.base->name();
+      if (m.has_base()) {
+        out += m.base.name();
         need_plus = true;
       }
-      if (op.mem.index) {
+      if (m.has_index()) {
         if (need_plus) out += " + ";
-        out += op.mem.index->name();
-        if (op.mem.scale != 1) {
-          std::snprintf(buf, sizeof buf, "*%u", op.mem.scale);
+        out += m.index.name();
+        if (m.scale != 1) {
+          std::snprintf(buf, sizeof buf, "*%u", m.scale);
           out += buf;
         }
         need_plus = true;
       }
-      if (op.mem.disp != 0 || !need_plus) {
+      if (m.disp != 0 || !need_plus) {
         if (need_plus) {
-          std::snprintf(buf, sizeof buf, op.mem.disp < 0 ? " - 0x%x" : " + 0x%x",
-                        static_cast<unsigned>(op.mem.disp < 0 ? -op.mem.disp : op.mem.disp));
+          std::snprintf(buf, sizeof buf, m.disp < 0 ? " - 0x%x" : " + 0x%x",
+                        static_cast<unsigned>(m.disp < 0 ? -m.disp : m.disp));
         } else {
-          std::snprintf(buf, sizeof buf, "0x%x", static_cast<unsigned>(op.mem.disp));
+          std::snprintf(buf, sizeof buf, "0x%x", static_cast<unsigned>(m.disp));
         }
         out += buf;
       }
@@ -204,9 +205,9 @@ std::string format_operand(const Operand& op) {
 
 std::string format(const Instruction& insn) {
   std::string out;
-  if (insn.prefixes.lock) out += "lock ";
-  if (insn.prefixes.rep) out += "rep ";
-  if (insn.prefixes.repne) out += "repne ";
+  if (insn.prefixes.has(Prefixes::kLock)) out += "lock ";
+  if (insn.prefixes.has(Prefixes::kRep)) out += "rep ";
+  if (insn.prefixes.has(Prefixes::kRepne)) out += "repne ";
   out += mnemonic_name(insn.mnemonic);
   if (insn.mnemonic == Mnemonic::kJcc || insn.mnemonic == Mnemonic::kSetcc ||
       insn.mnemonic == Mnemonic::kCmov) {
@@ -240,7 +241,7 @@ std::string format_listing(const std::vector<Instruction>& insns) {
   std::string out;
   char buf[32];
   for (const Instruction& insn : insns) {
-    std::snprintf(buf, sizeof buf, "%08zx:  ", insn.offset);
+    std::snprintf(buf, sizeof buf, "%08zx:  ", std::size_t{insn.offset});
     out += buf;
     out += format(insn);
     out.push_back('\n');

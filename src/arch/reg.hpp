@@ -12,11 +12,12 @@
 
 namespace senids::arch {
 
-/// The sixteen GPR families, in standard encoding order. The 32-bit
-/// decoder only ever emits kAx..kDi; kR8..kR15 require a REX prefix.
+/// The sixteen GPR families, in standard encoding order, then kNone. The
+/// 32-bit decoder only ever emits kAx..kDi; kR8..kR15 require a REX prefix.
 enum class RegFamily : std::uint8_t {
   kAx, kCx, kDx, kBx, kSp, kBp, kSi, kDi,
   kR8, kR9, kR10, kR11, kR12, kR13, kR14, kR15,
+  kNone,  // no register: an absent memory-operand base or index (kNoReg)
 };
 
 enum class RegWidth : std::uint8_t { k8Lo, k8Hi, k16, k32, k64 };
@@ -47,6 +48,7 @@ Reg reg16(unsigned index) noexcept;
 /// SPL,BPL,SIL,DIL (low bytes of families 4-7) and 8-15 select R8B..R15B.
 Reg reg8(unsigned index, bool rex_present = false) noexcept;
 
+inline constexpr Reg kNoReg{RegFamily::kNone, RegWidth::k32};
 inline constexpr Reg kEax{RegFamily::kAx, RegWidth::k32};
 inline constexpr Reg kEcx{RegFamily::kCx, RegWidth::k32};
 inline constexpr Reg kEdx{RegFamily::kDx, RegWidth::k32};

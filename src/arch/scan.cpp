@@ -19,44 +19,49 @@ std::uint32_t new_mark_gen(ScanScratch& scratch, std::size_t n) {
   return scratch.mark_gen;
 }
 
+/// The scan's one decode: every offset of `code`, right to left, into
+/// the per-offset arrays of `scratch` (see ScanScratch), which then hold
+/// this frame. Offset `after` is a tail when some earlier offset decodes
+/// through it: a run from there is part of a longer run with the same
+/// synchronization. A run ends where its successor chain first reaches
+/// an invalid offset or the buffer end, so run_end follows the chain in
+/// the same pass.
+void decode_frame(util::ByteView code, Mode mode, ScanScratch& scratch) {
+  const std::size_t n = code.size();
+  scratch.frame_data = code.data();
+  scratch.frame_size = n;
+  scratch.frame_mode = mode;
+  auto& insns = scratch.insns;
+  auto& run_len = scratch.run_len;
+  auto& run_end = scratch.run_end;
+  auto& flags = scratch.flags;
+  if (insns.size() < n) {  // every slot below n is written; drop, then size exactly
+    insns.clear();
+    insns.resize(n);
+  }
+  run_len.assign(n, 0);
+  run_end.assign(n, 0);
+  flags.assign(n, 0);
+  for (std::size_t i = n; i-- > 0;) {
+    const Instruction& insn = insns[i] = decode(code, i, mode);
+    if (!insn.valid()) continue;
+    const std::size_t after = insn.end_offset();
+    const bool continues = after < n && run_len[after] != 0;
+    run_len[i] = 1 + (continues ? run_len[after] : 0);
+    run_end[i] = continues ? run_end[after] : static_cast<std::uint32_t>(after);
+    if (continues) flags[after] |= ScanScratch::kTail;
+  }
+}
+
 }  // namespace
 
 void Arch::find_code_runs(util::ByteView code, std::size_t min_insns,
                           std::vector<CodeRun>& out, ScanScratch& scratch) const {
   out.clear();
-  const std::size_t n = code.size();
-  if (n == 0) return;
-
-  // One decode per offset, right to left, into the per-offset arrays
-  // (see ScanScratch; assign keeps their capacity). Offset `after` is a
-  // tail when some earlier offset decodes through it: a run from there
-  // is part of a longer run with the same synchronization.
-  auto& run_len = scratch.run_len;
-  auto& next = scratch.next;
-  auto& flags = scratch.flags;
-  run_len.assign(n, 0);
-  next.assign(n, 0);
-  flags.assign(n, 0);
-  if (scratch.back_target.size() < n) scratch.back_target.resize(n);
-  for (std::size_t i = n; i-- > 0;) {
-    const Instruction insn = decode(code, i);
-    if (!insn.valid()) continue;
-    const std::size_t after = insn.end_offset();
-    next[i] = static_cast<std::uint32_t>(after);
-    run_len[i] = 1 + (after < n ? run_len[after] : 0);
-    if (after < n && run_len[after] != 0) flags[after] |= ScanScratch::kTail;
-    if (insn.mnemonic == Mnemonic::kCall) flags[i] |= ScanScratch::kCall;
-    if (auto target = insn.branch_target(); target && *target < i) {
-      flags[i] |= ScanScratch::kBackBranch;
-      scratch.back_target[i] = static_cast<std::uint32_t>(*target);
-    }
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (run_len[i] >= min_insns && !(flags[i] & ScanScratch::kTail)) {
-      std::size_t end = i;  // walk to the run's end for its byte length
-      while (end < n && run_len[end] != 0) end = next[end];
-      out.push_back(CodeRun{i, run_len[i], end - i});
+  decode_frame(code, mode_, scratch);
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    if (scratch.run_len[i] >= min_insns && !(scratch.flags[i] & ScanScratch::kTail)) {
+      out.push_back(CodeRun{i, scratch.run_len[i], scratch.run_end[i] - i});
     }
   }
   // Long runs first: real code forms long coherent runs, while text and
@@ -88,10 +93,11 @@ bool Arch::find_entries(util::ByteView code, std::size_t min_insns,
     if (!propose(run.start)) return true;
     std::size_t pos = run.start;
     for (std::size_t k = 0; k < max_trace_insns && pos < n && scratch.run_len[pos] != 0; ++k) {
-      const std::uint8_t f = scratch.flags[pos];
-      if ((f & ScanScratch::kBackBranch) && !propose(scratch.back_target[pos])) return true;
-      if ((f & ScanScratch::kCall) && !propose(scratch.next[pos])) return true;
-      pos = scratch.next[pos];
+      const Instruction& insn = scratch.insns[pos];
+      const auto target = insn.branch_target();
+      if (target && *target < pos && !propose(*target)) return true;
+      if (insn.mnemonic == Mnemonic::kCall && !propose(insn.end_offset())) return true;
+      pos = insn.end_offset();
     }
   }
   return false;
@@ -99,6 +105,7 @@ bool Arch::find_entries(util::ByteView code, std::size_t min_insns,
 
 void Arch::execution_trace(util::ByteView code, std::size_t entry, std::size_t max_insns,
                            std::vector<Instruction>& out, ScanScratch& scratch) const {
+  if (!scratch.holds(code, mode_)) decode_frame(code, mode_, scratch);
   out.clear();
   const std::uint32_t gen = new_mark_gen(scratch, code.size());
   auto& visited = scratch.marks;
@@ -107,20 +114,20 @@ void Arch::execution_trace(util::ByteView code, std::size_t entry, std::size_t m
   while (pc < code.size() && out.size() < max_insns) {
     if (visited[pc] == gen) break;  // loop closed: stream complete
     visited[pc] = gen;
-    Instruction insn = decode(code, pc);
+    const Instruction& insn = scratch.insns[pc];
     if (!insn.valid()) break;
-    const Instruction& placed = out.emplace_back(std::move(insn));
+    out.push_back(insn);
 
-    if (placed.mnemonic == Mnemonic::kJmp || placed.mnemonic == Mnemonic::kCall) {
+    if (insn.mnemonic == Mnemonic::kJmp || insn.mnemonic == Mnemonic::kCall) {
       // Calls are followed like jumps: shellcode uses call for GetPC
       // (jmp/call/pop), and the interesting flow continues at the target.
-      auto target = placed.branch_target();
+      auto target = insn.branch_target();
       if (!target || *target >= code.size()) break;  // indirect or escaping
       pc = *target;
       continue;
     }
-    if (placed.ends_flow()) break;
-    pc = placed.end_offset();
+    if (insn.ends_flow()) break;
+    pc = insn.end_offset();
   }
 }
 

@@ -25,21 +25,30 @@ struct CodeRun {
 /// keeps across calls, so scanning allocates only when a frame is larger
 /// than any before it.
 struct ScanScratch {
-  /// Per offset, from find_code_runs' one decode (what find_entries
-  /// reads instead of decoding again): the instruction count of the
-  /// linear run from it (0 when invalid), the offset after its
-  /// instruction, flag bits, and the target of its backward branch
-  /// (meaningful under kBackBranch).
-  enum : std::uint8_t { kTail = 1, kCall = 2, kBackBranch = 4 };
+  /// Per offset, from find_code_runs' one decode (what find_entries and
+  /// execution_trace read instead of decoding again): the decoded
+  /// instruction, the instruction count of the linear run from it (0
+  /// when invalid), the offset where that run ends, and the kTail bit.
+  enum : std::uint8_t { kTail = 1 };
+  std::vector<Instruction> insns;
   std::vector<std::uint32_t> run_len;
-  std::vector<std::uint32_t> next;
+  std::vector<std::uint32_t> run_end;
   std::vector<std::uint8_t> flags;
-  std::vector<std::uint32_t> back_target;
+  /// The frame the per-offset arrays describe: its data pointer, size
+  /// and decode mode.
+  const std::uint8_t* frame_data = nullptr;
+  std::size_t frame_size = 0;
+  Mode frame_mode = Mode::k32;
   /// Generation-stamped marks (visited offsets, listed entries): a slot
   /// is marked iff it equals mark_gen, so a new trace or entry list is
   /// one increment instead of an O(frame) clear.
   std::vector<std::uint32_t> marks;
   std::uint32_t mark_gen = 0;
+
+  /// True when the per-offset arrays hold the decode of `code` under `mode`.
+  [[nodiscard]] bool holds(util::ByteView code, Mode mode) const noexcept {
+    return frame_data == code.data() && frame_size == code.size() && frame_mode == mode;
+  }
 };
 
 /// One-shot forms of Arch::find_code_runs and Arch::execution_trace

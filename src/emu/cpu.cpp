@@ -14,6 +14,7 @@ using arch::Mnemonic;
 using arch::Mode;
 using arch::Operand;
 using arch::OperandKind;
+using arch::Prefixes;
 using arch::Reg;
 using arch::RegFamily;
 using arch::RegWidth;
@@ -45,7 +46,7 @@ unsigned op_bits(const Instruction& insn, const Operand& op) {
     case OperandKind::kReg:
       return width_bits(op.reg.width);
     case OperandKind::kMem:
-      return width_bits(op.mem.width);
+      return width_bits(op.mem().width);
     default:
       return width_bits(insn.op_width);
   }
@@ -146,8 +147,8 @@ std::uint64_t Cpu::mem_addr(const MemRef& m) const {
     return cur_insn_end_ + static_cast<std::uint64_t>(static_cast<std::int64_t>(m.disp));
   }
   std::uint64_t addr = static_cast<std::uint64_t>(static_cast<std::int64_t>(m.disp));
-  if (m.base) addr += regs_[static_cast<unsigned>(m.base->family)];
-  if (m.index) addr += regs_[static_cast<unsigned>(m.index->family)] * m.scale;
+  if (m.has_base()) addr += regs_[static_cast<unsigned>(m.base.family)];
+  if (m.has_index()) addr += regs_[static_cast<unsigned>(m.index.family)] * m.scale;
   if (mode_ == Mode::k32) addr &= 0xffffffffu;  // IA-32 address wraparound
   return addr;
 }
@@ -215,9 +216,9 @@ std::optional<std::uint64_t> Cpu::read_operand(const Operand& op, unsigned bits)
       return read_reg(op.reg);
     case OperandKind::kImm:
     case OperandKind::kRel:
-      return static_cast<std::uint64_t>(op.imm) & mask_of(bits);
+      return static_cast<std::uint64_t>(op.imm()) & mask_of(bits);
     case OperandKind::kMem:
-      return load(mem_addr(op.mem), bits);
+      return load(mem_addr(op.mem()), bits);
     case OperandKind::kNone:
       return 0;
   }
@@ -230,7 +231,7 @@ bool Cpu::write_operand(const Operand& op, unsigned bits, std::uint64_t v) {
     return true;
   }
   if (op.kind == OperandKind::kMem) {
-    return store(mem_addr(op.mem), bits, v);
+    return store(mem_addr(op.mem()), bits, v);
   }
   return true;
 }
@@ -327,7 +328,7 @@ void Cpu::step(const SyscallHook& hook) {
   // Relative targets were resolved within the fetch window (whose base is
   // eip_), so the flat sum recovers the virtual target.
   const auto branch_va = [&]() {
-    return (eip_ + static_cast<std::uint64_t>(insn.ops[0].imm)) & va_mask;
+    return (eip_ + static_cast<std::uint64_t>(insn.ops[0].imm())) & va_mask;
   };
 
   // Stack operations use the architecture's native width: dword pushes in
@@ -369,7 +370,7 @@ void Cpu::step(const SyscallHook& hook) {
       break;
     }
     case Mnemonic::kLea:
-      write_operand(op0, op_bits(insn, op0), mem_addr(op1.mem));
+      write_operand(op0, op_bits(insn, op0), mem_addr(op1.mem()));
       break;
     case Mnemonic::kXchg: {
       const unsigned bits = op_bits(insn, op0);
@@ -629,7 +630,7 @@ void Cpu::step(const SyscallHook& hook) {
       break;
     }
     case Mnemonic::kCwde: {
-      if (insn.mode == Mode::k64 && insn.prefixes.rex_w) {  // cdqe
+      if (insn.mode == Mode::k64 && insn.prefixes.has(Prefixes::kRexW)) {  // cdqe
         std::uint64_t ax = regs_[0] & 0xffffffffull;
         if (ax & 0x80000000ull) ax |= 0xffffffff00000000ull;
         regs_[static_cast<unsigned>(RegFamily::kAx)] = ax;
@@ -641,7 +642,7 @@ void Cpu::step(const SyscallHook& hook) {
       break;
     }
     case Mnemonic::kCdq:
-      if (insn.mode == Mode::k64 && insn.prefixes.rex_w) {  // cqo
+      if (insn.mode == Mode::k64 && insn.prefixes.has(Prefixes::kRexW)) {  // cqo
         regs_[static_cast<unsigned>(RegFamily::kDx)] =
             (regs_[0] & 0x8000000000000000ull) ? ~0ull : 0;
         break;
@@ -715,7 +716,7 @@ void Cpu::step(const SyscallHook& hook) {
       regs_[static_cast<unsigned>(RegFamily::kBp)] =
           regs_[static_cast<unsigned>(RegFamily::kSp)];
       regs_[static_cast<unsigned>(RegFamily::kSp)] -=
-          static_cast<std::uint64_t>(static_cast<std::uint32_t>(op0.imm));
+          static_cast<std::uint64_t>(static_cast<std::uint32_t>(op0.imm()));
       break;
     }
 
@@ -766,7 +767,7 @@ void Cpu::step(const SyscallHook& hook) {
       if (!v) return;
       if (op0.kind == OperandKind::kImm) {
         regs_[static_cast<unsigned>(RegFamily::kSp)] +=
-            static_cast<std::uint64_t>(static_cast<std::uint32_t>(op0.imm));
+            static_cast<std::uint64_t>(static_cast<std::uint32_t>(op0.imm()));
       }
       new_eip = *v & va_mask;
       break;
@@ -774,7 +775,7 @@ void Cpu::step(const SyscallHook& hook) {
 
     case Mnemonic::kInt: {
       SyscallRecord rec;
-      rec.vector = static_cast<std::uint16_t>(static_cast<std::uint8_t>(op0.imm));
+      rec.vector = static_cast<std::uint16_t>(static_cast<std::uint8_t>(op0.imm()));
       rec.regs = regs_;
       rec.step = steps_;
       std::optional<std::uint32_t> ret = hook ? hook(rec) : std::nullopt;
@@ -810,7 +811,7 @@ void Cpu::step(const SyscallHook& hook) {
     case Mnemonic::kScas:
     case Mnemonic::kCmps: {
       std::uint64_t& ecx = regs_[static_cast<unsigned>(RegFamily::kCx)];
-      const bool rep = insn.prefixes.rep || insn.prefixes.repne;
+      const bool rep = insn.prefixes.has(Prefixes::kRep | Prefixes::kRepne);
       if (rep && (ecx & va_mask) == 0) break;  // finished: fall through
       const unsigned bits = width_bits(insn.op_width);
       const std::uint64_t delta = flags_.df ? 0ull - bits / 8 : bits / 8;
@@ -857,8 +858,8 @@ void Cpu::step(const SyscallHook& hook) {
         --ecx;
         bool continue_rep = (ecx & va_mask) != 0;
         if (insn.mnemonic == Mnemonic::kScas || insn.mnemonic == Mnemonic::kCmps) {
-          if (insn.prefixes.rep) continue_rep = continue_rep && flags_.zf;
-          if (insn.prefixes.repne) continue_rep = continue_rep && !flags_.zf;
+          if (insn.prefixes.has(Prefixes::kRep)) continue_rep = continue_rep && flags_.zf;
+          if (insn.prefixes.has(Prefixes::kRepne)) continue_rep = continue_rep && !flags_.zf;
         }
         if (continue_rep) new_eip = eip_;  // re-execute (one iteration per step)
       }
@@ -1014,7 +1015,7 @@ void Cpu::step(const SyscallHook& hook) {
       break;
     case Mnemonic::kFnstenv: {
       // Write the 28-byte environment: zeros except FIP at +12.
-      const std::uint64_t base = mem_addr(op0.mem);
+      const std::uint64_t base = mem_addr(op0.mem());
       for (std::uint32_t i = 0; i < 28; i += 4) {
         if (!store(base + i, 32, i == 12 ? last_fpu_va_ : 0)) return;
       }

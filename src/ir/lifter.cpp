@@ -195,9 +195,9 @@ class Machine {
       return arena.mk_const(static_cast<std::uint32_t>(cur_end_offset_ + m.disp));
     }
     ExprPtr e = nullptr;
-    if (m.base) e = reg_full(m.base->family);
-    if (m.index) {
-      ExprPtr idx = reg_full(m.index->family);
+    if (m.has_base()) e = reg_full(m.base.family);
+    if (m.has_index()) {
+      ExprPtr idx = reg_full(m.index.family);
       if (m.scale != 1) idx = arena.mk_bin(BinOp::kMul, idx, arena.mk_const(m.scale));
       e = e ? arena.mk_bin(BinOp::kAdd, e, idx) : idx;
     }
@@ -221,9 +221,9 @@ class Machine {
         return read_reg(op.reg);
       case OperandKind::kImm:
       case OperandKind::kRel:
-        return arena.mk_const(static_cast<std::uint32_t>(op.imm));
+        return arena.mk_const(static_cast<std::uint32_t>(op.imm()));
       case OperandKind::kMem:
-        return load(mem_addr(op.mem), width_bits_of(op.mem.width));
+        return load(mem_addr(op.mem()), width_bits_of(op.mem().width));
       case OperandKind::kNone:
         return arena.mk_const(0);
     }
@@ -235,7 +235,7 @@ class Machine {
     if (op.kind == OperandKind::kReg) {
       write_reg(op.reg, val, insn, idx);
     } else if (op.kind == OperandKind::kMem) {
-      store(mem_addr(op.mem), width_bits_of(op.mem.width), val, insn, idx);
+      store(mem_addr(op.mem()), width_bits_of(op.mem().width), val, insn, idx);
     }
   }
 
@@ -328,7 +328,7 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         break;
 
       case Mnemonic::kLea:
-        m.write_operand(ops[0], m.mem_addr(ops[1].mem), insn, idx);
+        m.write_operand(ops[0], m.mem_addr(ops[1].mem()), insn, idx);
         break;
 
       case Mnemonic::kXchg: {
@@ -484,7 +484,7 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         break;
 
       case Mnemonic::kInt:
-        m.syscall(static_cast<std::uint8_t>(ops[0].imm), insn, idx);
+        m.syscall(static_cast<std::uint8_t>(ops[0].imm()), insn, idx);
         // Linux convention: the kernel returns in eax.
         m.clobber_reg(RegFamily::kAx, insn, idx);
         break;
@@ -507,7 +507,7 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         ExprPtr val = m.read_reg(Reg{RegFamily::kAx, insn.op_width});
         m.store(m.reg_full(RegFamily::kDi), w, val, insn, idx);
         m.step_reg(RegFamily::kDi, w / 8, insn, idx);
-        if (insn.prefixes.rep || insn.prefixes.repne) {
+        if (insn.prefixes.has(arch::Prefixes::kRep | arch::Prefixes::kRepne)) {
           m.clobber_reg(RegFamily::kDi, insn, idx);
           m.clobber_reg(RegFamily::kCx, insn, idx);
           ++m.approximated;
@@ -610,7 +610,7 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         // is FIP at +12 — the address of the last FPU instruction. This is
         // what makes fnstenv-GetPC decoders transparent to the matcher,
         // exactly like call/pop.
-        ExprPtr base = m.mem_addr(ops[0].mem);
+        ExprPtr base = m.mem_addr(ops[0].mem());
         ExprPtr fip = m.last_fpu_offset
                           ? arena.mk_const(static_cast<std::uint32_t>(*m.last_fpu_offset))
                           : m.fresh_unknown();

@@ -149,6 +149,9 @@ class SemanticAnalyzer {
   SemanticAnalyzer(std::vector<Template> templates, Options options);
 
   /// Analyze one binary frame; returns at most one detection per template.
+  /// The frame must be smaller than 4 GiB: instruction offsets and the
+  /// scanner's per-offset arrays are 32-bit. Units are capped far below
+  /// that by NidsOptions::max_stream_bytes.
   /// The frame's counts go out once, on the way out: merged into `*stats`
   /// when given, and added to the senids_analyzer_*_total counters.
   std::vector<Detection> analyze(util::ByteView frame, AnalyzerStats* stats = nullptr) const;

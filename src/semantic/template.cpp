@@ -318,8 +318,8 @@ struct Search {
     const arch::Instruction& insn = (*code.trace)[ev.insn_index];
     for (const arch::Operand& op : insn.ops) {
       if (op.kind != arch::OperandKind::kMem) continue;
-      if (op.mem.base) return op.mem.base->family;
-      if (op.mem.index) return op.mem.index->family;
+      if (op.mem().has_base()) return op.mem().base.family;
+      if (op.mem().has_index()) return op.mem().index.family;
       return std::nullopt;  // absolute address
     }
     switch (insn.mnemonic) {
@@ -395,8 +395,9 @@ struct Search {
           // false-positive shape: `add byte [edx], dh`).
           const arch::Instruction& insn = (*code.trace)[ev.insn_index];
           if (insn.ops[1].kind == arch::OperandKind::kReg &&
-              insn.ops[0].kind == arch::OperandKind::kMem && insn.ops[0].mem.base &&
-              insn.ops[1].reg.family == insn.ops[0].mem.base->family) {
+              insn.ops[0].kind == arch::OperandKind::kMem &&
+              insn.ops[0].mem().has_base() &&
+              insn.ops[1].reg.family == insn.ops[0].mem().base.family) {
             return false;
           }
         }
@@ -597,7 +598,7 @@ std::string format_match(const Template& t, const LiftedCode& code,
       case Stmt::Kind::kBranchBack: what = "loopback"; break;
       case Stmt::Kind::kSyscall: what = "syscall"; break;
     }
-    std::snprintf(buf, sizeof buf, "  %-9s @%04zx  %s\n", what, insn.offset,
+    std::snprintf(buf, sizeof buf, "  %-9s @%04zx  %s\n", what, std::size_t{insn.offset},
                   arch::format(insn).c_str());
     out += buf;
   }

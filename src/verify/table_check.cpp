@@ -127,7 +127,7 @@ RegSet implicit_families(const Instruction& insn) noexcept {
       break;
   }
   // Repeated string instructions additionally count down ecx.
-  if ((insn.prefixes.rep || insn.prefixes.repne) && is_string_op(insn.mnemonic)) {
+  if (insn.prefixes.has(arch::Prefixes::kRep | arch::Prefixes::kRepne) && is_string_op(insn.mnemonic)) {
     s.add_family(RegFamily::kCx);
   }
   return s;
@@ -333,8 +333,8 @@ Report check_defuse(const Instruction& insn, const arch::DefUse& du) {
         break;
       case OperandKind::kMem:
         has_mem = true;
-        if (op.mem.base) address_regs.add(*op.mem.base);
-        if (op.mem.index) address_regs.add(*op.mem.index);
+        if (op.mem().has_base()) address_regs.add(op.mem().base);
+        if (op.mem().has_index()) address_regs.add(op.mem().index);
         break;
       default:
         break;
@@ -401,7 +401,7 @@ Report check_defuse(const Instruction& insn, const arch::DefUse& du) {
   }
 
   // 6. rep/repne string instructions count down ecx.
-  if ((insn.prefixes.rep || insn.prefixes.repne) && is_string_op(insn.mnemonic)) {
+  if (insn.prefixes.has(arch::Prefixes::kRep | arch::Prefixes::kRepne) && is_string_op(insn.mnemonic)) {
     if (!du.uses.contains_family(RegFamily::kCx) ||
         !du.defs.contains_family(RegFamily::kCx)) {
       out.error(where, "rep-prefixed string instruction must read and write ecx "

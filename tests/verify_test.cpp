@@ -470,7 +470,7 @@ TEST(TableCheck, FlagsRepStringWithoutCounter) {
   const std::uint8_t kRepMovs[] = {0xF3, 0xA5};
   const arch::Instruction insn = arch::decode(kRepMovs, 0);
   ASSERT_TRUE(insn.valid());
-  ASSERT_TRUE(insn.prefixes.rep);
+  ASSERT_TRUE(insn.prefixes.has(arch::Prefixes::kRep));
   arch::DefUse du = arch::def_use(insn);
   EXPECT_TRUE(verify::check_defuse(insn, du).ok());  // fixed summary is clean
   arch::DefUse broken;

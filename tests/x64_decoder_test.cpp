@@ -99,7 +99,7 @@ TEST(X64Decoder, RexWMovImm64) {
   EXPECT_EQ(i.length, 10);
   EXPECT_EQ(i.ops[0].reg.family, RegFamily::kBx);
   EXPECT_EQ(i.ops[0].reg.width, RegWidth::k64);
-  EXPECT_EQ(static_cast<std::uint64_t>(i.ops[1].imm), 0x68732f2f6e69622full);
+  EXPECT_EQ(static_cast<std::uint64_t>(i.ops[1].imm()), 0x68732f2f6e69622full);
   // The same bytes in 32-bit mode: 0x48 is dec eax, not a REX prefix.
   const Instruction j = decode32({0x48, 0xBB, 0x2F, 0x62, 0x69, 0x6E, 0x2F, 0x2F, 0x73,
                                   0x68});
@@ -144,13 +144,13 @@ TEST(X64Decoder, RipRelativeAddressing) {
   const Instruction r64 = decode64({0x8B, 0x05, 0x10, 0x00, 0x00, 0x00});
   ASSERT_TRUE(r64.valid());
   ASSERT_EQ(r64.ops[1].kind, OperandKind::kMem);
-  EXPECT_TRUE(r64.ops[1].mem.rip);
-  EXPECT_FALSE(r64.ops[1].mem.base.has_value());
-  EXPECT_EQ(r64.ops[1].mem.disp, 0x10);
+  EXPECT_TRUE(r64.ops[1].mem().rip);
+  EXPECT_FALSE(r64.ops[1].mem().has_base());
+  EXPECT_EQ(r64.ops[1].mem().disp, 0x10);
   const Instruction r32 = decode32({0x8B, 0x05, 0x10, 0x00, 0x00, 0x00});
   ASSERT_TRUE(r32.valid());
   ASSERT_EQ(r32.ops[1].kind, OperandKind::kMem);
-  EXPECT_FALSE(r32.ops[1].mem.rip);
+  EXPECT_FALSE(r32.ops[1].mem().rip);
 }
 
 TEST(X64Decoder, DefaultStackWidthIs64) {

@@ -35,7 +35,7 @@ TEST(Decoder, MovR32Imm32) {
   EXPECT_EQ(i.mnemonic, Mnemonic::kMov);
   EXPECT_EQ(i.length, 5);
   EXPECT_EQ(i.ops[0].reg, kEax);
-  EXPECT_EQ(i.ops[1].imm, 0x12345678);
+  EXPECT_EQ(i.ops[1].imm(), 0x12345678);
   EXPECT_EQ(disasm({0xBB, 0x31, 0x00, 0x00, 0x00}), "mov ebx, 0x31");
 }
 
@@ -50,8 +50,8 @@ TEST(Decoder, XorMem8Imm8) {
   Instruction i = decode_bytes({0x80, 0x30, 0x95});
   EXPECT_EQ(i.mnemonic, Mnemonic::kXor);
   ASSERT_EQ(i.ops[0].kind, OperandKind::kMem);
-  EXPECT_EQ(i.ops[0].mem.base, kEax);
-  EXPECT_EQ(i.ops[0].mem.width, RegWidth::k8Lo);
+  EXPECT_EQ(i.ops[0].mem().base, kEax);
+  EXPECT_EQ(i.ops[0].mem().width, RegWidth::k8Lo);
   EXPECT_EQ(disasm({0x80, 0x30, 0x95}), "xor byte ptr [eax], 0x95");
 }
 
@@ -123,7 +123,7 @@ TEST(Decoder, ConditionalJumps) {
 TEST(Decoder, IntVector) {
   Instruction i = decode_bytes({0xCD, 0x80});
   EXPECT_EQ(i.mnemonic, Mnemonic::kInt);
-  EXPECT_EQ(i.ops[0].imm, 0x80);
+  EXPECT_EQ(i.ops[0].imm(), 0x80);
   EXPECT_EQ(decode_bytes({0xCC}).mnemonic, Mnemonic::kInt3);
 }
 
@@ -193,7 +193,7 @@ TEST(Decoder, OperandSizePrefix) {
   EXPECT_EQ(i.mnemonic, Mnemonic::kMov);
   EXPECT_EQ(i.length, 4);
   EXPECT_EQ(i.ops[0].reg.name(), "ax");
-  EXPECT_EQ(i.ops[1].imm, 0x1234);
+  EXPECT_EQ(i.ops[1].imm(), 0x1234);
 }
 
 TEST(Decoder, AddressSizePrefixRejected) {
@@ -203,7 +203,7 @@ TEST(Decoder, AddressSizePrefixRejected) {
 TEST(Decoder, RepPrefixOnStringOps) {
   Instruction i = decode_bytes({0xF3, 0xAA});
   EXPECT_EQ(i.mnemonic, Mnemonic::kStos);
-  EXPECT_TRUE(i.prefixes.rep);
+  EXPECT_TRUE(i.prefixes.has(Prefixes::kRep));
   EXPECT_EQ(format(i), "rep stosb");
   EXPECT_EQ(disasm({0xA5}), "movsd");
   EXPECT_EQ(disasm({0xAC}), "lodsb");

@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "frame_corpus.hpp"
 #include "gen/emitter.hpp"
 #include "gen/poly.hpp"
 #include "util/prng.hpp"
-#include "arch/scan.hpp"
+#include "arch/arch.hpp"
 
 namespace senids::arch {
 namespace {
@@ -12,6 +13,30 @@ using gen::Asm;
 using gen::R32;
 using gen::R8;
 using util::Bytes;
+
+/// The trace execution_trace must produce, rebuilt by decoding each
+/// instruction as the walk reaches it.
+std::vector<Instruction> decoding_trace(util::ByteView code, std::size_t entry,
+                                        std::size_t max_insns, Mode mode) {
+  std::vector<Instruction> out;
+  std::vector<char> seen(code.size(), 0);
+  std::size_t pc = entry;
+  while (pc < code.size() && out.size() < max_insns && !seen[pc]) {
+    seen[pc] = 1;
+    const Instruction insn = decode(code, pc, mode);
+    if (!insn.valid()) break;
+    out.push_back(insn);
+    if (insn.mnemonic == Mnemonic::kJmp || insn.mnemonic == Mnemonic::kCall) {
+      const auto target = insn.branch_target();
+      if (!target || *target >= code.size()) break;
+      pc = *target;
+      continue;
+    }
+    if (insn.ends_flow()) break;
+    pc = insn.end_offset();
+  }
+  return out;
+}
 
 // ----------------------------------------------------------- code runs
 
@@ -224,6 +249,79 @@ TEST(ExecutionTrace, MaxInsnsRespected) {
 TEST(ExecutionTrace, EntryBeyondBufferEmpty) {
   Bytes code(4, 0x90);
   EXPECT_TRUE(execution_trace(code, 10).empty());
+}
+
+TEST(FindCodeRuns, ByteLengthMatchesWalk) {
+  const auto frames = test_corpus::scan_corpus();
+  for (const Arch* isa : Arch::all()) {
+    for (const auto& [name, frame] : frames) {
+      for (const CodeRun& run : find_code_runs(frame, 1, isa->mode())) {
+        std::size_t end = run.start, count = 0;
+        for (Instruction insn; end < frame.size() &&
+                               (insn = decode(frame, end, isa->mode())).valid();
+             ++count) {
+          end = insn.end_offset();
+        }
+        const std::string where =
+            std::string(isa->name()) + ", " + name + " @" + std::to_string(run.start);
+        ASSERT_EQ(run.byte_len, end - run.start) << where;
+        ASSERT_EQ(run.insn_count, count) << where;
+      }
+    }
+  }
+}
+
+TEST(ScanTable, EqualsDecodeAtEveryOffset) {
+  const auto frames = test_corpus::scan_corpus();
+  ScanScratch scratch;  // reused across frames of different sizes
+  std::vector<CodeRun> runs;
+  for (const Arch* isa : Arch::all()) {
+    for (const auto& [name, frame] : frames) {
+      isa->find_code_runs(frame, 6, runs, scratch);
+      ASSERT_TRUE(scratch.holds(frame, isa->mode())) << name;
+      for (std::size_t i = 0; i < frame.size(); ++i) {
+        ASSERT_EQ(scratch.insns[i], decode(frame, i, isa->mode()))
+            << isa->name() << ", " << name << " @" << i;
+      }
+    }
+  }
+}
+
+TEST(ExecutionTrace, MatchesDecodingReference) {
+  const auto frames = test_corpus::scan_corpus();
+  ScanScratch scratch;  // reused across frames of different sizes
+  std::vector<CodeRun> runs;
+  std::vector<std::size_t> entries;
+  std::vector<Instruction> trace;
+  std::size_t traces = 0;
+  for (const Arch* isa : Arch::all()) {
+    for (const std::size_t max_insns : {std::size_t{4096}, std::size_t{8}}) {
+      for (const auto& [name, frame] : frames) {
+        (void)isa->find_entries(frame, 6, max_insns, 8192, runs, entries, scratch);
+        for (std::size_t entry : entries) {
+          isa->execution_trace(frame, entry, max_insns, trace, scratch);
+          ASSERT_EQ(trace, decoding_trace(frame, entry, max_insns, isa->mode()))
+              << isa->name() << ", max " << max_insns << ", " << name << " @" << entry;
+          ++traces;
+        }
+      }
+    }
+  }
+  EXPECT_GT(traces, 1000u);
+
+  // A scratch that holds another frame's decode (or the same bytes under
+  // the other mode) is brought up to date before the walk.
+  const Bytes& a = frames.front().second;
+  const Bytes& b = frames.back().second;
+  for (const Arch* isa : Arch::all()) {
+    Arch::x86_32().find_code_runs(a, 6, runs, scratch);
+    isa->execution_trace(b, 0, 4096, trace, scratch);
+    EXPECT_EQ(trace, decoding_trace(b, 0, 4096, isa->mode())) << isa->name();
+    EXPECT_TRUE(scratch.holds(b, isa->mode()));
+    Arch::x86_32().find_code_runs(b, 6, runs, scratch);
+    isa->execution_trace(b, 0, 4096, trace, scratch);
+    EXPECT_EQ(trace, decoding_trace(b, 0, 4096, isa->mode())) << isa->name();
+  }
 }
 
 TEST(ExecutionTrace, ConditionalBranchFallsThrough) {

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   ir::DeadCodeResult dead;
   if (junk) dead = ir::find_dead_code(trace);
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    std::printf("%08zx:  %-40s%s\n", trace[i].offset, arch::format(trace[i]).c_str(),
+    std::printf("%08zx:  %-40s%s\n", std::size_t{trace[i].offset}, arch::format(trace[i]).c_str(),
                 junk && dead.dead[i] ? " ; junk" : "");
   }
 
