@@ -3,6 +3,8 @@
 // numbers: decode, scan, lift, match, extract, signature scan, pcap parse.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "extract/extractor.hpp"
 #include "emu/shellemu.hpp"
 #include "gen/benign.hpp"
@@ -165,6 +167,87 @@ void BM_TemplateMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TemplateMatch);
+
+/// Every standard template, anchor-filtered as analyze() does, over the
+/// lifted traces of every candidate entry of 12 generated exploits
+/// (ADMmutate, Clet and plain shellcode, each in an overflow frame).
+/// Items are match tries.
+void BM_MatchLibrary(benchmark::State& state) {
+  const arch::Arch& isa = arch::Arch::x86_32();
+  const auto shells = gen::make_shell_spawn_corpus();
+  struct Lifted {
+    util::Bytes frame;
+    std::vector<arch::Instruction> trace;
+    ir::LiftResult lifted;
+  };
+  std::vector<std::unique_ptr<Lifted>> traces;
+  arch::ScanScratch scan;
+  std::vector<arch::CodeRun> runs;
+  std::vector<std::size_t> entries;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    util::Prng prng(seed);
+    const util::Bytes& shell = shells[seed % shells.size()].code;
+    const util::Bytes code = seed % 3 == 0   ? shell
+                             : seed % 3 == 1 ? gen::admmutate_encode(shell, prng).bytes
+                                             : gen::clet_encode(shell, prng).bytes;
+    const util::Bytes frame = gen::wrap_in_overflow(code, prng);
+    (void)isa.find_entries(frame, 6, 4096, 8192, runs, entries, scan);
+    for (std::size_t entry : entries) {
+      auto t = std::make_unique<Lifted>();
+      t->frame = frame;
+      isa.execution_trace(frame, entry, 4096, t->trace, scan);
+      if (t->trace.size() < 6) continue;
+      ir::lift(t->trace, t->lifted);
+      traces.push_back(std::move(t));
+    }
+  }
+  std::vector<semantic::MatchPlan> plans;
+  for (const auto& t : semantic::make_standard_library()) plans.emplace_back(t);
+  semantic::TraceFacts facts;
+  std::size_t tries = 0;
+  for (auto _ : state) {
+    for (const auto& t : traces) {
+      facts.reset(semantic::LiftedCode{&t->trace, &t->lifted.events, t->frame});
+      for (const auto& plan : plans) {
+        if (!semantic::anchors_admit(plan.anchors, facts.features)) continue;
+        ++tries;
+        benchmark::DoNotOptimize(semantic::match_template(plan, facts));
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(tries));
+  state.SetLabel(std::to_string(traces.size()) + " traces");
+}
+BENCHMARK(BM_MatchLibrary);
+
+/// analyze() on a DAG-shaped hostile frame (arg 0: 0 = two equal or/not
+/// ladders xored, 1 = a decoder loop storing an or/not ladder) with arg
+/// 1 ladder steps. Exponential code doubles its time with every step.
+void BM_HostileDag(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(1));
+  util::Bytes frame;
+  if (state.range(0) == 0) {
+    frame = {0x8B, 0x06, 0x89, 0xC3};  // mov eax, [esi]; mov ebx, eax
+    for (std::size_t i = 0; i < n; ++i) frame.insert(frame.end(), {0x89, 0xC2, 0xF7, 0xD2, 0x09, 0xD0});
+    for (std::size_t i = 0; i < n; ++i) frame.insert(frame.end(), {0x89, 0xDA, 0xF7, 0xD2, 0x09, 0xD3});
+    frame.insert(frame.end(), {0x31, 0xD8});  // xor eax, ebx
+    frame.insert(frame.end(), 6, 0x90);
+  } else {
+    frame = {0x8A, 0x06};  // mov al, [esi]
+    for (std::size_t i = 0; i < n; ++i) frame.insert(frame.end(), {0x88, 0xC3, 0xF6, 0xD3, 0x08, 0xD8});
+    frame.insert(frame.end(), {0x88, 0x06, 0x46, 0x49, 0x0F, 0x85});  // mov [esi], al ... jnz
+    const auto rel = static_cast<std::uint32_t>(-static_cast<std::int64_t>(frame.size() + 4));
+    for (int shift = 0; shift < 32; shift += 8) frame.push_back(static_cast<std::uint8_t>(rel >> shift));
+  }
+  semantic::SemanticAnalyzer analyzer(semantic::make_standard_library());
+  semantic::AnalyzerScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analyzer.analyze(frame, nullptr, scratch));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * frame.size()));
+  state.SetLabel(state.range(0) == 0 ? "equal ladders" : "ladder decoder");
+}
+BENCHMARK(BM_HostileDag)->ArgsProduct({{0, 1}, {16, 24, 40}});
 
 void BM_AnalyzeExploitFrame(benchmark::State& state) {
   semantic::SemanticAnalyzer analyzer(semantic::make_standard_library());

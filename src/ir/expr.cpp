@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <functional>
 #include <new>
+#include <optional>
+#include <unordered_set>
 #include <utility>
 
 #if __has_include(<sanitizer/asan_interface.h>)
@@ -310,7 +312,39 @@ ExprPtr ExprArena::mk_bin(BinOp op, ExprPtr l, ExprPtr r) {
   return make(e);
 }
 
-bool struct_eq(ExprPtr a, ExprPtr b) noexcept {
+namespace {
+
+struct PairHash {
+  std::size_t operator()(const std::pair<ExprPtr, ExprPtr>& p) const noexcept {
+    const std::hash<ExprPtr> h;
+    return h(p.first) * 0x9e3779b97f4a7c15ULL ^ h(p.second);
+  }
+};
+/// Pairs of distinct nodes one struct_eq call has proven equal, created
+/// only once the comparison goes deep.
+using EqualPairs = std::optional<std::unordered_set<std::pair<ExprPtr, ExprPtr>, PairHash>>;
+
+/// Depth from which struct_eq remembers the pairs it has proven equal.
+/// Two equal DAGs that share subtrees (`or eax, edx` over `not edx` of
+/// the same eax, repeated) reach one pair along exponentially many
+/// paths; remembered, each pair is compared once, so the cost is linear
+/// in distinct node pairs. Only equal pairs need remembering: the first
+/// unequal pair ends the whole comparison. Shallow comparisons, nearly
+/// all of them, never build the set.
+constexpr unsigned kRememberDepth = 8;
+
+bool eq(ExprPtr a, ExprPtr b, unsigned depth, EqualPairs& proven);
+
+bool eq_child(ExprPtr a, ExprPtr b, unsigned depth, EqualPairs& proven) {
+  if (depth < kRememberDepth || a == b) return eq(a, b, depth + 1, proven);
+  if (!proven) proven.emplace();
+  if (proven->contains({a, b})) return true;
+  if (!eq(a, b, depth + 1, proven)) return false;
+  proven->insert({a, b});
+  return true;
+}
+
+bool eq(ExprPtr a, ExprPtr b, unsigned depth, EqualPairs& proven) {
   if (a == b) return true;
   if (!a || !b) return false;
   if (a->kind != b->kind || a->cached_hash != b->cached_hash) return false;
@@ -319,15 +353,25 @@ bool struct_eq(ExprPtr a, ExprPtr b) noexcept {
     case ExprKind::kInitReg: return a->family == b->family;
     case ExprKind::kLoad:
       return a->load_width == b->load_width && a->generation == b->generation &&
-             struct_eq(a->addr, b->addr);
+             eq_child(a->addr, b->addr, depth, proven);
     case ExprKind::kBin:
-      return a->bop == b->bop && struct_eq(a->lhs, b->lhs) && struct_eq(a->rhs, b->rhs);
+      return a->bop == b->bop && eq_child(a->lhs, b->lhs, depth, proven) &&
+             eq_child(a->rhs, b->rhs, depth, proven);
     case ExprKind::kUn:
-      return a->uop == b->uop && struct_eq(a->lhs, b->lhs);
+      return a->uop == b->uop && eq_child(a->lhs, b->lhs, depth, proven);
     case ExprKind::kUnknown:
       return a->unknown_id == b->unknown_id;
   }
   return false;
+}
+
+}  // namespace
+
+bool struct_eq(ExprPtr a, ExprPtr b) {
+  if (a == b) return true;
+  if (!a || !b || a->kind != b->kind || a->cached_hash != b->cached_hash) return false;
+  EqualPairs proven;
+  return eq(a, b, 0, proven);
 }
 
 std::size_t recompute_hash(const Expr& e) noexcept {

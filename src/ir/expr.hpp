@@ -102,8 +102,9 @@ class ExprArena {
 // ------------------------------------------------------------- utilities
 
 /// Structural equality (normalization makes it a sound semantic-equality
-/// approximation: equal trees compute equal values).
-bool struct_eq(ExprPtr a, ExprPtr b) noexcept;
+/// approximation: equal trees compute equal values). Linear in the
+/// distinct node pairs compared, however much the two DAGs share.
+bool struct_eq(ExprPtr a, ExprPtr b);
 
 /// Recompute a node's hash from its (already-hashed) children, ignoring
 /// the cached value. The factories cache this at construction; the

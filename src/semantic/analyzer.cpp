@@ -44,11 +44,11 @@ class StageClock {
   std::chrono::steady_clock::time_point t0_{};
 };
 
-std::vector<AnchorWord> anchors_of(const std::vector<Template>& templates) {
-  std::vector<AnchorWord> anchors;
-  anchors.reserve(templates.size());
-  for (const Template& t : templates) anchors.push_back(template_anchors(t));
-  return anchors;
+std::vector<MatchPlan> plans_of(const std::vector<Template>& templates) {
+  std::vector<MatchPlan> plans;
+  plans.reserve(templates.size());
+  for (const Template& t : templates) plans.emplace_back(t);
+  return plans;
 }
 
 }  // namespace
@@ -62,7 +62,7 @@ void merge_analyzer(AnalyzerStats& into, const AnalyzerStats& from) {
 
 SemanticAnalyzer::SemanticAnalyzer(std::vector<Template> templates, Options options)
     : templates_(std::move(templates)),
-      anchors_(anchors_of(templates_)),
+      plans_(plans_of(templates_)),
       options_(std::move(options)) {}
 
 std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame,
@@ -118,18 +118,18 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
     ir::lift(trace, lifted);
     clock.stop(counts.lift_seconds);
     if (options_.post_lift_hook) options_.post_lift_hook(trace, lifted);
-    LiftedCode code{&trace, &lifted.events, frame};
     clock.start();
-    const AnchorWord features = trace_anchors(lifted.events);
+    TraceFacts& facts = scratch.facts;
+    facts.reset(LiftedCode{&trace, &lifted.events, frame});
     for (std::size_t ti = 0; ti < templates_.size(); ++ti) {
       if (fired[ti]) continue;
-      if (!anchors_admit(anchors_[ti], features)) {
+      if (!anchors_admit(plans_[ti].anchors, facts.features)) {
         ++counts.templates_skipped;
         continue;
       }
       ++counts.template_matches_tried;
       const Template& t = templates_[ti];
-      if (auto m = match_template(t, code)) {
+      if (auto m = match_template(plans_[ti], facts)) {
         fired[ti] = 1;
         ++fired_count;
         Detection d;

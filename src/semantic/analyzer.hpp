@@ -102,6 +102,7 @@ struct AnalyzerScratch {
   std::vector<std::size_t> entries;
   std::vector<arch::Instruction> trace;
   ir::LiftResult lifted;
+  TraceFacts facts;               // the lifted trace's, shared by every template
   std::vector<char> fired;        // per-template "already fired" flags
 };
 
@@ -110,10 +111,11 @@ struct AnalyzerScratch {
 /// senids_analyzer_*_total counters, so one instance serves every thread
 /// (the engine keeps exactly one), each thread with its own scratch.
 ///
-/// Each template carries an anchor word (template_anchors): the event
-/// features its statements require. After lifting a trace, analyze()
-/// runs match_template only for the templates whose anchors the trace's
-/// features (trace_anchors) cover; any other template would fail the
+/// Each template is compiled once into a MatchPlan, which carries its
+/// anchor word (template_anchors): the event features its statements
+/// require. After lifting a trace, analyze() derives the trace's facts
+/// once (TraceFacts) and runs match_template only for the templates whose
+/// anchors the trace's features cover; any other template would fail the
 /// first test of some statement on every event, so skipping it cannot
 /// change the detections.
 class SemanticAnalyzer {
@@ -164,8 +166,8 @@ class SemanticAnalyzer {
 
  private:
   std::vector<Template> templates_;
-  /// template_anchors() of each template, parallel to templates_.
-  std::vector<AnchorWord> anchors_;
+  /// The compiled form of each template, parallel to templates_.
+  std::vector<MatchPlan> plans_;
   Options options_;
 };
 

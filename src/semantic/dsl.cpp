@@ -1,5 +1,6 @@
 #include "semantic/dsl.hpp"
 
+#include <algorithm>
 #include <cctype>
 
 #include "arch/arch.hpp"
@@ -423,6 +424,14 @@ class Parser {
       }
       collect(st.addr);
       collect(st.value);
+    }
+    std::sort(bound.begin(), bound.end());
+    bound.erase(std::unique(bound.begin(), bound.end()), bound.end());
+    if (bound.size() > kMaxTemplateVars) {
+      fail("template '" + t.name + "' uses " + std::to_string(bound.size()) +
+           " distinct variables; a template may use at most " +
+           std::to_string(kMaxTemplateVars));
+      return std::nullopt;
     }
     return t;
   }

@@ -1,7 +1,7 @@
 #include "semantic/pattern.hpp"
 
-#include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 namespace senids::semantic {
 
@@ -65,18 +65,58 @@ PatPtr p_transform(PatPtr base, std::vector<ir::BinOp> allowed, bool allow_not,
   return p;
 }
 
-namespace {
-
-/// Bind `var` to `e`, or verify consistency with an existing binding.
-bool bind(const std::string& var, ExprPtr e, Env& env) {
-  if (var.empty()) return true;
-  auto it = env.find(var);
-  if (it == env.end()) {
-    env.emplace(var, e);
-    return true;
+void NodeMap::clear() noexcept {
+  size_ = 0;
+  if (++epoch_ == 0) {  // wrapped: forget every stamp
+    for (Entry& en : table_) en.epoch = 0;
+    epoch_ = 1;
   }
-  return ir::struct_eq(it->second, e);
 }
+
+std::size_t NodeMap::home(ir::ExprPtr e) const noexcept {
+  const auto h = (reinterpret_cast<std::uintptr_t>(e) >> 3) * 0x9e3779b97f4a7c15ULL;
+  return static_cast<std::size_t>(h >> 32) & (table_.size() - 1);
+}
+
+const std::uint32_t* NodeMap::find(ir::ExprPtr e) const noexcept {
+  if (table_.empty()) return nullptr;
+  for (std::size_t i = home(e);; i = (i + 1) & (table_.size() - 1)) {
+    const Entry& en = table_[i];
+    if (en.epoch != epoch_) return nullptr;
+    if (en.key == e) return &en.value;
+  }
+}
+
+std::uint32_t* NodeMap::insert(ir::ExprPtr e, std::uint32_t value, bool& inserted) {
+  if (2 * (size_ + 1) > table_.size()) grow();
+  for (std::size_t i = home(e);; i = (i + 1) & (table_.size() - 1)) {
+    Entry& en = table_[i];
+    if (en.epoch != epoch_) {
+      en = Entry{e, epoch_, value};
+      ++size_;
+      inserted = true;
+      return &en.value;
+    }
+    if (en.key == e) {
+      inserted = false;
+      return &en.value;
+    }
+  }
+}
+
+void NodeMap::grow() {
+  std::vector<Entry> old = std::move(table_);
+  table_.assign(old.empty() ? 16 : 2 * old.size(), Entry{});
+  const std::uint32_t live = epoch_;
+  epoch_ = 1;
+  size_ = 0;
+  bool inserted = false;
+  for (const Entry& en : old) {
+    if (en.epoch == live) insert(en.key, en.value, inserted);
+  }
+}
+
+namespace {
 
 bool commutative(ir::BinOp op) {
   switch (op) {
@@ -91,108 +131,164 @@ bool commutative(ir::BinOp op) {
   }
 }
 
-/// kTransform walker: validates the tree shape and counts base/const
-/// leaves. Binding happens through the base-pattern matches.
-struct TransformWalk {
-  const Pattern& pat;
-  Env& env;
-  int base_leaves = 0;
-  int const_leaves = 0;
-  int ops = 0;
-
-  bool walk(ExprPtr e) {
-    // A base match takes priority: the base pattern is typically a load,
-    // which can never be an allowed internal node anyway.
-    {
-      Env trial = env;
-      if (match_expr(pat.base, e, trial)) {
-        env = std::move(trial);
-        ++base_leaves;
-        return true;
-      }
-    }
-    if (e->kind == ExprKind::kConst) {
-      ++const_leaves;
-      return true;
-    }
-    if (e->kind == ExprKind::kBin &&
-        std::find(pat.allowed.begin(), pat.allowed.end(), e->bop) != pat.allowed.end()) {
-      ++ops;
-      return walk(e->lhs) && walk(e->rhs);
-    }
-    // Byte-access plumbing: an And with a constant mask is how the lifter
-    // represents sub-register reads of wider intermediate values. It is
-    // transparent to the transform structure — traverse through it
-    // without counting it as a transformation step.
-    if (e->kind == ExprKind::kBin && e->bop == ir::BinOp::kAnd &&
-        e->rhs->kind == ExprKind::kConst) {
-      return walk(e->lhs);
-    }
-    if (e->kind == ExprKind::kUn && e->uop == ir::UnOp::kNot && pat.allow_not) {
-      ++ops;
-      return walk(e->lhs);
-    }
-    return false;
+/// Bind slot `slot` to `e`, or check `e` against its earlier binding.
+bool bind(std::uint8_t slot, ExprPtr e, Slots& slots) {
+  if (slot == PatternSet::kNoSlot) return true;
+  if (!slots[slot]) {
+    slots[slot] = e;
+    return true;
   }
-};
+  return ir::struct_eq(slots[slot], e);
+}
 
 }  // namespace
 
-bool match_expr(const PatPtr& p, ExprPtr e, Env& env) {
-  if (!p || !e) return false;
-  switch (p->kind) {
+std::uint8_t PatternSet::slot_for(const std::string& var) {
+  if (var.empty()) return kNoSlot;
+  for (std::size_t i = 0; i < vars_.size(); ++i) {
+    if (vars_[i] == var) return i < kMaxTemplateVars ? static_cast<std::uint8_t>(i) : kNoSlot;
+  }
+  vars_.push_back(var);
+  return vars_.size() <= kMaxTemplateVars ? static_cast<std::uint8_t>(vars_.size() - 1)
+                                          : kNoSlot;
+}
+
+std::uint8_t PatternSet::slot_of(std::string_view var) const noexcept {
+  for (std::size_t i = 0; i < vars_.size() && i < kMaxTemplateVars; ++i) {
+    if (vars_[i] == var) return static_cast<std::uint8_t>(i);
+  }
+  return kNoSlot;
+}
+
+std::uint32_t PatternSet::add(const PatPtr& p) {
+  if (!p) return kNone;
+  Node n;
+  n.kind = p->kind;
+  n.slot = slot_for(p->var);
+  n.require_nonzero = p->require_nonzero;
+  n.allow_not = p->allow_not;
+  n.require_const_leaf = p->require_const_leaf;
+  n.bop = p->bop;
+  n.uop = p->uop;
+  for (ir::BinOp op : p->allowed) n.allowed |= std::uint16_t(1u << static_cast<unsigned>(op));
+  n.fixed = p->fixed;
+  n.a = add(p->a);
+  n.b = add(p->b);
+  n.base = add(p->base);
+  nodes_.push_back(n);
+  return static_cast<std::uint32_t>(nodes_.size() - 1);
+}
+
+bool PatternSet::match(std::uint32_t root, ExprPtr e, Slots& slots, DagScratch& dag) const {
+  if (root == kNone || !e) return false;
+  const Node& n = nodes_[root];
+  switch (n.kind) {
     case PatKind::kAny:
-      return bind(p->var, e, env);
+      return bind(n.slot, e, slots);
 
     case PatKind::kConst: {
       std::uint32_t v;
       if (!ir::is_const(e, &v)) return false;
-      if (p->require_nonzero && v == 0) return false;
-      return bind(p->var, e, env);
+      if (n.require_nonzero && v == 0) return false;
+      return bind(n.slot, e, slots);
     }
 
     case PatKind::kFixedConst: {
       std::uint32_t v;
-      return ir::is_const(e, &v) && v == p->fixed;
+      return ir::is_const(e, &v) && v == n.fixed;
     }
 
     case PatKind::kLoad:
-      return e->kind == ExprKind::kLoad && match_expr(p->a, e->addr, env);
+      return e->kind == ExprKind::kLoad && match(n.a, e->addr, slots, dag);
 
     case PatKind::kBin: {
-      if (e->kind != ExprKind::kBin || e->bop != p->bop) return false;
-      {
-        Env trial = env;
-        if (match_expr(p->a, e->lhs, trial) && match_expr(p->b, e->rhs, trial)) {
-          env = std::move(trial);
-          return true;
-        }
-      }
-      if (commutative(p->bop)) {
-        Env trial = env;
-        if (match_expr(p->a, e->rhs, trial) && match_expr(p->b, e->lhs, trial)) {
-          env = std::move(trial);
-          return true;
-        }
-      }
-      return false;
+      if (e->kind != ExprKind::kBin || e->bop != n.bop) return false;
+      const Slots before = slots;
+      if (match(n.a, e->lhs, slots, dag) && match(n.b, e->rhs, slots, dag)) return true;
+      if (!commutative(n.bop)) return false;
+      slots = before;
+      return match(n.a, e->rhs, slots, dag) && match(n.b, e->lhs, slots, dag);
     }
 
     case PatKind::kUn:
-      return e->kind == ExprKind::kUn && e->uop == p->uop && match_expr(p->a, e->lhs, env);
+      return e->kind == ExprKind::kUn && e->uop == n.uop && match(n.a, e->lhs, slots, dag);
 
     case PatKind::kTransform: {
-      Env trial = env;
-      TransformWalk walk{*p, trial};
-      if (!walk.walk(e)) return false;
-      if (walk.base_leaves < 1) return false;
-      if (walk.ops < 1) return false;
-      if (p->require_const_leaf && walk.const_leaves < 1) return false;
-      env = std::move(trial);
-      return true;
+      if (!dag.busy) return transform(n, e, slots, dag);
+      DagScratch nested;  // a transform inside a transform's base
+      return transform(n, e, slots, nested);
     }
   }
   return false;
+}
+
+/// A kTransform: walks the DAG under `e` once, in the same pre-order
+/// (left child first) as a tree walk, so the first base leaf binds first.
+/// A node met again was already accepted: its subtree needs no second
+/// walk, and the base, constant and operator tests only ask whether at
+/// least one such node exists. Bindings only grow during the walk, so a
+/// second visit could not decide differently.
+bool PatternSet::transform(const Node& n, ExprPtr root, Slots& slots, DagScratch& dag) const {
+  dag.busy = true;
+  dag.seen.clear();
+  dag.stack.assign(1, root);
+  bool base_leaf = false, const_leaf = false, op = false, ok = true;
+  while (ok && !dag.stack.empty()) {
+    const ExprPtr e = dag.stack.back();
+    dag.stack.pop_back();
+    bool fresh = false;
+    dag.seen.insert(e, 0, fresh);
+    if (!fresh) continue;
+    // A base match takes priority: the base pattern is typically a load,
+    // which can never be an allowed internal node anyway.
+    const Slots before = slots;
+    if (match(n.base, e, slots, dag)) {
+      base_leaf = true;
+      continue;
+    }
+    slots = before;
+    if (e->kind == ExprKind::kConst) {
+      const_leaf = true;
+    } else if (e->kind == ExprKind::kBin &&
+               (n.allowed >> static_cast<unsigned>(e->bop) & 1u) != 0) {
+      op = true;
+      dag.stack.push_back(e->rhs);
+      dag.stack.push_back(e->lhs);
+    } else if (e->kind == ExprKind::kBin && e->bop == ir::BinOp::kAnd &&
+               e->rhs->kind == ExprKind::kConst) {
+      // Byte-access plumbing: an And with a constant mask is how the
+      // lifter represents sub-register reads of wider intermediate
+      // values. It is transparent to the transform structure — traverse
+      // through it without counting it as a transformation step.
+      dag.stack.push_back(e->lhs);
+    } else if (e->kind == ExprKind::kUn && e->uop == ir::UnOp::kNot && n.allow_not) {
+      op = true;
+      dag.stack.push_back(e->lhs);
+    } else {
+      ok = false;
+    }
+  }
+  dag.busy = false;
+  return ok && base_leaf && op && (const_leaf || !n.require_const_leaf);
+}
+
+bool match_expr(const PatPtr& p, ExprPtr e, Env& env) {
+  PatternSet set;
+  const std::uint32_t root = set.add(p);
+  if (set.vars().size() > kMaxTemplateVars) {
+    throw std::invalid_argument("pattern uses more than " +
+                                std::to_string(kMaxTemplateVars) + " variables");
+  }
+  Slots slots{};
+  for (std::size_t i = 0; i < set.vars().size(); ++i) {
+    if (auto it = env.find(set.vars()[i]); it != env.end()) slots[i] = it->second;
+  }
+  DagScratch dag;
+  if (!set.match(root, e, slots, dag)) return false;
+  for (std::size_t i = 0; i < set.vars().size(); ++i) {
+    if (slots[i]) env.insert_or_assign(set.vars()[i], slots[i]);
+  }
+  return true;
 }
 
 std::string to_string(const PatPtr& p) {

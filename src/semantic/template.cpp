@@ -4,13 +4,16 @@
 #include "arch/format.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <map>
+#include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 namespace senids::semantic {
 
 using ir::Event;
+using ir::Expr;
 using ir::EventKind;
 using ir::ExprKind;
 using ir::ExprPtr;
@@ -177,68 +180,124 @@ std::optional<std::uint8_t> low_byte_const(ExprPtr e) {
   return std::nullopt;
 }
 
-/// Evaluate a matched store-value tree as a function of the loaded byte
-/// `v`. All load leaves in a matched decoder tree refer to the same
-/// location (the pattern enforces base consistency), so each evaluates to
-/// `v`. Rotates are evaluated with 8-bit semantics, matching the byte
-/// registers the decoders rotate. Returns nullopt for trees containing
-/// initial-register or unknown leaves (not a pure byte function).
-std::optional<std::uint32_t> eval_byte_fn(ExprPtr e, std::uint32_t v) {
-  switch (e->kind) {
-    case ExprKind::kConst:
-      return e->cval;
-    case ExprKind::kLoad:
-      return v;
-    case ExprKind::kUn: {
-      auto x = eval_byte_fn(e->lhs, v);
-      if (!x) return std::nullopt;
-      return e->uop == ir::UnOp::kNot ? ~*x : 0u - *x;
-    }
-    case ExprKind::kBin: {
-      auto a = eval_byte_fn(e->lhs, v);
-      auto b = eval_byte_fn(e->rhs, v);
-      if (!a || !b) return std::nullopt;
-      switch (e->bop) {
-        case ir::BinOp::kAdd: return *a + *b;
-        case ir::BinOp::kSub: return *a - *b;
-        case ir::BinOp::kXor: return *a ^ *b;
-        case ir::BinOp::kOr: return *a | *b;
-        case ir::BinOp::kAnd: return *a & *b;
-        case ir::BinOp::kShl: return (*b & 31) ? (*a << (*b & 31)) : *a;
-        case ir::BinOp::kShr: return (*b & 31) ? (*a >> (*b & 31)) : *a;
-        case ir::BinOp::kSar:
-          return static_cast<std::uint32_t>(static_cast<std::int32_t>(*a) >>
-                                            (*b & 31));
-        case ir::BinOp::kRol: {
-          const unsigned sh = *b & 7;
-          const std::uint32_t x8 = *a & 0xff;
-          return sh ? (((x8 << sh) | (x8 >> (8 - sh))) & 0xff) : x8;
+/// Lanes the invertibility check evaluates at once, summed over the
+/// DAG's nodes: each node holds one value per lane, and the 256 inputs
+/// are taken in as many passes as that leaves room for (a 5-node value
+/// in 8 passes of 32), so the buffer stays at 1 KB for any value of up
+/// to 256 nodes.
+constexpr std::size_t kLaneBudget = 256;
+
+/// Evaluate a matched store value over every byte `v` the store's load
+/// can read, node by node in `order` (children before parents, the root
+/// last), and check that the low bytes of the results are distinct. All
+/// load leaves in a matched decoder tree refer to the same location (the
+/// pattern enforces base consistency), so each evaluates to `v`. Rotates
+/// are evaluated with 8-bit semantics, matching the byte registers the
+/// decoders rotate.
+bool is_bijection(const std::vector<TraceFacts::EvalNode>& order,
+                  std::vector<std::uint32_t>& lanes) {
+  const std::size_t n = order.size();
+  const std::size_t width = std::min<std::size_t>(
+      256, std::bit_floor(std::max<std::size_t>(1, kLaneBudget / n)));
+  lanes.resize(n * width);
+  bool seen[256] = {};
+  for (std::uint32_t first = 0; first < 256; first += static_cast<std::uint32_t>(width)) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const Expr& e = *order[i].e;
+      std::uint32_t* out = &lanes[i * width];
+      const std::uint32_t* a = &lanes[order[i].lhs * width];
+      const std::uint32_t* b = &lanes[order[i].rhs * width];
+      switch (e.kind) {
+        case ExprKind::kConst:
+          std::fill_n(out, width, e.cval);
+          break;
+        case ExprKind::kLoad:
+          for (std::size_t l = 0; l < width; ++l) out[l] = first + static_cast<std::uint32_t>(l);
+          break;
+        case ExprKind::kUn:
+          for (std::size_t l = 0; l < width; ++l) {
+            out[l] = e.uop == ir::UnOp::kNot ? ~a[l] : 0u - a[l];
+          }
+          break;
+        case ExprKind::kBin: {
+          auto each = [&](auto f) {
+            for (std::size_t l = 0; l < width; ++l) out[l] = f(a[l], b[l]);
+          };
+          using U = std::uint32_t;
+          switch (e.bop) {
+            case ir::BinOp::kAdd: each([](U x, U y) { return x + y; }); break;
+            case ir::BinOp::kSub: each([](U x, U y) { return x - y; }); break;
+            case ir::BinOp::kXor: each([](U x, U y) { return x ^ y; }); break;
+            case ir::BinOp::kOr: each([](U x, U y) { return x | y; }); break;
+            case ir::BinOp::kAnd: each([](U x, U y) { return x & y; }); break;
+            case ir::BinOp::kShl: each([](U x, U y) { return x << (y & 31); }); break;
+            case ir::BinOp::kShr: each([](U x, U y) { return x >> (y & 31); }); break;
+            case ir::BinOp::kSar:
+              each([](U x, U y) { return U(std::int32_t(x) >> (y & 31)); });
+              break;
+            case ir::BinOp::kRol:
+              each([](U x, U y) {
+                const U sh = y & 7, x8 = x & 0xff;
+                return sh ? ((x8 << sh) | (x8 >> (8 - sh))) & 0xff : x8;
+              });
+              break;
+            case ir::BinOp::kRor:
+              each([](U x, U y) {
+                const U sh = y & 7, x8 = x & 0xff;
+                return sh ? ((x8 >> sh) | (x8 << (8 - sh))) & 0xff : x8;
+              });
+              break;
+            case ir::BinOp::kMul: each([](U x, U y) { return x * y; }); break;
+          }
+          break;
         }
-        case ir::BinOp::kRor: {
-          const unsigned sh = *b & 7;
-          const std::uint32_t x8 = *a & 0xff;
-          return sh ? (((x8 >> sh) | (x8 << (8 - sh))) & 0xff) : x8;
-        }
-        case ir::BinOp::kMul: return *a * *b;
+        default:
+          return false;
       }
-      return std::nullopt;
     }
-    default:
-      return std::nullopt;
+    const std::uint32_t* root = &lanes[(n - 1) * width];
+    for (std::size_t l = 0; l < width; ++l) {
+      const std::uint8_t byte = static_cast<std::uint8_t>(root[l] & 0xff);
+      if (seen[byte]) return false;
+      seen[byte] = true;
+    }
   }
+  return true;
 }
 
 /// Is the stored value a bijective byte transform of the loaded byte?
-bool is_invertible_byte_fn(ExprPtr e) {
-  bool seen[256] = {};
-  for (std::uint32_t v = 0; v < 256; ++v) {
-    auto out = eval_byte_fn(e, v);
-    if (!out) return false;
-    const std::uint8_t b = static_cast<std::uint8_t>(*out & 0xff);
-    if (seen[b]) return false;
-    seen[b] = true;
+/// Collects the value's DAG in post order with an explicit stack (each
+/// node once, load addresses not entered), then evaluates it. A value
+/// with an initial-register or unknown leaf is not a pure byte function.
+bool is_invertible_byte_fn(ExprPtr root, TraceFacts& facts) {
+  constexpr std::uint32_t kOpen = ~std::uint32_t{0};  // children pending
+  DagScratch& dag = facts.dag;
+  auto& order = facts.order;
+  dag.seen.clear();
+  order.clear();
+  dag.stack.assign(1, root);
+  auto position = [&dag](ExprPtr child) { return child ? *dag.seen.find(child) : 0; };
+  while (!dag.stack.empty()) {
+    const ExprPtr e = dag.stack.back();
+    bool fresh = false;
+    std::uint32_t* slot = dag.seen.insert(e, kOpen, fresh);
+    if (fresh && (e->kind == ExprKind::kUn || e->kind == ExprKind::kBin)) {
+      if (e->kind == ExprKind::kBin) dag.stack.push_back(e->rhs);
+      dag.stack.push_back(e->lhs);
+      continue;
+    }
+    dag.stack.pop_back();
+    if (*slot != kOpen) continue;  // placed on an earlier path
+    if (e->kind != ExprKind::kConst && e->kind != ExprKind::kLoad &&
+        e->kind != ExprKind::kUn && e->kind != ExprKind::kBin) {
+      return false;
+    }
+    *slot = static_cast<std::uint32_t>(order.size());
+    const bool inner = e->kind == ExprKind::kUn || e->kind == ExprKind::kBin;
+    order.push_back({e, inner ? position(e->lhs) : 0,
+                     e->kind == ExprKind::kBin ? position(e->rhs) : 0});
   }
-  return true;
+  return is_bijection(order, facts.lanes);
 }
 
 /// Strip trailing constant additions: returns the symbolic base (nullptr
@@ -268,54 +327,43 @@ std::optional<std::int64_t> addr_diff(ExprPtr a, ExprPtr b) {
   return std::nullopt;
 }
 
-/// Per-branch match state: expression bindings plus, for every variable
-/// bound by a MemWrite address pattern, the architectural register family
-/// the matched store instruction addressed through. Decoder templates use
-/// the latter to demand that the pointer walk steps the *same* register
-/// the store dereferenced — the strongest single false-positive filter.
-struct MatchState {
-  Env env;
-  std::map<std::string, arch::RegFamily, std::less<>> addr_regs;
-  std::map<std::string, std::uint8_t, std::less<>> addr_widths;  // store width, bits
+/// Per-branch match state, trivially copyable: the bindings by slot and,
+/// for every variable bound by a MemWrite address pattern, the
+/// architectural register family the matched store instruction addressed
+/// through and the store's width. Decoder templates use the register to
+/// demand that the pointer walk steps the *same* register the store
+/// dereferenced — the strongest single false-positive filter.
+struct SearchState {
+  Slots slots{};
+  std::array<arch::RegFamily, kMaxTemplateVars> addr_reg{};  // kNone = unset
+  std::array<std::uint8_t, kMaxTemplateVars> addr_width{};
+  std::uint8_t addr_width_set = 0;  // bit per slot
   /// The matched pointer-advance, when the template has one: the stepped
   /// register must not be written again before the loop-back, or the next
   /// iteration would not see the advanced pointer.
-  std::optional<arch::RegFamily> advance_reg;
-  std::size_t advance_event = 0;
+  bool advanced = false;
+  arch::RegFamily advance_reg{};
+  std::uint32_t advance_event = 0;  // position in the event list
+
+  SearchState() { addr_reg.fill(arch::RegFamily::kNone); }
 };
+static_assert(std::is_trivially_copyable_v<SearchState>);
 
 struct Search {
-  const Template& t;
-  const LiftedCode& code;
-  /// (byte offset, trace index) of every traced instruction, sorted.
-  /// Built on first use: only a loop-back statement that reaches a
-  /// candidate branch needs it, so most searches never pay for it.
-  std::vector<std::pair<std::size_t, std::size_t>> offset_index;
+  const MatchPlan& plan;
+  TraceFacts& facts;
+  const std::vector<arch::Instruction>& trace;
+  const std::vector<Event>& events;
   std::size_t attempts = 0;
   std::optional<MatchResult> result;
 
-  Search(const Template& tmpl, const LiftedCode& c) : t(tmpl), code(c) {}
-
-  /// Trace index of the first traced instruction at `offset`, if any.
-  std::optional<std::size_t> index_of_offset(std::size_t offset) {
-    if (offset_index.empty()) {
-      const auto& trace = *code.trace;
-      offset_index.reserve(trace.size());
-      for (std::size_t i = 0; i < trace.size(); ++i) {
-        offset_index.emplace_back(trace[i].offset, i);
-      }
-      std::sort(offset_index.begin(), offset_index.end());
-    }
-    auto it = std::lower_bound(offset_index.begin(), offset_index.end(),
-                               std::pair<std::size_t, std::size_t>{offset, 0});
-    if (it == offset_index.end() || it->first != offset) return std::nullopt;
-    return it->second;
-  }
+  Search(const MatchPlan& p, TraceFacts& f)
+      : plan(p), facts(f), trace(*f.code.trace), events(*f.code.events) {}
 
   /// Register family a store instruction addresses through (base first,
   /// then index; pushes and string stores use their implicit registers).
   std::optional<arch::RegFamily> store_addr_reg(const Event& ev) const {
-    const arch::Instruction& insn = (*code.trace)[ev.insn_index];
+    const arch::Instruction& insn = trace[ev.insn_index];
     for (const arch::Operand& op : insn.ops) {
       if (op.kind != arch::OperandKind::kMem) continue;
       if (op.mem().has_base()) return op.mem().base.family;
@@ -344,7 +392,7 @@ struct Search {
   /// branch shows no such discipline — which coincidental backward
   /// branches in data essentially never do.
   std::optional<arch::RegFamily> loop_counter_of(const Event& ev) const {
-    const arch::Instruction& brinsn = (*code.trace)[ev.insn_index];
+    const arch::Instruction& brinsn = trace[ev.insn_index];
     switch (brinsn.mnemonic) {
       case arch::Mnemonic::kLoop:
       case arch::Mnemonic::kLoope:
@@ -359,7 +407,7 @@ struct Search {
     }
     if (brinsn.cond != arch::Cond::kNe) return std::nullopt;  // count-down = jnz
     for (std::size_t i = ev.insn_index; i-- > 0;) {
-      const arch::Instruction& insn = (*code.trace)[i];
+      const arch::Instruction& insn = trace[i];
       if (!arch::def_use(insn).flags_def) continue;
       if (insn.ops[0].kind != arch::OperandKind::kReg) return std::nullopt;
       switch (insn.mnemonic) {
@@ -377,23 +425,25 @@ struct Search {
     return std::nullopt;  // no flag source at all
   }
 
-  bool stmt_matches(const Stmt& s, const Event& ev, MatchState& state,
-                    const std::vector<std::size_t>& matched) {
-    Env& env = state.env;
+  /// Does statement `si` hold for event `e`? Extends `state` on success.
+  bool stmt_matches(std::size_t si, std::size_t e, SearchState& state) {
+    const MatchPlan::Step& s = plan.steps[si];
+    const Event& ev = events[e];
     switch (s.kind) {
       case Stmt::Kind::kMemWrite: {
         if (ev.kind != EventKind::kMemWrite) return false;
         if (s.width != 0 && ev.width != s.width) return false;
-        if (!match_expr(s.addr, ev.addr, env) || !match_expr(s.value, ev.value, env)) {
+        if (!plan.patterns.match(s.addr, ev.addr, state.slots, facts.dag) ||
+            !plan.patterns.match(s.value, ev.value, state.slots, facts.dag)) {
           return false;
         }
         if (s.require_invertible) {
-          if (!is_invertible_byte_fn(ev.value)) return false;
+          if (!facts.invertible(e)) return false;
           // The key operand must not live in the register that addresses
           // the store: a "key" carved out of the walking pointer changes
           // every iteration, which no fixed-key decoder does (observed
           // false-positive shape: `add byte [edx], dh`).
-          const arch::Instruction& insn = (*code.trace)[ev.insn_index];
+          const arch::Instruction& insn = trace[ev.insn_index];
           if (insn.ops[1].kind == arch::OperandKind::kReg &&
               insn.ops[0].kind == arch::OperandKind::kMem &&
               insn.ops[0].mem().has_base() &&
@@ -401,17 +451,17 @@ struct Search {
             return false;
           }
         }
-        if (s.addr && !s.addr->var.empty()) {
-          if (auto family = store_addr_reg(ev)) {
-            state.addr_regs.insert_or_assign(s.addr->var, *family);
-          }
-          state.addr_widths.insert_or_assign(s.addr->var, ev.width);
+        if (s.slot != PatternSet::kNoSlot) {
+          if (auto family = store_addr_reg(ev)) state.addr_reg[s.slot] = *family;
+          state.addr_width[s.slot] = ev.width;
+          state.addr_width_set |= std::uint8_t(1u << s.slot);
         }
         return true;
       }
 
       case Stmt::Kind::kRegWrite:
-        return ev.kind == EventKind::kRegWrite && match_expr(s.value, ev.value, env);
+        return ev.kind == EventKind::kRegWrite &&
+               plan.patterns.match(s.value, ev.value, state.slots, facts.dag);
 
       case Stmt::Kind::kAdvance: {
         // The pointer walk: some register now holds the bound address
@@ -425,7 +475,7 @@ struct Search {
         // inc/dec/add/sub/lea. String ops (cmps advances esi as a side
         // effect of comparing) and movs/stos (which would clobber the
         // freshly decoded byte) are coincidences, not walks.
-        switch ((*code.trace)[ev.insn_index].mnemonic) {
+        switch (trace[ev.insn_index].mnemonic) {
           case arch::Mnemonic::kInc:
           case arch::Mnemonic::kDec:
           case arch::Mnemonic::kAdd:
@@ -435,27 +485,26 @@ struct Search {
           default:
             return false;
         }
-        auto it = env.find(s.ref_var);
-        if (it == env.end()) return false;
+        if (s.slot == PatternSet::kNoSlot || !state.slots[s.slot]) return false;
         // The register being stepped must be the one the matched store
         // addressed through.
-        auto reg_it = state.addr_regs.find(s.ref_var);
-        if (reg_it != state.addr_regs.end() && reg_it->second != ev.reg) return false;
-        auto step = addr_diff(ev.value, it->second);
-        if (!step) return false;
-        const std::int64_t mag = *step < 0 ? -*step : *step;
+        const arch::RegFamily addr_reg = state.addr_reg[s.slot];
+        if (addr_reg != arch::RegFamily::kNone && addr_reg != ev.reg) return false;
+        auto diff = addr_diff(ev.value, state.slots[s.slot]);
+        if (!diff) return false;
+        const std::int64_t mag = *diff < 0 ? -*diff : *diff;
         // Real decoders walk their buffer in element-size strides; any
         // other delta is far more likely a coincidental register write.
         if (mag != 1 && mag != 2 && mag != 4) return false;
         // The stride must equal the decoded element size: a byte decoder
         // walks one byte per iteration.
-        auto width_it = state.addr_widths.find(s.ref_var);
-        if (width_it != state.addr_widths.end() &&
-            mag != width_it->second / 8) {
+        if ((state.addr_width_set >> s.slot & 1u) != 0 &&
+            mag != state.addr_width[s.slot] / 8) {
           return false;
         }
+        state.advanced = true;
         state.advance_reg = ev.reg;
-        state.advance_event = ev.insn_index;
+        state.advance_event = static_cast<std::uint32_t>(e);
         return true;
       }
 
@@ -466,8 +515,8 @@ struct Search {
         // The iteration counter and the walked pointer are distinct
         // registers in every real engine; random data overwhelmingly
         // produces loops where the pointer doubles as the counter.
-        if (state.advance_reg && *counter == *state.advance_reg) return false;
-        auto target = index_of_offset(*ev.target);
+        if (state.advanced && *counter == state.advance_reg) return false;
+        auto target = facts.index_of_offset(*ev.target);
         if (!target) return false;
         const std::size_t target_idx = *target;
         // Counter sanity: if the counter register was written before the
@@ -476,7 +525,7 @@ struct Search {
         // it, as in Figure 1 — but a garbage junk value is not a length.)
         {
           const Event* last_write = nullptr;
-          for (const Event& prior : *code.events) {
+          for (const Event& prior : events) {
             if (prior.insn_index >= target_idx) break;
             if (prior.kind == EventKind::kRegWrite && prior.reg == *counter) {
               last_write = &prior;
@@ -497,8 +546,8 @@ struct Search {
         if (ev.insn_index - target_idx > 64) return false;
         // ...that encloses every previously matched statement, so the
         // transform and the pointer walk actually execute per iteration.
-        for (std::size_t m : matched) {
-          const Event& prior = (*code.events)[m];
+        for (std::size_t i = 0; i < si; ++i) {
+          const Event& prior = events[facts.matched[i]];
           if (prior.insn_index < target_idx || prior.insn_index >= ev.insn_index) {
             return false;
           }
@@ -506,12 +555,15 @@ struct Search {
         // The advanced pointer must survive until the back edge: a later
         // write to the same register would feed the next iteration a
         // different address (real decoders never do this; coincidental
-        // matches in data routinely do).
-        if (state.advance_reg) {
-          for (const Event& later : *code.events) {
-            if (later.kind == EventKind::kRegWrite && later.reg == *state.advance_reg &&
-                later.insn_index > state.advance_event &&
-                later.insn_index < ev.insn_index) {
+        // matches in data routinely do). Events are in trace order, so
+        // the later instructions' events follow the advance's.
+        if (state.advanced) {
+          const std::uint32_t stepped = events[state.advance_event].insn_index;
+          for (std::size_t i = state.advance_event + 1;
+               i < events.size() && events[i].insn_index < ev.insn_index; ++i) {
+            const Event& later = events[i];
+            if (later.kind == EventKind::kRegWrite && later.reg == state.advance_reg &&
+                later.insn_index > stepped) {
               return false;
             }
           }
@@ -538,7 +590,7 @@ struct Search {
           std::uint32_t ptr;
           if (!ir::is_const(ev.syscall_regs[arg0], &ptr))
             return false;
-          const auto& buf = code.buffer;
+          const auto& buf = facts.code.buffer;
           const std::string& want = s.ebx_points_to;
           if (ptr + want.size() > buf.size()) return false;
           if (std::memcmp(buf.data() + ptr, want.data(), want.size()) != 0) return false;
@@ -549,31 +601,36 @@ struct Search {
     return false;
   }
 
-  bool dfs(std::size_t stmt_idx, std::size_t event_idx, const MatchState& state,
-           std::vector<std::size_t>& matched) {
-    if (stmt_idx == t.stmts.size()) {
+  /// Match statements `si`.. against events `from`.. . Only the events a
+  /// statement's anchor admits are tried, but every event the plain scan
+  /// would have stepped over is counted against kMatchAttemptCap, so the
+  /// cap fires exactly where it would without the buckets.
+  bool dfs(std::size_t si, std::size_t from, const SearchState& state) {
+    if (si == plan.steps.size()) {
       MatchResult r;
-      r.matched_events = matched;
-      r.bindings = state.env;
-      r.start_offset = (*code.events)[matched.front()].insn_offset;
+      r.matched_events.assign(facts.matched.begin(), facts.matched.begin() + si);
+      for (std::size_t slot = 0; slot < plan.patterns.vars().size(); ++slot) {
+        if (state.slots[slot]) r.bindings.emplace(plan.patterns.vars()[slot], state.slots[slot]);
+      }
+      r.start_offset = events[facts.matched[0]].insn_offset;
       result = std::move(r);
       return true;
     }
-    const auto& events = *code.events;
-    const Stmt& s = t.stmts[stmt_idx];
-    const AnchorWord need = stmt_anchors(s);
-    for (std::size_t e = event_idx; e < events.size(); ++e) {
-      if (++attempts > kMatchAttemptCap) return false;  // hostile-input safety valve
-      // Reject events of the wrong kind, width or vector before paying
-      // for the state copy.
-      if (!anchors_admit(need, event_anchors(events[e]))) continue;
-      MatchState trial = state;
-      if (stmt_matches(s, events[e], trial, matched)) {
-        matched.push_back(e);
-        if (dfs(stmt_idx + 1, e + 1, trial, matched)) return true;
-        matched.pop_back();
+    const std::span<const std::uint32_t> admitted = facts.admitting(plan.steps[si].need);
+    std::size_t next = from;  // first event not yet counted
+    for (auto it = std::lower_bound(admitted.begin(), admitted.end(), from);
+         it != admitted.end(); ++it) {
+      const std::size_t e = *it;
+      attempts += e - next + 1;
+      if (attempts > kMatchAttemptCap) return false;  // hostile-input safety valve
+      next = e + 1;
+      SearchState trial = state;
+      if (stmt_matches(si, e, trial)) {
+        facts.matched[si] = static_cast<std::uint32_t>(e);
+        if (dfs(si + 1, e + 1, trial)) return true;
       }
     }
+    attempts += events.size() - next;  // the events after the last admitted one
     return false;
   }
 };
@@ -608,13 +665,109 @@ std::string format_match(const Template& t, const LiftedCode& code,
   return out;
 }
 
+MatchPlan::MatchPlan(const Template& t) : anchors(template_anchors(t)) {
+  steps.resize(t.stmts.size());
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const Stmt& s = t.stmts[i];
+    Step& step = steps[i];
+    step.kind = s.kind;
+    step.width = s.width;
+    step.require_invertible = s.require_invertible;
+    step.vector = s.vector;
+    step.sysno = s.sysno;
+    step.ebx_low = s.ebx_low;
+    step.ebx_points_to = s.ebx_points_to;
+    step.addr = patterns.add(s.addr);
+    step.value = patterns.add(s.value);
+    step.need = stmt_anchors(s);
+    // An advance whose variable no earlier statement binds gets no slot
+    // and never matches, as it could not while that variable is unbound.
+    if (s.kind == Stmt::Kind::kMemWrite && s.addr) {
+      step.slot = patterns.slot_of(s.addr->var);
+    } else if (s.kind == Stmt::Kind::kAdvance) {
+      step.slot = patterns.slot_of(s.ref_var);
+    }
+  }
+  if (patterns.vars().size() > kMaxTemplateVars) {
+    throw std::invalid_argument("template '" + t.name + "' uses " +
+                                std::to_string(patterns.vars().size()) +
+                                " distinct variables; the matcher holds at most " +
+                                std::to_string(kMaxTemplateVars));
+  }
+}
+
+void TraceFacts::reset(const LiftedCode& c) {
+  code = c;
+  bucketed = 0;
+  offset_index.clear();
+  verdicts.clear();
+  const std::size_t n = c.events ? c.events->size() : 0;
+  anchor_words.resize(n);
+  const Event* events = n ? c.events->data() : nullptr;
+  AnchorWord* words = anchor_words.data();
+  AnchorWord all = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    words[i] = event_anchors(events[i]);
+    all |= words[i];
+  }
+  features = all;
+}
+
+std::span<const std::uint32_t> TraceFacts::admitting(AnchorWord bit) {
+  std::vector<std::uint32_t>& bucket = buckets[static_cast<unsigned>(std::countr_zero(bit))];
+  if ((bucketed & bit) == 0) {
+    bucketed |= bit;
+    bucket.clear();
+    for (std::size_t i = 0; i < anchor_words.size(); ++i) {
+      if ((anchor_words[i] & bit) != 0) bucket.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  return bucket;
+}
+
+std::optional<std::size_t> TraceFacts::index_of_offset(std::size_t offset) {
+  // Built on first use: only a loop-back statement that reaches a
+  // candidate branch needs it, so most traces never pay for it.
+  if (offset_index.empty()) {
+    const auto& trace = *code.trace;
+    offset_index.resize(trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      offset_index[i] = std::uint64_t{trace[i].offset} << 32 | i;
+    }
+    std::sort(offset_index.begin(), offset_index.end());
+  }
+  auto it = std::lower_bound(offset_index.begin(), offset_index.end(),
+                             std::uint64_t{offset} << 32);
+  if (it == offset_index.end() || *it >> 32 != offset) return std::nullopt;
+  return static_cast<std::uint32_t>(*it);
+}
+
+bool TraceFacts::invertible(std::size_t event) {
+  if (verdicts.empty()) verdicts.assign(code.events->size(), -1);
+  if (verdicts[event] < 0) {
+    verdicts[event] = is_invertible_byte_fn((*code.events)[event].value, *this) ? 1 : 0;
+  }
+  return verdicts[event] == 1;
+}
+
+std::optional<MatchResult> match_template(const MatchPlan& plan, TraceFacts& facts) {
+  if (plan.steps.empty() || !facts.code.trace || !facts.code.events) return std::nullopt;
+  if (facts.matched.size() < plan.steps.size()) facts.matched.resize(plan.steps.size());
+  Search search(plan, facts);
+  search.dfs(0, 0, SearchState{});
+  return std::move(search.result);
+}
+
 std::optional<MatchResult> match_template(const Template& t, const LiftedCode& code) {
   if (t.stmts.empty() || !code.trace || !code.events) return std::nullopt;
-  Search search(t, code);
-  std::vector<std::size_t> matched;
-  matched.reserve(t.stmts.size());
-  search.dfs(0, 0, MatchState{}, matched);
-  return search.result;
+  // Reused per thread, so a one-shot try allocates only for its plan
+  // once the buffers have grown.
+  thread_local TraceFacts facts;
+  facts.reset(code);
+  // The analyzer's anchor filter (DESIGN.md 1b): a template that cannot
+  // match costs no plan.
+  if (!anchors_admit(template_anchors(t), facts.features)) return std::nullopt;
+  return match_template(MatchPlan(t), facts);
 }
 
 }  // namespace senids::semantic

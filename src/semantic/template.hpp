@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <array>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,15 +112,6 @@ struct MatchResult {
   std::size_t start_offset = 0;
 };
 
-/// Search attempts (statement tried against event) one match_template
-/// call may spend before giving up without a match: the hostile-input
-/// safety valve that bounds the backtracking search.
-inline constexpr std::size_t kMatchAttemptCap = std::size_t{1} << 20;
-
-/// Try to satisfy `t` against `code`. Returns the first match found, or
-/// nullopt when there is none or the search hit kMatchAttemptCap.
-std::optional<MatchResult> match_template(const Template& t, const LiftedCode& code);
-
 // ------------------------------------------------------------- anchors
 //
 // An anchor word is a set of event features, one bit each. A statement
@@ -143,6 +136,7 @@ enum Anchor : AnchorWord {
   kAnchorSyscall100 = 1u << 9,     // x86-64 `syscall` (ir::kSyscallVector)
   kAnchorSyscallOther = 1u << 10,  // any other int vector
 };
+inline constexpr unsigned kAnchorBits = 11;
 
 /// Features a trace must provide for `t` to match it.
 AnchorWord template_anchors(const Template& t) noexcept;
@@ -152,6 +146,90 @@ AnchorWord trace_anchors(const std::vector<ir::Event>& events) noexcept;
 constexpr bool anchors_admit(AnchorWord tmpl, AnchorWord trace) noexcept {
   return (tmpl & ~trace) == 0;
 }
+
+/// Search attempts (statement tried against event) one match_template
+/// call may spend before giving up without a match: the hostile-input
+/// safety valve that bounds the backtracking search. Every event from
+/// where a statement's scan starts up to each event it tries counts,
+/// including events the statement's anchor rules out unseen.
+inline constexpr std::size_t kMatchAttemptCap = std::size_t{1} << 20;
+
+/// A template prepared for matching: its pattern variables resolved to
+/// dense slots and each statement's anchor computed. Build it once per
+/// template; it owns copies of everything it uses. Throws
+/// std::invalid_argument when the template uses more than
+/// kMaxTemplateVars distinct variables.
+struct MatchPlan {
+  /// One statement: its Stmt fields, its patterns as PatternSet indices.
+  struct Step {
+    Stmt::Kind kind{};
+    std::uint8_t width = 0;
+    bool require_invertible = false;
+    std::uint16_t vector = 0;
+    std::optional<std::uint8_t> sysno;
+    std::optional<std::uint8_t> ebx_low;
+    std::string ebx_points_to;
+    std::uint32_t addr = PatternSet::kNone;   // kMemWrite address pattern
+    std::uint32_t value = PatternSet::kNone;  // kMemWrite / kRegWrite value
+    /// kMemWrite: slot of the address pattern's own variable, whose
+    /// addressing register and width the statement records. kAdvance:
+    /// slot of `ref_var`.
+    std::uint8_t slot = PatternSet::kNoSlot;
+    AnchorWord need = 0;  // the one anchor bit an event must provide
+  };
+
+  explicit MatchPlan(const Template& t);
+
+  PatternSet patterns;
+  std::vector<Step> steps;
+  AnchorWord anchors = 0;  // template_anchors() of the template
+};
+
+/// Facts about one lifted trace that every template tried on it shares,
+/// plus the working memory the matcher reuses across tries. `reset`
+/// derives each event's anchor word in one pass over the events. The
+/// events admitted by each anchor bit, the offset -> first trace index
+/// table and each store's invertibility verdict are computed on first use
+/// and kept until the next reset. Not thread-safe; one per worker.
+struct TraceFacts {
+  void reset(const LiftedCode& code);
+  /// Events that provide anchor bit `bit`, ascending.
+  std::span<const std::uint32_t> admitting(AnchorWord bit);
+  /// Trace index of the first traced instruction at `offset`, if any.
+  std::optional<std::size_t> index_of_offset(std::size_t offset);
+  /// Is store event `event`'s value, as a function of the loaded byte, a
+  /// bijection on [0,255]? Exact: evaluated over all 256 inputs.
+  bool invertible(std::size_t event);
+
+  LiftedCode code;
+  AnchorWord features = 0;  // trace_anchors() of the events
+
+  // Working memory, kept across resets.
+  std::vector<AnchorWord> anchor_words;  // per event
+  AnchorWord bucketed = 0;               // bits whose bucket is filled
+  std::array<std::vector<std::uint32_t>, kAnchorBits> buckets;
+  std::vector<std::uint64_t> offset_index;  // offset << 32 | trace index, sorted
+  std::vector<std::int8_t> verdicts;  // per event: -1 unknown, 0 no, 1 yes
+  std::vector<std::uint32_t> matched;  // the search's matched events
+  DagScratch dag;
+  struct EvalNode {
+    ir::ExprPtr e;
+    std::uint32_t lhs, rhs;  // positions in `order`
+  };
+  std::vector<EvalNode> order;
+  std::vector<std::uint32_t> lanes;
+};
+
+/// Try to satisfy `plan` against the trace `facts` was reset to. Returns
+/// the first match found, or nullopt when there is none or the search hit
+/// kMatchAttemptCap. A try that finds no match allocates nothing once
+/// `facts` has grown to the trace.
+std::optional<MatchResult> match_template(const MatchPlan& plan, TraceFacts& facts);
+
+/// One-shot form: the analyzer's anchor filter, then the matcher above
+/// over a plan built here and facts kept in per-thread buffers. Throws
+/// as MatchPlan does.
+std::optional<MatchResult> match_template(const Template& t, const LiftedCode& code);
 
 /// Human-readable explanation of a match: one line per matched statement
 /// with the satisfying instruction and its event. Used by senids_disasm

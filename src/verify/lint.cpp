@@ -313,6 +313,11 @@ Report lint_template(const Template& t) {
         break;
     }
   }
+  if (bound.size() > semantic::kMaxTemplateVars) {
+    out.error(twhere, "uses " + std::to_string(bound.size()) +
+                          " distinct variables; the matcher holds at most " +
+                          std::to_string(semantic::kMaxTemplateVars) + " per template");
+  }
   // The analyzer tries a template only on traces that have every feature
   // its anchor word names. Register writes are in nearly every trace, so
   // a template anchored on nothing more is tried on all of them.

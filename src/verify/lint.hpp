@@ -4,6 +4,8 @@
 //
 //  - undefined variables: `advance X` where no earlier statement binds X
 //    (the matcher would simply never satisfy the statement);
+//  - too many variables: more distinct ones than the matcher's binding
+//    slots (semantic::kMaxTemplateVars), which it refuses to compile;
 //  - unsatisfiable clauses: constraints no decodable instruction sequence
 //    can meet — store widths the ISA cannot produce, fixed constants
 //    wider than the store carrying them, and invertibility demanded of a

@@ -134,6 +134,34 @@ inline util::Bytes convergent_pattern(std::size_t bytes) {
   return out;
 }
 
+/// Two equal but separately built or/not ladders, then `xor eax, ebx`:
+/// `mov eax, [esi]; mov ebx, eax`, n x `mov edx, eax; not edx; or eax,
+/// edx`, n x `mov edx, ebx; not edx; or ebx, edx`, `xor eax, ebx` and 6
+/// nops. Each ladder step reaches the step below along two paths, so the
+/// simplifier's x ^ x test compares DAGs whose trees have 2^n leaves.
+inline util::Bytes equal_ladders(std::size_t n) {
+  util::Bytes out = {0x8B, 0x06, 0x89, 0xC3};
+  for (std::size_t i = 0; i < n; ++i) out.insert(out.end(), {0x89, 0xC2, 0xF7, 0xD2, 0x09, 0xD0});
+  for (std::size_t i = 0; i < n; ++i) out.insert(out.end(), {0x89, 0xDA, 0xF7, 0xD2, 0x09, 0xD3});
+  out.insert(out.end(), {0x31, 0xD8});
+  out.insert(out.end(), 6, 0x90);
+  return out;
+}
+
+/// A byte decoder loop that stores an or/not ladder over the loaded
+/// byte: `mov al, [esi]`, n x `mov bl, al; not bl; or al, bl`, then
+/// `mov [esi], al; inc esi; dec ecx; jnz` back to offset 0. The stored
+/// value is a DAG of O(n) nodes whose tree has 2^n leaves, and it passes
+/// the or/and/not transform of the alternate ADMmutate decoder template.
+inline util::Bytes ladder_decoder(std::size_t n) {
+  util::Bytes out = {0x8A, 0x06};
+  for (std::size_t i = 0; i < n; ++i) out.insert(out.end(), {0x88, 0xC3, 0xF6, 0xD3, 0x08, 0xD8});
+  out.insert(out.end(), {0x88, 0x06, 0x46, 0x49, 0x0F, 0x85});
+  const auto rel = static_cast<std::uint32_t>(-static_cast<std::int64_t>(out.size() + 4));
+  for (int shift = 0; shift < 32; shift += 8) out.push_back(static_cast<std::uint8_t>(rel >> shift));
+  return out;
+}
+
 /// Frames for scanner checks, each scanned under every architecture: the
 /// anchor corpus, 4 KB of random bytes, the 4 KB analyzer bomb, the 4 KB
 /// convergent pattern and the bare ExploitBuilder64 payloads.

@@ -235,6 +235,22 @@ TEST(Expr, FigureOneEquivalence) {
   EXPECT_TRUE(struct_eq(direct, indirect));
 }
 
+TEST(Expr, StructEqLinearOnSharedDags) {
+  // x' = or(x, not(x)) reaches x along two paths, so a comparison that
+  // walks the trees of two separately built 64-step ladders would take
+  // 2^64 steps.
+  auto ladder = [](ExprPtr x) {
+    for (int i = 0; i < 64; ++i) x = mk_bin(BinOp::kOr, x, mk_un(UnOp::kNot, x));
+    return x;
+  };
+  const ExprPtr a = ladder(mk_load(mk_init(RegFamily::kSi), 32, 0));
+  const ExprPtr b = ladder(mk_load(mk_init(RegFamily::kSi), 32, 0));
+  ASSERT_NE(a, b);
+  EXPECT_TRUE(struct_eq(a, b));
+  EXPECT_TRUE(is_const(mk_bin(BinOp::kXor, a, b)));  // x ^ x folds to 0
+  EXPECT_FALSE(struct_eq(a, ladder(mk_load(mk_init(RegFamily::kSi), 32, 1))));
+}
+
 TEST(ExprArena, NodesSurviveMovingTheArena) {
   ExprArena a;
   ExprPtr e = a.mk_bin(BinOp::kXor, a.mk_load(a.mk_init(RegFamily::kAx), 8, 0),

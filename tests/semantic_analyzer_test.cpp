@@ -403,6 +403,34 @@ TEST(Analyzer, AnchorsNeverSkipAMatch) {
   }
 }
 
+TEST(TraceFacts, BucketsListTheEventsEachAnchorAdmits) {
+  TraceFacts facts;  // one, reset for every trace, as the analyzer keeps it
+  std::size_t traces = 0;
+  for (const AnchorFrame& f : anchor_corpus()) {
+    SemanticAnalyzer::Options opt;
+    opt.arch = f.arch;
+    const SemanticAnalyzer analyzer(make_standard_library(), opt);
+    for_each_trace(analyzer, f.bytes, [&](std::size_t entry, const LiftedCode& code) {
+      facts.reset(code);
+      const auto& events = *code.events;
+      EXPECT_EQ(facts.features, trace_anchors(events)) << f.name << " entry " << entry;
+      for (unsigned b = 0; b < kAnchorBits; ++b) {
+        const auto bit = static_cast<AnchorWord>(1u << b);
+        std::vector<std::uint32_t> want;
+        for (std::size_t i = 0; i < events.size(); ++i) {
+          if ((trace_anchors({events[i]}) & bit) != 0) want.push_back(static_cast<std::uint32_t>(i));
+        }
+        const auto got = facts.admitting(bit);
+        EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), want)
+            << f.name << " entry " << entry << " bit " << b;
+      }
+      ++traces;
+      return true;
+    });
+  }
+  EXPECT_GT(traces, 100u);
+}
+
 TEST(Analyzer, DetectionsEqualEveryTemplateOnEveryTrace) {
   const auto frames = anchor_corpus();
   std::size_t detections = 0;

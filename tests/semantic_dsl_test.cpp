@@ -284,6 +284,26 @@ TEST(Dsl, AdvanceWithUnboundVariableRejected) {
   EXPECT_NE(err->message.find("'Z'"), std::string::npos);
 }
 
+/// A template whose statements use `vars` distinct variables V0, V1, ...
+std::string template_with_vars(std::size_t vars) {
+  std::string text = "template many {\n";
+  for (std::size_t i = 0; i < vars; ++i) {
+    text += "store *V" + std::to_string(i) + " = *\n";
+  }
+  return text + "}\n";
+}
+
+TEST(Dsl, TooManyVariablesRejected) {
+  EXPECT_TRUE(std::holds_alternative<std::vector<Template>>(
+      parse_templates(template_with_vars(kMaxTemplateVars))));
+  auto result = parse_templates(template_with_vars(kMaxTemplateVars + 1));
+  auto* err = std::get_if<ParseError>(&result);
+  ASSERT_NE(err, nullptr);
+  EXPECT_NE(err->message.find("uses 9 distinct variables; a template may use at most 8"),
+            std::string::npos)
+      << err->message;
+}
+
 TEST(Dsl, AdvanceBoundByStoreAccepted) {
   auto result =
       parse_templates("template t { decode *A = xor(load(*A), K)\n advance A\n loopback }");

@@ -5,6 +5,9 @@
 // not).
 #include <gtest/gtest.h>
 
+#include <chrono>
+
+#include "frame_corpus.hpp"
 #include "gen/emitter.hpp"
 #include "ir/lifter.hpp"
 #include "semantic/analyzer.hpp"
@@ -435,6 +438,39 @@ TEST(Hardening, SharedSubtreeBindingRendersBounded) {
     }
   }
   EXPECT_TRUE(cut);
+}
+
+// ------------------------------------------ DAG-shaped hostile inputs
+
+/// Seconds `analyze` takes on `frame` with the standard library, and the
+/// detections it makes.
+std::pair<double, std::vector<Detection>> timed_analyze(const Bytes& frame) {
+  const SemanticAnalyzer analyzer(make_standard_library());
+  const auto t0 = std::chrono::steady_clock::now();
+  auto detections = analyzer.analyze(frame);
+  return {std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(),
+          std::move(detections)};
+}
+
+TEST(Hardening, EqualLaddersLiftInBoundedTime) {
+  // `xor eax, ebx` over two equal, separately built or/not ladders: the
+  // simplifier's x ^ x test compares two DAGs whose trees have 2^40
+  // leaves. Linear code takes milliseconds.
+  const auto [seconds, detections] = timed_analyze(test_corpus::equal_ladders(40));
+  EXPECT_LT(seconds, 2.0);
+  EXPECT_TRUE(detections.empty());
+}
+
+TEST(Hardening, LadderDecoderMatchesInBoundedTime) {
+  // A decoder loop whose stored byte is a 40-step or/not ladder: it
+  // passes the alternate ADMmutate decoder's transform, so the transform
+  // walk and the invertibility check run over a DAG whose tree has 2^40
+  // leaves. x | ~x is 0xff for every input, so no decoder fires.
+  const Bytes frame = test_corpus::ladder_decoder(40);
+  const auto [seconds, detections] = timed_analyze(frame);
+  EXPECT_LT(seconds, 2.0);
+  EXPECT_TRUE(detections.empty());
+  EXPECT_FALSE(run_match(tmpl_admmutate_alt_decoder(), frame));
 }
 
 }  // namespace

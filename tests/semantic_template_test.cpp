@@ -374,6 +374,20 @@ TEST(Template, EmptyTemplateNeverMatches) {
   EXPECT_FALSE(run_match(t, figure_1a()).has_value());
 }
 
+TEST(Template, TooManyVariablesRefusedNotMisMatched) {
+  // One variable past the slots: the template is refused loudly, never
+  // matched with a variable left unchecked.
+  Template t;
+  t.name = "many-vars";
+  for (std::size_t i = 0; i <= kMaxTemplateVars; ++i) {
+    t.stmts.push_back(st_mem_write(p_any("V" + std::to_string(i)), p_any()));
+  }
+  EXPECT_THROW(MatchPlan{t}, std::invalid_argument);
+  EXPECT_THROW(run_match(t, figure_1a()), std::invalid_argument);
+  t.stmts.pop_back();
+  EXPECT_NO_THROW(MatchPlan{t});
+}
+
 TEST(Template, MatchReportsOffsets) {
   auto m = run_match(tmpl_xor_decrypt_loop(), figure_1a());
   ASSERT_TRUE(m.has_value());

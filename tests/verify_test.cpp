@@ -300,6 +300,19 @@ TEST(Lint, FlagsUndefinedAdvanceVariable) {
   EXPECT_TRUE(r.mentions("undefined variable 'Z'")) << r.str();
 }
 
+TEST(Lint, FlagsTooManyVariables) {
+  Template t;
+  t.name = "many-vars";
+  for (std::size_t i = 0; i <= semantic::kMaxTemplateVars; ++i) {
+    t.stmts.push_back(st_mem_write(p_any("V" + std::to_string(i)), p_fixed(0x7801cbd3)));
+  }
+  verify::Report r = verify::lint_templates({t});
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.mentions("uses 9 distinct variables; the matcher holds at most 8")) << r.str();
+  t.stmts.pop_back();
+  EXPECT_FALSE(verify::lint_templates({t}).mentions("distinct variables"));
+}
+
 TEST(Lint, FlagsUnsatisfiableInvertibleClause) {
   Template t;
   t.name = "constant-decode";
