@@ -50,9 +50,10 @@ int main() {
   }
 
   semantic::SemanticAnalyzer semantic_engine(semantic::make_standard_library());
+  semantic::AnalyzerScratch semantic_scratch;
 
   auto semantic_hit = [&](const util::Bytes& payload) {
-    return !semantic_engine.analyze(payload).empty();
+    return !semantic_engine.analyze(payload, nullptr, semantic_scratch).empty();
   };
 
   // --- corpora ----------------------------------------------------------

@@ -8,7 +8,7 @@
 #include "ir/lifter.hpp"
 #include "semantic/library.hpp"
 #include "arch/format.hpp"
-#include "arch/scan.hpp"
+#include "arch/arch.hpp"
 
 using namespace senids;
 using gen::Asm;
@@ -65,7 +65,9 @@ util::Bytes figure_1c() {
 
 void evaluate(const char* name, const util::Bytes& code) {
   bench::section(name);
-  auto trace = arch::execution_trace(code, 0);
+  arch::ScanScratch scratch;
+  std::vector<arch::Instruction> trace;
+  arch::Arch::x86_32().execution_trace(code, 0, 4096, trace, scratch);
   std::printf("%s", arch::format_listing(arch::linear_sweep(code)).c_str());
   ir::LiftResult lifted;
   ir::lift(trace, lifted);

@@ -122,7 +122,9 @@ void BM_ExecutionTraceAndLift(benchmark::State& state) {
   const util::Bytes code = poly_sample();
   ir::LiftResult lifted;
   for (auto _ : state) {
-    auto trace = arch::execution_trace(code, 0);
+    arch::ScanScratch scratch;  // fresh: the trace decodes the frame first
+    std::vector<arch::Instruction> trace;
+    arch::Arch::x86_32().execution_trace(code, 0, 4096, trace, scratch);
     ir::lift(trace, lifted);
     benchmark::DoNotOptimize(lifted.events.data());
   }
@@ -135,10 +137,15 @@ BENCHMARK(BM_ExecutionTraceAndLift);
 void BM_Lift(benchmark::State& state) {
   const bool benign = state.range(0) == 1;
   const util::Bytes frame = benign ? benign_blob(1400) : poly_sample();
+  const arch::Arch& isa = arch::Arch::x86_32();
+  arch::ScanScratch scratch;
+  std::vector<arch::CodeRun> runs;
+  isa.find_code_runs(frame, 6, runs, scratch);
   std::vector<std::vector<arch::Instruction>> traces;
   std::size_t insns = 0;
-  for (const arch::CodeRun& run : arch::find_code_runs(frame, 6)) {
-    auto trace = arch::execution_trace(frame, run.start);
+  for (const arch::CodeRun& run : runs) {
+    std::vector<arch::Instruction> trace;
+    isa.execution_trace(frame, run.start, 4096, trace, scratch);
     if (trace.size() < 6) continue;
     insns += trace.size();
     traces.push_back(std::move(trace));
@@ -157,7 +164,9 @@ BENCHMARK(BM_Lift)->Arg(0)->Arg(1);
 
 void BM_TemplateMatch(benchmark::State& state) {
   const util::Bytes code = poly_sample();
-  auto trace = arch::execution_trace(code, 0);
+  arch::ScanScratch scratch;
+  std::vector<arch::Instruction> trace;
+  arch::Arch::x86_32().execution_trace(code, 0, 4096, trace, scratch);
   ir::LiftResult lifted;
   ir::lift(trace, lifted);
   semantic::LiftedCode lc{&trace, &lifted.events, code};
@@ -249,11 +258,15 @@ void BM_HostileDag(benchmark::State& state) {
 }
 BENCHMARK(BM_HostileDag)->ArgsProduct({{0, 1}, {16, 24, 40}});
 
+/// analyze() on one ADMmutate exploit, and below on one 1.4 KB benign
+/// payload, each call with a fresh scratch: the cost of a frame
+/// analyzed cold, buffers allocated included.
 void BM_AnalyzeExploitFrame(benchmark::State& state) {
   semantic::SemanticAnalyzer analyzer(semantic::make_standard_library());
   const util::Bytes code = poly_sample();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analyzer.analyze(code));
+    semantic::AnalyzerScratch scratch;
+    benchmark::DoNotOptimize(analyzer.analyze(code, nullptr, scratch));
   }
 }
 BENCHMARK(BM_AnalyzeExploitFrame);
@@ -262,7 +275,8 @@ void BM_AnalyzeBenignFrame(benchmark::State& state) {
   semantic::SemanticAnalyzer analyzer(semantic::make_standard_library());
   const util::Bytes blob = benign_blob(1400);  // one MTU-sized payload
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analyzer.analyze(blob));
+    semantic::AnalyzerScratch scratch;
+    benchmark::DoNotOptimize(analyzer.analyze(blob, nullptr, scratch));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * blob.size()));
 }

@@ -64,8 +64,9 @@ int main() {
   util::Prng netsky_prng(1234);
   auto netsky = gen::make_netsky_like_sample(netsky_prng);
   semantic::SemanticAnalyzer analyzer(semantic::make_standard_library());
+  semantic::AnalyzerScratch scratch;
   util::WallTimer timer;
-  auto detections = analyzer.analyze(netsky);
+  auto detections = analyzer.analyze(netsky, nullptr, scratch);
   const double netsky_ms = timer.millis();
   std::printf("%-24s %8zu %10s %12s %12.3f\n", "netsky-like", netsky.size(),
               detections.empty() ? "NO" : "yes", "-", netsky_ms);

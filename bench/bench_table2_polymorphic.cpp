@@ -21,7 +21,8 @@ namespace {
 
 bool decoder_detected(const semantic::SemanticAnalyzer& analyzer,
                       const util::Bytes& bytes) {
-  for (const auto& d : analyzer.analyze(bytes)) {
+  semantic::AnalyzerScratch scratch;
+  for (const auto& d : analyzer.analyze(bytes, nullptr, scratch)) {
     if (d.threat == semantic::ThreatClass::kDecryptionLoop) return true;
   }
   return false;

@@ -14,7 +14,7 @@
 #include "semantic/library.hpp"
 #include "util/hexdump.hpp"
 #include "arch/format.hpp"
-#include "arch/scan.hpp"
+#include "arch/arch.hpp"
 
 using namespace senids;
 
@@ -38,7 +38,10 @@ int main(int argc, char** argv) {
   // Execution-order disassembly from the sled entry, with the junk the
   // engine injected flagged by the dead-code analysis.
   std::printf("== execution-order trace (out-of-order linearized; junk marked) ==\n");
-  auto trace = arch::execution_trace(poly.bytes, 0);
+  const arch::Arch& isa = arch::Arch::x86_32();
+  arch::ScanScratch scratch;
+  std::vector<arch::Instruction> trace;
+  isa.execution_trace(poly.bytes, 0, 4096, trace, scratch);
   auto junk_marks = ir::find_dead_code(trace);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     std::printf("%08zx:  %-36s%s\n", std::size_t{trace[i].offset},
@@ -82,7 +85,9 @@ int main(int argc, char** argv) {
   // A Clet instance for contrast.
   std::printf("\n== Clet instance (same payload) ==\n");
   gen::PolyResult clet = gen::clet_encode(payload, prng);
-  auto clet_trace = arch::execution_trace(clet.bytes, 0);
+  arch::ScanScratch clet_scratch;
+  std::vector<arch::Instruction> clet_trace;
+  isa.execution_trace(clet.bytes, 0, 4096, clet_trace, clet_scratch);
   ir::lift(clet_trace, lifted);  // reuses the buffers of the first lift
   semantic::LiftedCode clet_lc{&clet_trace, &lifted.events, clet.bytes};
   auto m = semantic::match_template(semantic::tmpl_xor_decrypt_loop(), clet_lc);

@@ -82,7 +82,8 @@ void test_sample(const semantic::SemanticAnalyzer& analyzer, const char* name,
                  const util::Bytes& code) {
   std::printf("\n-- sample: %s --\n", name);
   std::printf("%s", arch::format_listing(arch::linear_sweep(code)).c_str());
-  auto detections = analyzer.analyze(code);
+  semantic::AnalyzerScratch scratch;
+  auto detections = analyzer.analyze(code, nullptr, scratch);
   if (detections.empty()) {
     std::printf("=> no template matches\n");
     return;

@@ -84,7 +84,10 @@ class Arch {
   /// handed to the IR lifter. Calls no decoder: each instruction is copied
   /// from `scratch`'s per-offset table, which should hold this frame
   /// (find_code_runs / find_entries on `code` with the same scratch).
-  /// When it holds another frame, the scan's decode pass runs first.
+  /// When it holds another frame, the scan's decode pass runs first. The
+  /// table is matched to `code` by pointer, size and mode only: after
+  /// rewriting a scanned buffer in place, scan it again before tracing,
+  /// or the trace reads the old decodes.
   void execution_trace(util::ByteView code, std::size_t entry, std::size_t max_insns,
                        std::vector<Instruction>& out, ScanScratch& scratch) const;
 

@@ -131,20 +131,4 @@ void Arch::execution_trace(util::ByteView code, std::size_t entry, std::size_t m
   }
 }
 
-std::vector<CodeRun> find_code_runs(util::ByteView code, std::size_t min_insns,
-                                    Mode mode) {
-  std::vector<CodeRun> runs;
-  ScanScratch scratch;
-  Arch::of_mode(mode).find_code_runs(code, min_insns, runs, scratch);
-  return runs;
-}
-
-std::vector<Instruction> execution_trace(util::ByteView code, std::size_t entry,
-                                         std::size_t max_insns, Mode mode) {
-  std::vector<Instruction> trace;
-  ScanScratch scratch;
-  Arch::of_mode(mode).execution_trace(code, entry, max_insns, trace, scratch);
-  return trace;
-}
-
 }  // namespace senids::arch

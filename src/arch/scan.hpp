@@ -35,7 +35,9 @@ struct ScanScratch {
   std::vector<std::uint32_t> run_end;
   std::vector<std::uint8_t> flags;
   /// The frame the per-offset arrays describe: its data pointer, size
-  /// and decode mode.
+  /// and decode mode. Nothing else identifies it, so the arrays go stale
+  /// when those bytes are rewritten in place: scan again after changing
+  /// a buffer that this scratch has scanned.
   const std::uint8_t* frame_data = nullptr;
   std::size_t frame_size = 0;
   Mode frame_mode = Mode::k32;
@@ -45,18 +47,11 @@ struct ScanScratch {
   std::vector<std::uint32_t> marks;
   std::uint32_t mark_gen = 0;
 
-  /// True when the per-offset arrays hold the decode of `code` under `mode`.
+  /// True when the per-offset arrays were decoded from `code`'s pointer
+  /// and size under `mode` (the bytes themselves are not compared).
   [[nodiscard]] bool holds(util::ByteView code, Mode mode) const noexcept {
     return frame_data == code.data() && frame_size == code.size() && frame_mode == mode;
   }
 };
-
-/// One-shot forms of Arch::find_code_runs and Arch::execution_trace
-/// (arch.hpp), each with a fresh ScanScratch, for tests and tools.
-std::vector<CodeRun> find_code_runs(util::ByteView code, std::size_t min_insns = 6,
-                                    Mode mode = Mode::k32);
-std::vector<Instruction> execution_trace(util::ByteView code, std::size_t entry,
-                                         std::size_t max_insns = 4096,
-                                         Mode mode = Mode::k32);
 
 }  // namespace senids::arch

@@ -152,7 +152,9 @@ EmulationResult emulate_entry(util::ByteView frame, std::size_t entry,
 
 EmulationResult emulate_frame(util::ByteView frame, const EmulatorOptions& options) {
   emu_metrics().frames.add();
-  const auto runs = arch::find_code_runs(frame, kMinRunInsns, options.mode);
+  std::vector<arch::CodeRun> runs;
+  arch::ScanScratch scratch;
+  arch::Arch::of_mode(options.mode).find_code_runs(frame, kMinRunInsns, runs, scratch);
 
   EmulationResult best;
   auto better = [](const EmulationResult& a, const EmulationResult& b) {

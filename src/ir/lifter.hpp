@@ -23,7 +23,7 @@ struct LiftResult {
   std::size_t approximated = 0;
 };
 
-/// Lift `trace` (from arch::execution_trace or linear_sweep) into `out`,
+/// Lift `trace` (from arch::Arch::execution_trace or linear_sweep) into `out`,
 /// releasing whatever `out` held. The event buffer and the arena's
 /// chunks are reused, so a worker lifting thousands of traces into one
 /// result allocates only when it passes its high-water mark.

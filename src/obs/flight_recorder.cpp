@@ -236,7 +236,6 @@ struct TlBinding {
 }  // namespace
 
 void FlightRecorder::record(const UnitRecord& rec) noexcept {
-#if !defined(SENIDS_NO_OBS)
   if (!enabled() || !metrics_enabled()) return;
   Impl& im = *impl_;
   thread_local TlBinding tl;
@@ -275,9 +274,6 @@ void FlightRecorder::record(const UnitRecord& rec) noexcept {
       im.slow_slots[slow_head % im.slow_slots.size()]->write(r);
     }
   }
-#else
-  (void)rec;
-#endif
 }
 
 std::vector<UnitRecord> FlightRecorder::recent() const {

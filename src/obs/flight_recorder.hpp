@@ -20,8 +20,7 @@
 // hard-coded constant.
 //
 // Disabled by default (configure(0) state); recording is additionally
-// behind both obs kill switches (obs::set_metrics_enabled and
-// -DSENIDS_OBS=OFF).
+// behind the metrics kill switch (obs::set_metrics_enabled).
 #pragma once
 
 #include <array>

@@ -10,11 +10,9 @@
 // by the registry are stable for the process lifetime — look them up
 // once, keep the reference.
 //
-// Two kill switches: `set_metrics_enabled(false)` turns every mutation
-// into a single relaxed load + branch at runtime, and building with
-// -DSENIDS_NO_OBS (CMake option SENIDS_OBS=OFF) compiles the mutation
-// paths out entirely. Export/registration stay available either way so
-// callers need no conditional code.
+// One kill switch: `set_metrics_enabled(false)` turns every mutation
+// into a single relaxed load + branch. Export/registration stay available
+// either way so callers need no conditional code.
 #pragma once
 
 #include <array>
@@ -47,12 +45,8 @@ struct alignas(64) PaddedU64 {
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-#if !defined(SENIDS_NO_OBS)
     if (!metrics_enabled()) return;
     shards_[detail::thread_shard()].v.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   [[nodiscard]] std::uint64_t value() const noexcept {
@@ -75,20 +69,12 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) noexcept {
-#if !defined(SENIDS_NO_OBS)
     if (!metrics_enabled()) return;
     value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
   void add(std::int64_t n) noexcept {
-#if !defined(SENIDS_NO_OBS)
     if (!metrics_enabled()) return;
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
   void sub(std::int64_t n) noexcept { add(-n); }
 
@@ -96,15 +82,11 @@ class Gauge {
   /// e.g. peak queue depth). CAS loop; contention is bounded because the
   /// maximum only ratchets upward.
   void set_max(std::int64_t v) noexcept {
-#if !defined(SENIDS_NO_OBS)
     if (!metrics_enabled()) return;
     std::int64_t cur = value_.load(std::memory_order_relaxed);
     while (cur < v &&
            !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
-#else
-    (void)v;
-#endif
   }
 
   [[nodiscard]] std::int64_t value() const noexcept {
@@ -131,16 +113,12 @@ class Histogram {
   [[nodiscard]] static double bucket_bound(std::size_t i) noexcept;
 
   void observe(double seconds) noexcept {
-#if !defined(SENIDS_NO_OBS)
     if (!metrics_enabled()) return;
     Shard& s = shards_[detail::thread_shard()];
     s.buckets[bucket_index(seconds)].fetch_add(1, std::memory_order_relaxed);
     const double ns = seconds * 1e9;
     s.sum_ns.fetch_add(ns > 0 ? static_cast<std::uint64_t>(ns) : 0,
                        std::memory_order_relaxed);
-#else
-    (void)seconds;
-#endif
   }
 
   struct Snapshot {

@@ -16,27 +16,21 @@ using SteadyClock = std::chrono::steady_clock;
 }  // namespace
 
 void WorkerSlot::begin_run() noexcept {
-#if !defined(SENIDS_NO_OBS)
   const std::uint64_t now = WorkerTable::instance().now_ns();
   active_.fetch_add(1, std::memory_order_relaxed);
   run_start_ns_.store(now, std::memory_order_relaxed);
   run_end_ns_.store(0, std::memory_order_relaxed);
   heartbeat_ns_.store(now, std::memory_order_relaxed);
-#endif
 }
 
 void WorkerSlot::end_run() noexcept {
-#if !defined(SENIDS_NO_OBS)
   run_end_ns_.store(WorkerTable::instance().now_ns(), std::memory_order_relaxed);
   active_.fetch_sub(1, std::memory_order_relaxed);
-#endif
 }
 
 void WorkerSlot::heartbeat() noexcept {
-#if !defined(SENIDS_NO_OBS)
   if (!metrics_enabled()) return;
   heartbeat_ns_.store(WorkerTable::instance().now_ns(), std::memory_order_relaxed);
-#endif
 }
 
 struct WorkerTable::Impl {

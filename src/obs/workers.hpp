@@ -11,9 +11,9 @@
 // Slots are found-or-created by (kind, index) and live for the process
 // lifetime, so repeated captures accumulate into the same slots the way
 // the metric registry accumulates counters. All mutation is relaxed
-// atomics on a slot owned by one thread at a time; both kill switches
-// (obs::set_metrics_enabled, -DSENIDS_OBS=OFF) silence the mutation
-// paths.
+// atomics on a slot owned by one thread at a time; the metrics kill
+// switch (obs::set_metrics_enabled) silences the per-unit busy, idle,
+// unit and heartbeat updates.
 #pragma once
 
 #include <atomic>
@@ -37,11 +37,7 @@ class WorkerSlot {
   void add_busy(double seconds) noexcept { add_ns(busy_ns_, seconds); }
   void add_idle(double seconds) noexcept { add_ns(idle_ns_, seconds); }
   void add_units(std::uint64_t n = 1) noexcept {
-#if !defined(SENIDS_NO_OBS)
     if (metrics_enabled()) units_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
   /// Stamp "this loop is making progress". Cheap enough per iteration.
   void heartbeat() noexcept;
@@ -66,14 +62,9 @@ class WorkerSlot {
   WorkerSlot() = default;
 
   void add_ns(std::atomic<std::uint64_t>& field, double seconds) noexcept {
-#if !defined(SENIDS_NO_OBS)
     if (!metrics_enabled() || seconds <= 0) return;
     field.fetch_add(static_cast<std::uint64_t>(seconds * 1e9),
                     std::memory_order_relaxed);
-#else
-    (void)field;
-    (void)seconds;
-#endif
   }
 
   std::string kind_;

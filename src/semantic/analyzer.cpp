@@ -65,12 +65,6 @@ SemanticAnalyzer::SemanticAnalyzer(std::vector<Template> templates, Options opti
       plans_(plans_of(templates_)),
       options_(std::move(options)) {}
 
-std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame,
-                                                 AnalyzerStats* stats) const {
-  AnalyzerScratch scratch;
-  return analyze(frame, stats, scratch);
-}
-
 std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerStats* stats,
                                                  AnalyzerScratch& scratch) const {
   const arch::Arch& isa = options_.arch ? *options_.arch : arch::Arch::x86_32();

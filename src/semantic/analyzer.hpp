@@ -93,9 +93,9 @@ void merge_analyzer(AnalyzerStats& into, const AnalyzerStats& from);
 /// scanner's internal arrays — lives here, so a worker that keeps one
 /// scratch across calls analyzes frames without per-frame heap churn
 /// (buffers grow to the high-water mark and are then reused). Not thread-safe; one per worker thread,
-/// so no expression node is ever shared between threads.
-/// Passing no scratch (the classic analyze() signature) allocates a
-/// transient one per call, which is the old behaviour exactly.
+/// so no expression node is ever shared between threads. A one-off
+/// caller passes a fresh scratch. analyze() rescans every frame it is
+/// given, so reusing a scratch on a buffer rewritten in place is safe.
 struct AnalyzerScratch {
   arch::ScanScratch scan;
   std::vector<arch::CodeRun> runs;
@@ -156,8 +156,7 @@ class SemanticAnalyzer {
   /// that by NidsOptions::max_stream_bytes.
   /// The frame's counts go out once, on the way out: merged into `*stats`
   /// when given, and added to the senids_analyzer_*_total counters.
-  std::vector<Detection> analyze(util::ByteView frame, AnalyzerStats* stats = nullptr) const;
-  /// Scratch-reusing form for the worker hot loop (see AnalyzerScratch).
+  /// `scratch` is the caller's working memory (see AnalyzerScratch).
   std::vector<Detection> analyze(util::ByteView frame, AnalyzerStats* stats,
                                  AnalyzerScratch& scratch) const;
 

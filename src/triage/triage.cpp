@@ -362,7 +362,6 @@ ScanProfile scan_profile(util::ByteView payload, bool allow_simd) {
 
 std::string_view triage_reason_name(TriageReason r) noexcept {
   switch (r) {
-    case TriageReason::kForced: return "forced";
     case TriageReason::kExtractAll: return "extract-all";
     case TriageReason::kRepetitionRun: return "repetition-run";
     case TriageReason::kNopSled: return "nop-sled";
@@ -446,9 +445,6 @@ bool TriageFilter::code_evidence(util::ByteView data) const {
 }
 
 TriageDecision TriageFilter::screen(util::ByteView payload, std::uint16_t dst_port) const {
-  if (options_.mode == TriageMode::kForceEscalate) {
-    return {true, TriageReason::kForced};
-  }
   if (extractor_.extract_all) {
     // Bypass mode frames every payload whole; nothing can be rejected.
     return {true, TriageReason::kExtractAll};

@@ -39,9 +39,8 @@
 namespace senids::triage {
 
 enum class TriageMode : std::uint8_t {
-  kOff,            // every unit goes straight to stages (b)-(e)
-  kOn,             // screen units; reject provably/empirically clean ones
-  kForceEscalate,  // screen units but escalate all of them (testing)
+  kOff,  // every unit goes straight to stages (b)-(e)
+  kOn,   // screen units; reject provably/empirically clean ones
 };
 
 /// Why a unit was escalated or rejected. Escalation reasons name the
@@ -49,7 +48,6 @@ enum class TriageMode : std::uint8_t {
 /// that justifies skipping stages (b)-(e).
 enum class TriageReason : std::uint8_t {
   // Escalations.
-  kForced,              // mode == kForceEscalate
   kExtractAll,          // extractor bypass mode frames every payload
   kRepetitionRun,       // overflow-filler run would form a frame
   kNopSled,             // NOP-like sled run would form a frame
@@ -66,9 +64,11 @@ enum class TriageReason : std::uint8_t {
 
 [[nodiscard]] std::string_view triage_reason_name(TriageReason r) noexcept;
 
+/// Default-constructed, a decision escalates: the side that cannot lose
+/// an alert.
 struct TriageDecision {
   bool escalate = true;
-  TriageReason reason = TriageReason::kForced;
+  TriageReason reason = TriageReason::kExtractAll;
 };
 
 struct TriageOptions {

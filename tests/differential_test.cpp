@@ -5,11 +5,11 @@
 // emulator computes. Divergence means one of the two semantics is wrong.
 #include <gtest/gtest.h>
 
+#include "one_shot.hpp"
 #include "emu/cpu.hpp"
 #include "gen/emitter.hpp"
 #include "ir/lifter.hpp"
 #include "util/prng.hpp"
-#include "arch/scan.hpp"
 
 namespace senids {
 namespace {
@@ -70,7 +70,7 @@ TEST_P(LifterVsEmulator, ConstantsAgree) {
   ASSERT_EQ(cpu.run(1000), emu::StopReason::kHalted);
 
   // Symbolic execution over the same trace.
-  auto trace = arch::execution_trace(code, 0);
+  auto trace = test::trace(code, 0);
   ir::LiftResult lifted;
   ir::lift(trace, lifted);
 
@@ -124,7 +124,7 @@ TEST_P(StackDifferential, PushPopAgree) {
   emu::Cpu cpu(mem, emu::kFrameBase);
   ASSERT_EQ(cpu.run(1000), emu::StopReason::kHalted);
 
-  auto trace = arch::execution_trace(code, 0);
+  auto trace = test::trace(code, 0);
   ir::LiftResult lifted;
   ir::lift(trace, lifted);
   std::array<ir::ExprPtr, 8> final_value{};
@@ -218,7 +218,7 @@ TEST_P(MemoryDifferential, StoreLoadRoundTripsAgree) {
   // The lifter cannot know ebx's initial upper bits, but the final eax is
   // init-ebx dependent... so compare the *stored memory bytes* instead:
   // both engines must agree on what landed in the frame.
-  auto trace = arch::execution_trace(code, 0);
+  auto trace = test::trace(code, 0);
   ir::LiftResult lifted;
   ir::lift(trace, lifted);
   std::uint32_t lifter_v1 = 0;

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "one_shot.hpp"
 #include "gen/emitter.hpp"
 #include "gen/poly.hpp"
 #include "ir/deadcode.hpp"
-#include "arch/scan.hpp"
 
 namespace senids::ir {
 namespace {
@@ -13,7 +13,7 @@ using gen::R32;
 using util::Bytes;
 
 DeadCodeResult analyze(const Bytes& code, arch::RegSet exit_live = {}) {
-  auto trace = arch::execution_trace(code, 0);
+  auto trace = test::trace(code, 0);
   return find_dead_code(trace, exit_live);
 }
 
@@ -97,7 +97,7 @@ TEST(DeadCode, FindsInjectedJunkInPolymorphicDecoder) {
   gen::PolyOptions opts;
   opts.junk_prob = 0.9;
   auto poly = gen::admmutate_encode(util::to_bytes("PAYLOADBYTES"), prng, opts);
-  auto trace = arch::execution_trace(poly.bytes, 0);
+  auto trace = test::trace(poly.bytes, 0);
   auto r = find_dead_code(trace);
   EXPECT_GT(r.dead_count, 0u);
   // The decoder's own instructions must not be flagged: the memory store

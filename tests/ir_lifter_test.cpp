@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "one_shot.hpp"
 #include "gen/emitter.hpp"
 #include "ir/lifter.hpp"
-#include "arch/scan.hpp"
 
 namespace senids::ir {
 namespace {
@@ -16,7 +16,7 @@ using arch::RegFamily;
 /// Returned by value: the move keeps every node of the arena in place.
 LiftResult lift_code(const Bytes& code, std::size_t entry = 0) {
   LiftResult r;
-  lift(arch::execution_trace(code, entry), r);
+  lift(test::trace(code, entry), r);
   return r;
 }
 
@@ -353,7 +353,7 @@ TEST(Lifter, ReusedResultMatchesFreshLift) {
   small.xor_mem8_imm8(R32::ebx, 0x95);
   const Bytes small_code = small.finish();
   LiftResult reused = lift_code(big.finish());
-  lift(arch::execution_trace(small_code, 0), reused);
+  lift(test::trace(small_code, 0), reused);
   const LiftResult fresh = lift_code(small_code);
   ASSERT_EQ(reused.events.size(), fresh.events.size());
   for (std::size_t i = 0; i < fresh.events.size(); ++i) {

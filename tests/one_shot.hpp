@@ -1,0 +1,47 @@
+// One-shot scan, trace and analysis for tests: each call runs the one API
+// form of its operation (the arch::Arch members with an arch::ScanScratch,
+// SemanticAnalyzer::analyze with an AnalyzerScratch) on fresh working
+// memory, so nothing carries over from an earlier call.
+#pragma once
+
+#include <cstddef>
+#include <vector>
+
+#include "arch/arch.hpp"
+#include "semantic/analyzer.hpp"
+#include "util/bytes.hpp"
+
+namespace senids::test {
+
+/// Decode runs of `code` of at least `min_insns` instructions, longest
+/// first (arch::Arch::find_code_runs).
+inline std::vector<arch::CodeRun> code_runs(util::ByteView code, std::size_t min_insns = 6,
+                                            const arch::Arch& isa = arch::Arch::x86_32()) {
+  std::vector<arch::CodeRun> runs;
+  arch::ScanScratch scratch;
+  isa.find_code_runs(code, min_insns, runs, scratch);
+  return runs;
+}
+
+/// Execution-order trace of `code` from `entry`. Scans `code` first, as
+/// the analyzer does, so the trace reads the decodes of these bytes.
+inline std::vector<arch::Instruction> trace(util::ByteView code, std::size_t entry,
+                                            std::size_t max_insns = 4096,
+                                            const arch::Arch& isa = arch::Arch::x86_32()) {
+  std::vector<arch::CodeRun> runs;
+  std::vector<arch::Instruction> out;
+  arch::ScanScratch scratch;
+  isa.find_code_runs(code, 1, runs, scratch);
+  isa.execution_trace(code, entry, max_insns, out, scratch);
+  return out;
+}
+
+/// `analyzer.analyze(frame, stats, scratch)` with a fresh scratch.
+inline std::vector<semantic::Detection> analyze(const semantic::SemanticAnalyzer& analyzer,
+                                                util::ByteView frame,
+                                                semantic::AnalyzerStats* stats = nullptr) {
+  semantic::AnalyzerScratch scratch;
+  return analyzer.analyze(frame, stats, scratch);
+}
+
+}  // namespace senids::test

@@ -7,6 +7,7 @@
 
 #include "arch/arch.hpp"
 #include "frame_corpus.hpp"
+#include "one_shot.hpp"
 #include "gen/poly.hpp"
 #include "gen/shellcode.hpp"
 #include "ir/lifter.hpp"
@@ -32,7 +33,7 @@ bool detected(const std::vector<Detection>& ds, ThreatClass threat) {
 TEST(Analyzer, DetectsEveryShellSpawnVariant) {
   SemanticAnalyzer analyzer(make_standard_library());
   for (const auto& sample : gen::make_shell_spawn_corpus()) {
-    auto ds = analyzer.analyze(sample.code);
+    auto ds = test::analyze(analyzer, sample.code);
     EXPECT_TRUE(detected(ds, ThreatClass::kShellSpawn)) << sample.name;
     if (sample.binds_port) {
       EXPECT_TRUE(detected(ds, ThreatClass::kPortBindShell)) << sample.name;
@@ -44,7 +45,7 @@ TEST(Analyzer, DetectsEveryShellSpawnVariant) {
 
 TEST(Analyzer, DetectsIisAspOverflowDecoder) {
   SemanticAnalyzer analyzer(make_standard_library());
-  auto ds = analyzer.analyze(gen::make_iis_asp_overflow_payload());
+  auto ds = test::analyze(analyzer, gen::make_iis_asp_overflow_payload());
   EXPECT_TRUE(detected(ds, ThreatClass::kDecryptionLoop));
 }
 
@@ -52,7 +53,7 @@ TEST(Analyzer, DetectsNetskyLikeSample) {
   util::Prng prng(1234);
   auto sample = gen::make_netsky_like_sample(prng);
   SemanticAnalyzer analyzer(make_standard_library());
-  auto ds = analyzer.analyze(sample);
+  auto ds = test::analyze(analyzer, sample);
   EXPECT_TRUE(detected(ds, ThreatClass::kDecryptionLoop));
 }
 
@@ -66,10 +67,10 @@ TEST(Analyzer, XorOnlyLibraryMissesAltScheme) {
   ASSERT_EQ(poly.scheme, gen::DecoderScheme::kAltOrAndNot);
 
   SemanticAnalyzer xor_only(make_xor_only_library());
-  EXPECT_FALSE(detected(xor_only.analyze(poly.bytes), ThreatClass::kDecryptionLoop));
+  EXPECT_FALSE(detected(test::analyze(xor_only, poly.bytes), ThreatClass::kDecryptionLoop));
 
   SemanticAnalyzer full(make_standard_library());
-  EXPECT_TRUE(detected(full.analyze(poly.bytes), ThreatClass::kDecryptionLoop));
+  EXPECT_TRUE(detected(test::analyze(full, poly.bytes), ThreatClass::kDecryptionLoop));
 }
 
 TEST(Analyzer, SweepOverAdmmutateSeeds) {
@@ -80,7 +81,7 @@ TEST(Analyzer, SweepOverAdmmutateSeeds) {
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     util::Prng prng(seed);
     auto poly = gen::admmutate_encode(payload, prng);
-    EXPECT_TRUE(detected(analyzer.analyze(poly.bytes), ThreatClass::kDecryptionLoop))
+    EXPECT_TRUE(detected(test::analyze(analyzer, poly.bytes), ThreatClass::kDecryptionLoop))
         << "seed " << seed << " scheme " << static_cast<int>(poly.scheme);
   }
 }
@@ -91,7 +92,7 @@ TEST(Analyzer, SweepOverCletSeeds) {
   for (std::uint64_t seed = 100; seed < 120; ++seed) {
     util::Prng prng(seed);
     auto poly = gen::clet_encode(payload, prng);
-    EXPECT_TRUE(detected(analyzer.analyze(poly.bytes), ThreatClass::kDecryptionLoop))
+    EXPECT_TRUE(detected(test::analyze(analyzer, poly.bytes), ThreatClass::kDecryptionLoop))
         << "seed " << seed;
   }
 }
@@ -101,7 +102,7 @@ TEST(Analyzer, CleanOnBenignText) {
   std::string html = "<html><body>";
   for (int i = 0; i < 200; ++i) html += "completely ordinary web page text ";
   html += "</body></html>";
-  EXPECT_TRUE(analyzer.analyze(util::as_bytes(html)).empty());
+  EXPECT_TRUE(test::analyze(analyzer, util::as_bytes(html)).empty());
 }
 
 TEST(Analyzer, CleanOnRandomBytes) {
@@ -109,20 +110,20 @@ TEST(Analyzer, CleanOnRandomBytes) {
   util::Prng prng(555);
   for (int trial = 0; trial < 10; ++trial) {
     auto noise = prng.bytes(4096);
-    EXPECT_TRUE(analyzer.analyze(noise).empty()) << "trial " << trial;
+    EXPECT_TRUE(test::analyze(analyzer, noise).empty()) << "trial " << trial;
   }
 }
 
 TEST(Analyzer, EmptyFrameYieldsNothing) {
   SemanticAnalyzer analyzer(make_standard_library());
   util::Bytes empty;
-  EXPECT_TRUE(analyzer.analyze(empty).empty());
+  EXPECT_TRUE(test::analyze(analyzer, empty).empty());
 }
 
 TEST(Analyzer, StatsAreAccumulated) {
   SemanticAnalyzer analyzer(make_standard_library());
   AnalyzerStats stats;
-  analyzer.analyze(gen::make_iis_asp_overflow_payload(), &stats);
+  test::analyze(analyzer, gen::make_iis_asp_overflow_payload(), &stats);
   EXPECT_EQ(stats.frames, 1u);
   EXPECT_GE(stats.candidate_runs, 1u);
   EXPECT_GE(stats.traces, 1u);
@@ -138,13 +139,13 @@ TEST(Analyzer, OneDetectionPerTemplatePerFrame) {
   both.insert(both.end(), 64, 0x90);
   both.insert(both.end(), two.begin(), two.end());
   SemanticAnalyzer analyzer(make_xor_only_library());
-  auto ds = analyzer.analyze(both);
+  auto ds = test::analyze(analyzer, both);
   EXPECT_EQ(ds.size(), 1u);
 }
 
 TEST(Analyzer, DetectionCarriesBindings) {
   SemanticAnalyzer analyzer(make_xor_only_library());
-  auto ds = analyzer.analyze(gen::make_iis_asp_overflow_payload(0x5d));
+  auto ds = test::analyze(analyzer, gen::make_iis_asp_overflow_payload(0x5d));
   ASSERT_EQ(ds.size(), 1u);
   ASSERT_TRUE(ds[0].bindings.contains("K"));
   EXPECT_EQ(ds[0].bindings.at("K"), "0x5d");
@@ -173,7 +174,7 @@ TEST(Analyzer, DetectionBindingsOutliveLaterLifts) {
     analyzer.analyze(gen::admmutate_encode(shell, prng).bytes, nullptr, scratch);
   }
 
-  const auto fresh = analyzer.analyze(frame);
+  const auto fresh = test::analyze(analyzer, frame);
   ASSERT_EQ(fresh.size(), ds.size());
   bool saw_key = false;
   for (std::size_t i = 0; i < ds.size(); ++i) {
@@ -187,12 +188,51 @@ TEST(Analyzer, DetectionBindingsOutliveLaterLifts) {
   EXPECT_TRUE(saw_key);
 }
 
+TEST(Analyzer, ScratchReuseSeesBytesRewrittenInPlace) {
+  // One scratch, one buffer whose bytes change between calls while its
+  // address and size stay the same. The scan table is matched to a frame
+  // by address, size and mode only, so each call must rescan: it has to
+  // return what a fresh scratch returns on the bytes as they are now.
+  const std::vector<util::Bytes> contents = {
+      gen::make_iis_asp_overflow_payload(0x5d), gen::make_shell_spawn_corpus()[0].code,
+      gen::make_iis_asp_overflow_payload(0x42), util::Bytes(64, 0x40)};
+  std::size_t size = 0;
+  for (const util::Bytes& c : contents) size = std::max(size, c.size());
+  util::Bytes frame(size, 0x90);
+  const std::uint8_t* const storage = frame.data();
+  auto render = [](const std::vector<Detection>& ds) {
+    std::ostringstream out;
+    for (const Detection& d : ds) {
+      out << d.template_name << " entry " << d.entry_offset << " match " << d.match_offset;
+      for (const auto& [var, value] : d.bindings) out << " " << var << "=" << value;
+      out << "\n";
+    }
+    return out.str();
+  };
+  SemanticAnalyzer analyzer(make_standard_library());
+  AnalyzerScratch scratch;
+  std::vector<std::string> seen;
+  for (const util::Bytes& c : contents) {
+    std::fill(frame.begin(), frame.end(), 0x90);
+    std::copy(c.begin(), c.end(), frame.begin());
+    ASSERT_EQ(frame.data(), storage);
+    const std::string got = render(analyzer.analyze(frame, nullptr, scratch));
+    EXPECT_EQ(got, render(test::analyze(analyzer, frame)));
+    seen.push_back(got);
+  }
+  // Each rewrite changed the verdict: a stale table would repeat one.
+  EXPECT_NE(seen[0].find("K=0x5d"), std::string::npos) << seen[0];
+  EXPECT_NE(seen[1], seen[0]);
+  EXPECT_NE(seen[2].find("K=0x42"), std::string::npos) << seen[2];
+  EXPECT_EQ(seen[3], "");
+}
+
 TEST(Analyzer, RespectsMaxEntriesOption) {
   SemanticAnalyzer::Options opts;
   opts.max_entries = 1;
   SemanticAnalyzer analyzer(make_standard_library(), opts);
   // Still functional (the first entry is the interesting one here).
-  auto ds = analyzer.analyze(gen::make_iis_asp_overflow_payload());
+  auto ds = test::analyze(analyzer, gen::make_iis_asp_overflow_payload());
   EXPECT_FALSE(ds.empty());
 }
 
@@ -258,7 +298,7 @@ struct EntryList {
 
 EntryList reference_entries(const SemanticAnalyzer::Options& opt, util::ByteView frame) {
   const arch::Arch& isa = opt.arch ? *opt.arch : arch::Arch::x86_32();
-  auto runs = arch::find_code_runs(frame, opt.min_run_insns, isa.mode());
+  auto runs = test::code_runs(frame, opt.min_run_insns, isa);
   std::stable_sort(runs.begin(), runs.end(), [](const arch::CodeRun& a,
                                                 const arch::CodeRun& b) {
     return a.insn_count > b.insn_count;
@@ -356,7 +396,7 @@ TEST(Analyzer, EntryBudgetFlagsUntriedRuns) {
   util::Bytes frame(8, 0x41);
   frame.push_back(0x0F);
   frame.insert(frame.end(), 8, 0x42);
-  const auto runs = arch::find_code_runs(frame);
+  const auto runs = test::code_runs(frame);
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].start, 0u);
   EXPECT_EQ(runs[1].start, 9u);
@@ -364,7 +404,7 @@ TEST(Analyzer, EntryBudgetFlagsUntriedRuns) {
     SemanticAnalyzer::Options opt;
     opt.max_entries = max_entries;
     AnalyzerStats stats;
-    SemanticAnalyzer(make_standard_library(), opt).analyze(frame, &stats);
+    test::analyze(SemanticAnalyzer(make_standard_library(), opt), frame, &stats);
     EXPECT_EQ(stats.traces, max_entries);
     EXPECT_EQ(stats.entry_budget_exhausted, max_entries == 1 ? 1u : 0u)
         << "max_entries " << max_entries;
@@ -456,7 +496,7 @@ TEST(Analyzer, DetectionsEqualEveryTemplateOnEveryTrace) {
         }
         return want.size() < templates.size();
       });
-      const auto got = analyzer.analyze(f.bytes);
+      const auto got = test::analyze(analyzer, f.bytes);
       const std::string where = set_name + " on " + f.name;
       ASSERT_EQ(got.size(), want.size()) << where;
       for (std::size_t i = 0; i < got.size(); ++i) {
@@ -482,7 +522,7 @@ TEST(Analyzer, TriedPlusSkippedCoversEveryTemplateOnEveryTrace) {
   for (int i = 0; i < 200; ++i) html += "completely ordinary web page text ";
   html += "</body></html>";
   AnalyzerStats stats;
-  ASSERT_TRUE(analyzer.analyze(util::as_bytes(html), &stats).empty());
+  ASSERT_TRUE(test::analyze(analyzer, util::as_bytes(html), &stats).empty());
   ASSERT_GT(stats.traces, 0u);
   EXPECT_GT(stats.templates_skipped, 0u);
   EXPECT_EQ(stats.template_matches_tried + stats.templates_skipped,
@@ -542,7 +582,7 @@ TEST(Analyzer, RegistryCountersMatchStats) {
                                         SemanticAnalyzer(make_standard_library(), tight)};
   // The analyzer registers its series (with their help text) on first
   // use; let it, before the lookups below could register them bare.
-  analyzers[0].analyze(frames.back());
+  test::analyze(analyzers[0], frames.back());
   AnalyzerStats total;
   for (const SemanticAnalyzer& analyzer : analyzers) {
     for (const util::Bytes& frame : frames) {
@@ -551,7 +591,7 @@ TEST(Analyzer, RegistryCountersMatchStats) {
         std::vector<std::uint64_t> before;
         for (const Series& s : series) before.push_back(registry.counter(s.name).value());
         AnalyzerStats stats;
-        analyzer.analyze(frame, with_stats ? &stats : nullptr);
+        test::analyze(analyzer, frame, with_stats ? &stats : nullptr);
         if (with_stats) expected = stats;
         for (std::size_t i = 0; i < std::size(series); ++i) {
           EXPECT_EQ(registry.counter(series[i].name).value() - before[i],
@@ -589,7 +629,7 @@ TEST(Analyzer, FnstenvGetPcInstancesDetected) {
     util::Prng prng(seed);
     auto poly = gen::admmutate_encode(payload, prng, opts);
     bool hit = false;
-    for (const auto& d : analyzer.analyze(poly.bytes)) {
+    for (const auto& d : test::analyze(analyzer, poly.bytes)) {
       if (d.threat == ThreatClass::kDecryptionLoop) hit = true;
     }
     EXPECT_TRUE(hit) << "seed " << seed;

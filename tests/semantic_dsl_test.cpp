@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "one_shot.hpp"
 #include "semantic/dsl.hpp"
 
 namespace senids::semantic {
@@ -233,13 +234,14 @@ TEST(ShippedTemplates, DetectionParityWithBuiltins) {
     corpus.push_back(gen::admmutate_encode(corpus[1], p).bytes);
   }
   for (std::size_t i = 0; i < corpus.size(); ++i) {
-    EXPECT_EQ(classes(from_dsl.analyze(corpus[i])), classes(from_code.analyze(corpus[i])))
+    EXPECT_EQ(classes(test::analyze(from_dsl, corpus[i])),
+              classes(test::analyze(from_code, corpus[i])))
         << "sample " << i;
   }
   // And a benign control stays clean for both.
   auto noise = prng.bytes(2048);
-  EXPECT_TRUE(from_dsl.analyze(noise).empty());
-  EXPECT_TRUE(from_code.analyze(noise).empty());
+  EXPECT_TRUE(test::analyze(from_dsl, noise).empty());
+  EXPECT_TRUE(test::analyze(from_code, noise).empty());
 }
 
 std::vector<Template> parse_ok2(std::string_view text) {

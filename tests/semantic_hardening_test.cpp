@@ -8,11 +8,11 @@
 #include <chrono>
 
 #include "frame_corpus.hpp"
+#include "one_shot.hpp"
 #include "gen/emitter.hpp"
 #include "ir/lifter.hpp"
 #include "semantic/analyzer.hpp"
 #include "semantic/library.hpp"
-#include "arch/scan.hpp"
 
 namespace senids::semantic {
 namespace {
@@ -24,7 +24,7 @@ using util::Bytes;
 
 std::optional<MatchResult> run_match(const Template& t, const Bytes& code,
                                      std::size_t entry = 0) {
-  auto trace = arch::execution_trace(code, entry);
+  auto trace = test::trace(code, entry);
   ir::LiftResult lifted;
   ir::lift(trace, lifted);
   LiftedCode lc{&trace, &lifted.events, code};
@@ -428,7 +428,7 @@ TEST(Hardening, SharedSubtreeBindingRendersBounded) {
                            0x46,                                      // inc esi
                            0xe2, 0xfa});                              // loop xor
   SemanticAnalyzer analyzer(make_standard_library());
-  const auto detections = analyzer.analyze(code);
+  const auto detections = test::analyze(analyzer, code);
   ASSERT_FALSE(detections.empty());
   bool cut = false;
   for (const auto& d : detections) {
@@ -447,7 +447,7 @@ TEST(Hardening, SharedSubtreeBindingRendersBounded) {
 std::pair<double, std::vector<Detection>> timed_analyze(const Bytes& frame) {
   const SemanticAnalyzer analyzer(make_standard_library());
   const auto t0 = std::chrono::steady_clock::now();
-  auto detections = analyzer.analyze(frame);
+  auto detections = test::analyze(analyzer, frame);
   return {std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(),
           std::move(detections)};
 }

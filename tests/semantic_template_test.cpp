@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "one_shot.hpp"
 #include "gen/emitter.hpp"
 #include "gen/poly.hpp"
 #include "gen/shellcode.hpp"
 #include "ir/lifter.hpp"
 #include "semantic/library.hpp"
 #include "semantic/template.hpp"
-#include "arch/scan.hpp"
 
 namespace senids::semantic {
 namespace {
@@ -22,7 +22,7 @@ using util::Bytes;
 std::optional<MatchResult> run_match(const Template& t, const Bytes& code,
                                      std::size_t entry = 0) {
   static ir::LiftResult lifted;
-  auto trace = arch::execution_trace(code, entry);
+  auto trace = test::trace(code, entry);
   ir::lift(trace, lifted);
   LiftedCode lc{&trace, &lifted.events, code};
   return match_template(t, lc);
@@ -437,7 +437,7 @@ TEST(Template, FnstenvDecoderMatchesStatically) {
   // the xor template sees the same derived-constant pointer walk as the
   // call/pop form.
   auto payload = gen::make_fnstenv_decoder_payload(0x7e);
-  auto trace = arch::execution_trace(payload, 0);
+  auto trace = test::trace(payload, 0);
   ir::LiftResult lifted;
   ir::lift(trace, lifted);
   LiftedCode lc{&trace, &lifted.events, payload};
@@ -452,7 +452,7 @@ namespace {
 
 TEST(Template, FormatMatchExplainsStatements) {
   auto code = figure_1a();
-  auto trace = arch::execution_trace(code, 0);
+  auto trace = test::trace(code, 0);
   ir::LiftResult lifted;
   ir::lift(trace, lifted);
   LiftedCode lc{&trace, &lifted.events, code};

@@ -240,22 +240,6 @@ TEST(TriageDifferential, X64Corpus) {
   EXPECT_FALSE(r.alerts.empty());
 }
 
-TEST(TriageDifferential, ForceEscalateMatchesOffExactly) {
-  // kForceEscalate screens every unit but rejects none: it must be
-  // indistinguishable from triage-off in alerts *and* leave the
-  // rejected counter at zero (the counters still tick).
-  const pcap::Capture capture = mixed_corpus(207);
-  const MatrixPoint p{1, 1, true};
-  NidsEngine off = make_engine(triage::TriageMode::kOff, p);
-  NidsEngine force = make_engine(triage::TriageMode::kForceEscalate, p);
-  const Report r_off = off.process_capture(capture);
-  const Report r_force = force.process_capture(capture);
-  expect_alerts_equal(r_off.alerts, r_force.alerts, p);
-  EXPECT_EQ(r_force.stats.triage_screened, r_force.stats.units_analyzed);
-  EXPECT_EQ(r_force.stats.triage_escalated, r_force.stats.triage_screened);
-  EXPECT_EQ(r_force.stats.triage_rejected, 0u);
-}
-
 TEST(TriageDifferential, CacheWarmingUnaffectedByTriage) {
   // Two passes of the same capture through one triage-on cache-on
   // engine: rejected units bypass the cache in both passes, escalated

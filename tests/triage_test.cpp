@@ -259,17 +259,6 @@ TEST(Triage, HighEntropyBenignDataRejected) {
   EXPECT_GE(rejected, kSamples - 4);
 }
 
-TEST(Triage, ForceEscalateScreensNothingOut) {
-  TriageOptions options;
-  options.mode = TriageMode::kForceEscalate;
-  const TriageFilter f = make_filter(std::move(options));
-  for (ByteView payload : {ByteView{}, ByteView{util::as_bytes("plain text")}}) {
-    const TriageDecision d = f.screen(payload);
-    EXPECT_TRUE(d.escalate);
-    EXPECT_EQ(reason(d), "forced");
-  }
-}
-
 TEST(Triage, ExtractAllDisablesRejection) {
   // Extractor bypass mode frames every payload whole, so nothing can be
   // proven frame-free and the screen must escalate everything.

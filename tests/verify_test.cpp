@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "one_shot.hpp"
 #include "gen/poly.hpp"
 #include "gen/shellcode.hpp"
 #include "ir/lifter.hpp"
@@ -20,7 +21,6 @@
 #include "verify/lint.hpp"
 #include "verify/table_check.hpp"
 #include "arch/decoder.hpp"
-#include "arch/scan.hpp"
 
 namespace senids {
 namespace {
@@ -39,13 +39,13 @@ using semantic::Template;
 // ------------------------------------------------------------- positives
 
 void expect_clean_ir(util::ByteView code, const std::string& label) {
-  auto runs = arch::find_code_runs(code, 4);
+  auto runs = test::code_runs(code, 4);
   // Verify from the frame start and from every candidate run: the same
   // entries the analyzer would lift.
   std::vector<std::size_t> entries{0};
   for (const auto& run : runs) entries.push_back(run.start);
   for (std::size_t entry : entries) {
-    auto trace = arch::execution_trace(code, entry, 4096);
+    auto trace = test::trace(code, entry, 4096);
     if (trace.empty()) continue;
     ir::LiftResult lifted;
     ir::lift(trace, lifted);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "frame_corpus.hpp"
+#include "one_shot.hpp"
 #include "gen/emitter.hpp"
 #include "gen/poly.hpp"
 #include "util/prng.hpp"
@@ -42,12 +45,12 @@ std::vector<Instruction> decoding_trace(util::ByteView code, std::size_t entry,
 
 TEST(FindCodeRuns, EmptyBuffer) {
   Bytes empty;
-  EXPECT_TRUE(find_code_runs(empty).empty());
+  EXPECT_TRUE(test::code_runs(empty).empty());
 }
 
 TEST(FindCodeRuns, AllNops) {
   Bytes code(64, 0x90);
-  auto runs = find_code_runs(code, 6);
+  auto runs = test::code_runs(code, 6);
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].start, 0u);
   EXPECT_EQ(runs[0].insn_count, 64u);
@@ -58,7 +61,7 @@ TEST(FindCodeRuns, SuppressesTailRuns) {
   // A run starting at offset 1 inside the offset-0 run must not be
   // reported separately.
   Bytes code(32, 0x40);  // inc eax * 32
-  auto runs = find_code_runs(code, 4);
+  auto runs = test::code_runs(code, 4);
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].start, 0u);
 }
@@ -67,7 +70,7 @@ TEST(FindCodeRuns, FindsRunAfterInvalidBytes) {
   Bytes code;
   code.insert(code.end(), 8, 0xD8);  // x87 escapes: invalid
   code.insert(code.end(), 16, 0x90);
-  auto runs = find_code_runs(code, 6);
+  auto runs = test::code_runs(code, 6);
   ASSERT_GE(runs.size(), 1u);
   bool found = false;
   for (const auto& r : runs) {
@@ -81,7 +84,7 @@ TEST(FindCodeRuns, MinInsnsFiltersShortRuns) {
   code.insert(code.end(), 4, 0x90);
   code.push_back(0xD8);  // invalid separator
   code.push_back(0xC0);
-  auto runs = find_code_runs(code, 6);
+  auto runs = test::code_runs(code, 6);
   EXPECT_TRUE(runs.empty());
 }
 
@@ -95,7 +98,7 @@ TEST(FindCodeRuns, LongestRunFirst) {
     code.insert(code.end(), len, 0x90);
     code.push_back(0xD8);  // x87 escape: invalid
   }
-  auto runs = find_code_runs(code, 6);
+  auto runs = test::code_runs(code, 6);
   ASSERT_EQ(runs.size(), 4u);
   const std::size_t want[] = {starts[1], starts[3], starts[0], starts[2]};
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -107,7 +110,7 @@ TEST(FindCodeRuns, LongestRunFirst) {
 TEST(FindCodeRuns, ShellcodeYieldsLongRun) {
   util::Prng prng(3);
   gen::PolyResult poly = gen::admmutate_encode(util::to_bytes("payloadpayload"), prng);
-  auto runs = find_code_runs(poly.bytes, 6);
+  auto runs = test::code_runs(poly.bytes, 6);
   ASSERT_FALSE(runs.empty());
   // The run starting at (or before) the sled should cover the decoder.
   EXPECT_LE(runs[0].start, poly.sled_len);
@@ -128,7 +131,7 @@ TEST(ExecutionTrace, FollowsUnconditionalJmp) {
   a.ret();
   Bytes code = a.finish();
 
-  auto trace = execution_trace(code, 0);
+  auto trace = test::trace(code, 0);
   ASSERT_EQ(trace.size(), 3u);
   EXPECT_EQ(trace[0].mnemonic, Mnemonic::kJmp);
   EXPECT_EQ(trace[1].mnemonic, Mnemonic::kInc);
@@ -149,7 +152,7 @@ TEST(ExecutionTrace, FollowsCallTarget) {
   a.raw(util::to_bytes("/bin/sh"));
   Bytes code = a.finish();
 
-  auto trace = execution_trace(code, 0);
+  auto trace = test::trace(code, 0);
   ASSERT_EQ(trace.size(), 4u);
   EXPECT_EQ(trace[0].mnemonic, Mnemonic::kJmp);
   EXPECT_EQ(trace[1].mnemonic, Mnemonic::kCall);
@@ -168,7 +171,7 @@ TEST(ExecutionTrace, StopsAtLoopClosure) {
   a.ret();
   Bytes code = a.finish();
 
-  auto trace = execution_trace(code, 0);
+  auto trace = test::trace(code, 0);
   // Falls through the conditional loop once, reaching ret; no revisit.
   ASSERT_EQ(trace.size(), 4u);
   EXPECT_EQ(trace[2].mnemonic, Mnemonic::kLoop);
@@ -184,7 +187,7 @@ TEST(ExecutionTrace, ClosesWhenJmpRevisits) {
   a.jmp_short(head);
   Bytes code = a.finish();
 
-  auto trace = execution_trace(code, 0);
+  auto trace = test::trace(code, 0);
   EXPECT_EQ(trace.size(), 2u);
 }
 
@@ -211,7 +214,7 @@ TEST(ExecutionTrace, OutOfOrderBlocksLinearized) {
   a.ret();
   Bytes code = a.finish();
 
-  auto trace = execution_trace(code, 0);
+  auto trace = test::trace(code, 0);
   // Execution order: mov ecx, inc, inc, jmp, mov ebx, add ebx, xor, jmp,
   // add eax, jmp, ret.
   std::vector<Mnemonic> got;
@@ -225,7 +228,7 @@ TEST(ExecutionTrace, OutOfOrderBlocksLinearized) {
 
 TEST(ExecutionTrace, StopsAtInvalidByte) {
   Bytes code{0x90, 0xD8, 0x90};
-  auto trace = execution_trace(code, 0);
+  auto trace = test::trace(code, 0);
   EXPECT_EQ(trace.size(), 1u);
 }
 
@@ -237,25 +240,25 @@ TEST(ExecutionTrace, StopsAtBufferEscape) {
   a.bind(far);
   Bytes code = a.finish();
   code.resize(code.size());  // target == size: out of buffer
-  auto trace = execution_trace(code, 0);
+  auto trace = test::trace(code, 0);
   EXPECT_EQ(trace.size(), 2u);
 }
 
 TEST(ExecutionTrace, MaxInsnsRespected) {
   Bytes code(1000, 0x90);
-  EXPECT_EQ(execution_trace(code, 0, 100).size(), 100u);
+  EXPECT_EQ(test::trace(code, 0, 100).size(), 100u);
 }
 
 TEST(ExecutionTrace, EntryBeyondBufferEmpty) {
   Bytes code(4, 0x90);
-  EXPECT_TRUE(execution_trace(code, 10).empty());
+  EXPECT_TRUE(test::trace(code, 10).empty());
 }
 
 TEST(FindCodeRuns, ByteLengthMatchesWalk) {
   const auto frames = test_corpus::scan_corpus();
   for (const Arch* isa : Arch::all()) {
     for (const auto& [name, frame] : frames) {
-      for (const CodeRun& run : find_code_runs(frame, 1, isa->mode())) {
+      for (const CodeRun& run : test::code_runs(frame, 1, *isa)) {
         std::size_t end = run.start, count = 0;
         for (Instruction insn; end < frame.size() &&
                                (insn = decode(frame, end, isa->mode())).valid();
@@ -285,6 +288,24 @@ TEST(ScanTable, EqualsDecodeAtEveryOffset) {
       }
     }
   }
+}
+
+TEST(ScanTable, RescanSeesBytesRewrittenInPlace) {
+  // The table is matched to a buffer by pointer, size and mode only, so
+  // after rewriting scanned bytes in place it is scanning again that
+  // brings it up to date.
+  Bytes code(8, 0x40);  // inc eax * 8
+  const Arch& isa = Arch::x86_32();
+  ScanScratch scratch;
+  std::vector<CodeRun> runs;
+  std::vector<Instruction> trace;
+  isa.find_code_runs(code, 6, runs, scratch);
+  std::fill(code.begin(), code.end(), 0x90);  // nop * 8, same storage
+  isa.find_code_runs(code, 6, runs, scratch);
+  isa.execution_trace(code, 0, 4096, trace, scratch);
+  ASSERT_EQ(trace.size(), 8u);
+  EXPECT_EQ(trace.front().mnemonic, Mnemonic::kNop);
+  EXPECT_EQ(trace, test::trace(code, 0));
 }
 
 TEST(ExecutionTrace, MatchesDecodingReference) {
@@ -333,7 +354,7 @@ TEST(ExecutionTrace, ConditionalBranchFallsThrough) {
   a.bind(skip);
   a.ret();
   Bytes code = a.finish();
-  auto trace = execution_trace(code, 0);
+  auto trace = test::trace(code, 0);
   ASSERT_EQ(trace.size(), 4u);
   EXPECT_EQ(trace[2].mnemonic, Mnemonic::kInc);
 }

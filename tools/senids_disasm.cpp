@@ -4,30 +4,34 @@
 //
 //   senids_disasm [options] <file|->
 //     --hex            input is hex text (whitespace tolerated)
-//     --entry <n>      trace entry offset (default: best candidate run)
+//     --entry <n>      trace entry offset, a whole number below the input
+//                      size (default: best candidate run)
 //     --events         print lifted semantic events
 //     --junk           mark dead (junk) instructions in the listing
 //     --match          run the standard template library and report
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "ir/deadcode.hpp"
 #include "ir/lifter.hpp"
 #include "semantic/analyzer.hpp"
 #include "semantic/library.hpp"
 #include "util/hexdump.hpp"
+#include "arch/arch.hpp"
 #include "arch/format.hpp"
-#include "arch/scan.hpp"
 
 using namespace senids;
 
 int main(int argc, char** argv) {
   bool hex = false, events = false, junk = false, match = false;
-  std::size_t entry = SIZE_MAX;
+  std::optional<std::string_view> entry_text;
   std::string path;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -40,7 +44,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--match") {
       match = true;
     } else if (arg == "--entry" && i + 1 < argc) {
-      entry = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 0));
+      entry_text = argv[++i];
     } else if (arg == "--help" || arg == "-h" || (!arg.empty() && arg[0] == '-' && arg != "-")) {
       std::fprintf(stderr,
                    "usage: %s [--hex] [--entry <n>] [--events] [--junk] [--match] <file|->\n",
@@ -88,13 +92,25 @@ int main(int argc, char** argv) {
   }
 
   // Pick the entry: explicit, or the longest candidate run (the scanner
-  // lists it first).
-  if (entry == SIZE_MAX) {
-    const auto runs = arch::find_code_runs(code, 1);
-    entry = runs.empty() ? 0 : runs.front().start;
+  // lists it first). The scan also fills `scan` with the decodes every
+  // trace below reads.
+  const arch::Arch& isa = arch::Arch::x86_32();
+  arch::ScanScratch scan;
+  std::vector<arch::CodeRun> runs;
+  isa.find_code_runs(code, 1, runs, scan);
+  std::size_t entry = runs.empty() ? 0 : runs.front().start;
+  if (entry_text) {
+    const char* end = entry_text->data() + entry_text->size();
+    const auto [ptr, ec] = std::from_chars(entry_text->data(), end, entry);
+    if (ec != std::errc{} || ptr != end || entry >= code.size()) {
+      std::fprintf(stderr, "bad --entry value '%.*s': want a whole number from 0 to %zu\n",
+                   static_cast<int>(entry_text->size()), entry_text->data(), code.size() - 1);
+      return 2;
+    }
   }
 
-  auto trace = arch::execution_trace(code, entry);
+  std::vector<arch::Instruction> trace;
+  isa.execution_trace(code, entry, 4096, trace, scan);
   std::printf("; %zu bytes, entry +0x%zx, %zu instructions in execution order\n",
               code.size(), entry, trace.size());
 
@@ -139,16 +155,18 @@ int main(int argc, char** argv) {
     semantic::SemanticAnalyzer::Options opts;
     opts.min_run_insns = 1;  // hand-fed snippets can be tiny
     semantic::SemanticAnalyzer analyzer(semantic::make_extended_library(), opts);
-    auto detections = analyzer.analyze(code);
+    semantic::AnalyzerScratch scratch;
+    auto detections = analyzer.analyze(code, nullptr, scratch);
     std::printf("\n; template verdicts\n");
     if (detections.empty()) std::printf("  no matches\n");
+    std::vector<arch::Instruction> mtrace;
     ir::LiftResult mlift;
     for (const auto& d : detections) {
       std::printf("  MATCH %-28s (%s) entry=+0x%zx\n", d.template_name.c_str(),
                   std::string(semantic::threat_class_name(d.threat)).c_str(),
                   d.entry_offset);
       // Re-run the match at the detected entry to show the explanation.
-      auto mtrace = arch::execution_trace(code, d.entry_offset);
+      isa.execution_trace(code, d.entry_offset, 4096, mtrace, scan);
       ir::lift(mtrace, mlift);
       semantic::LiftedCode lc{&mtrace, &mlift.events, code};
       for (const auto& t : analyzer.templates()) {
