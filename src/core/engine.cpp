@@ -513,10 +513,13 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
     // stats deltas rather than a wrapper clock: the three stages
     // interleave inside analyze(), so only the analyzer can attribute
     // time correctly.
+    // The frames are analyzed as one unit: raw frames as windows of the
+    // payload, sharing their traces, and every frame within one budget.
     semantic::AnalyzerStats& an = counts.analyzer;
-    auto analyze_frame = [&](util::ByteView data) {
+    analyzer_.begin_unit(ctx.scratch_);
+    auto analyze_frame = [&](util::ByteView data, std::optional<std::size_t> window) {
       const semantic::AnalyzerStats before = an;
-      auto detections = analyzer_.analyze(data, &an, ctx.scratch_);
+      auto detections = analyzer_.analyze(data, window, &an, ctx.scratch_);
       if (an.frames > before.frames) {
         unit.stage(obs::Stage::kDisasm, an.disasm_seconds - before.disasm_seconds, data.size());
         unit.stage(obs::Stage::kLift, an.lift_seconds - before.lift_seconds, data.size());
@@ -540,9 +543,9 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
       }
       return *memo;
     };
-    // A template may fire on several frames of the same payload (e.g.
-    // the sled frame and the after-repetition frame overlap); report it
-    // once.
+    // Report each name once per unit. The analyzer already returns a
+    // template at most once per unit; the emulator's behaviour alerts can
+    // repeat on every frame, and two templates may share a name.
     ctx.fired_names_.clear();
     auto add_alert = [&](semantic::ThreatClass threat, std::string name,
                          extract::FrameReason reason, std::size_t offset) {
@@ -557,7 +560,10 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
 
     for (const auto& frame : frames) {
       counts.bytes_analyzed += frame.data.size();
-      for (auto& det : analyze_frame(frame.data)) {
+      const std::optional<std::size_t> window =
+          extract::is_payload_window(frame.reason) ? std::optional(frame.src_offset)
+                                                   : std::nullopt;
+      for (auto& det : analyze_frame(frame.data, window)) {
         add_alert(det.threat, std::move(det.template_name), frame.reason, frame.src_offset);
       }
     }
@@ -573,11 +579,14 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
         confirmed = emulate(fi).frame_bytes_modified >= kMinDecodedBytes;
       }
       if (!confirmed) {
-        // Forget the erased names too: the deep pass below may rediscover
-        // the same template on an emulation-decoded frame, and that
-        // confirmed re-detection must not be suppressed.
+        // Forget the erased names too, here and in the analyzer: the deep
+        // pass below may rediscover the same template on an
+        // emulation-decoded frame, and that confirmed re-detection must
+        // not be suppressed.
         for (const Alert& a : unit.alerts) {
-          if (is_decoder(a)) ctx.fired_names_.erase(a.template_name);
+          if (!is_decoder(a)) continue;
+          ctx.fired_names_.erase(a.template_name);
+          analyzer_.forget_fired(a.template_name, ctx.scratch_);
         }
         std::erase_if(unit.alerts, is_decoder);
       }
@@ -601,7 +610,7 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
                     extract::FrameReason::kEmulatedBehavior, frame.src_offset);
         }
         if (!emu_result.decoded_frame.empty()) {
-          for (auto& det : analyze_frame(emu_result.decoded_frame)) {
+          for (auto& det : analyze_frame(emu_result.decoded_frame, std::nullopt)) {
             add_alert(det.threat, std::move(det.template_name),
                       extract::FrameReason::kEmulatedDecode, frame.src_offset);
           }

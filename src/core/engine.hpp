@@ -288,8 +288,8 @@ class AnalysisContext {
   /// decoder-confirmation pass and the deep-analysis pass never emulate
   /// the same frame twice.
   std::vector<std::optional<emu::EmulationResult>> emu_memo_;
-  /// Template names already alerted for the current unit (a template may
-  /// fire on several overlapping frames; it is reported once).
+  /// Names already alerted for the current unit (an emulated behaviour
+  /// may show on several frames; it is reported once).
   std::unordered_set<std::string> fired_names_;
 };
 

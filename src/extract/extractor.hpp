@@ -26,6 +26,21 @@ enum class FrameReason : std::uint8_t {
 
 std::string_view frame_reason_name(FrameReason r) noexcept;
 
+/// Is a frame of reason `r` a window of its payload: the raw bytes
+/// [src_offset, src_offset + size), not a transformed copy?
+constexpr bool is_payload_window(FrameReason r) noexcept {
+  switch (r) {
+    case FrameReason::kAfterRepetition:
+    case FrameReason::kNopSled:
+    case FrameReason::kBinaryRegion:
+    case FrameReason::kReturnRegion:
+    case FrameReason::kWholePayload:
+      return true;
+    default:
+      return false;
+  }
+}
+
 struct BinaryFrame {
   util::Bytes data;
   std::size_t src_offset = 0;  // where in the payload the frame began

@@ -2,6 +2,50 @@
 
 namespace senids::ir {
 
+namespace {
+
+bool narrow(arch::RegWidth w) { return w != arch::RegWidth::k32 && w != arch::RegWidth::k64; }
+
+/// Register families `insn` writes only in part: an 8- or 16-bit write
+/// keeps the rest of its register, so the value before it stays live.
+arch::RegSet partial_defs(const arch::Instruction& insn) {
+  arch::RegSet partial;
+  for (const arch::Operand& op : insn.ops) {
+    if (op.kind == arch::OperandKind::kReg && narrow(op.reg.width)) partial.add(op.reg);
+  }
+  switch (insn.mnemonic) {
+    // Implicit accumulator writes as wide as the operation.
+    case arch::Mnemonic::kLods:
+    case arch::Mnemonic::kMul:
+    case arch::Mnemonic::kImul:
+    case arch::Mnemonic::kDiv:
+    case arch::Mnemonic::kIdiv:
+    case arch::Mnemonic::kCwde:
+    case arch::Mnemonic::kCdq:
+      if (narrow(insn.op_width)) {
+        partial.add_family(arch::RegFamily::kAx);
+        partial.add_family(arch::RegFamily::kDx);
+      }
+      break;
+    // Implicit writes of al, ah or ax.
+    case arch::Mnemonic::kXlat:
+    case arch::Mnemonic::kSalc:
+    case arch::Mnemonic::kLahf:
+    case arch::Mnemonic::kIn:
+    case arch::Mnemonic::kAaa:
+    case arch::Mnemonic::kAas:
+    case arch::Mnemonic::kDaa:
+    case arch::Mnemonic::kDas:
+      partial.add_family(arch::RegFamily::kAx);
+      break;
+    default:
+      break;
+  }
+  return partial;
+}
+
+}  // namespace
+
 DeadCodeResult find_dead_code(const std::vector<arch::Instruction>& trace,
                               arch::RegSet exit_live) {
   DeadCodeResult result;
@@ -26,11 +70,13 @@ DeadCodeResult find_dead_code(const std::vector<arch::Instruction>& trace,
       continue;  // a dead instruction contributes no uses
     }
 
-    // Backward transfer: defs kill liveness, uses generate it.
+    // Backward transfer: full-width defs kill liveness, uses generate it.
+    const arch::RegSet partial = partial_defs(trace[i]);
     arch::RegSet next_live;
     for (unsigned f = 0; f < 8; ++f) {
       const auto fam = static_cast<arch::RegFamily>(f);
-      if (live.contains_family(fam) && !du.defs.contains_family(fam)) {
+      if (live.contains_family(fam) &&
+          (!du.defs.contains_family(fam) || partial.contains_family(fam))) {
         next_live.add_family(fam);
       }
     }

@@ -17,6 +17,13 @@ namespace senids::ir {
 /// the 0..255 int-vector space so it can never collide with an int imm8.
 inline constexpr std::uint16_t kSyscallVector = 0x100;
 
+/// The most trace instructions a loop body may span, from the branch's
+/// target to the branch: a conditional branch closes a loop only when its
+/// target is one of the kMaxLoopInsns instructions traced before it.
+/// Decoder loops are tight; distant branches are the main source of
+/// coincidental loops in data.
+inline constexpr std::uint32_t kMaxLoopInsns = 64;
+
 enum class EventKind : std::uint8_t {
   kRegWrite,   // register family := value
   kMemWrite,   // mem[addr] := value (width bits)
@@ -32,6 +39,9 @@ struct Event {
   // kBranch
   bool conditional = false;
   bool backward = false;        // static target at or before this instruction
+  /// Conditional, and its target is one of the kMaxLoopInsns instructions
+  /// traced before it: the branch closes a loop of the trace.
+  bool loops_back = false;
   bool is_call = false;
   /// kSyscall mechanism: the int imm8 vector (0x80 for 32-bit Linux), or
   /// kSyscallVector for the x86-64 `syscall` instruction.

@@ -282,14 +282,26 @@ std::optional<BinOp> alu_op(Mnemonic m) {
   }
 }
 
-void emit_branch(Machine& m, const Instruction& insn, std::size_t idx, bool conditional,
-                 bool is_call = false) {
+/// Does `trace[idx]`'s branch target `target` close a loop: is it one of
+/// the kMaxLoopInsns instructions traced before it?
+bool closes_loop(const std::vector<Instruction>& trace, std::size_t idx, std::size_t target) {
+  const std::size_t first = idx > kMaxLoopInsns ? idx - kMaxLoopInsns : 0;
+  for (std::size_t j = idx; j-- > first;) {
+    if (trace[j].offset == target) return true;
+  }
+  return false;
+}
+
+void emit_branch(Machine& m, const std::vector<Instruction>& trace, std::size_t idx,
+                 bool conditional, bool is_call = false) {
+  const Instruction& insn = trace[idx];
   Event& ev = m.emit(EventKind::kBranch, insn, idx);
   ev.conditional = conditional;
   ev.is_call = is_call;
   if (auto target = insn.branch_target()) {
     ev.target = static_cast<std::uint32_t>(*target);
     ev.backward = *target <= insn.offset;
+    ev.loops_back = conditional && closes_loop(trace, idx, *target);
   }
 }
 
@@ -458,29 +470,29 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         // the matcher (the pop receives a constant buffer offset).
         m.push_value(arena.mk_const(static_cast<std::uint32_t>(insn.end_offset())), insn,
                      idx);
-        emit_branch(m, insn, idx, /*conditional=*/false, /*is_call=*/true);
+        emit_branch(m, trace, idx, /*conditional=*/false, /*is_call=*/true);
         break;
 
       case Mnemonic::kRet:
       case Mnemonic::kRetf:
       case Mnemonic::kIret:
         m.pop_value();
-        emit_branch(m, insn, idx, /*conditional=*/false);
+        emit_branch(m, trace, idx, /*conditional=*/false);
         break;
 
       case Mnemonic::kJmp:
-        emit_branch(m, insn, idx, /*conditional=*/false);
+        emit_branch(m, trace, idx, /*conditional=*/false);
         break;
       case Mnemonic::kJcc:
       case Mnemonic::kJecxz:
-        emit_branch(m, insn, idx, /*conditional=*/true);
+        emit_branch(m, trace, idx, /*conditional=*/true);
         break;
 
       case Mnemonic::kLoop:
       case Mnemonic::kLoope:
       case Mnemonic::kLoopne:
         m.step_reg(RegFamily::kCx, 0xffffffffu, insn, idx);
-        emit_branch(m, insn, idx, /*conditional=*/true);
+        emit_branch(m, trace, idx, /*conditional=*/true);
         break;
 
       case Mnemonic::kInt:

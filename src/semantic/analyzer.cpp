@@ -51,6 +51,40 @@ std::vector<MatchPlan> plans_of(const std::vector<Template>& templates) {
   return plans;
 }
 
+/// Moves `trace` from frame offsets to payload offsets, for a frame that
+/// starts at payload offset `origin`. The decoder resolved relative
+/// branch targets to frame offsets, so they move too.
+void to_payload_offsets(std::vector<arch::Instruction>& trace, std::size_t origin) {
+  for (arch::Instruction& insn : trace) {
+    insn.offset += static_cast<std::uint32_t>(origin);
+    if (insn.ops[0].kind == arch::OperandKind::kRel) {
+      const std::int64_t target = insn.ops[0].imm() + static_cast<std::int64_t>(origin);
+      insn.ops[0] = arch::Operand::make_rel(target);
+    }
+  }
+}
+
+/// A window's trace, as the unit remembers it: payload offset << 32 |
+/// length << 1 | whether a search on it gave up at kMatchAttemptCap.
+std::uint64_t trace_key(std::uint32_t start, std::size_t length, bool capped) {
+  return std::uint64_t{start} << 32 | std::uint64_t{length} << 1 | (capped ? 1u : 0u);
+}
+
+/// Did an earlier window analyze the trace from `start` of `length`
+/// instructions, or a longer one from `start`? A window's trace is a
+/// prefix of the payload's trace from the same offset, so the shorter of
+/// two is a prefix of the longer, and its events are the longer one's
+/// first events: a template with no match on the longer trace has none
+/// on the shorter, unless that search gave up at the attempt cap.
+bool analyzed_before(const std::vector<std::uint64_t>& seen, std::uint32_t start,
+                     std::size_t length) {
+  for (auto it = std::lower_bound(seen.begin(), seen.end(), trace_key(start, length, false));
+       it != seen.end() && *it >> 32 == start; ++it) {
+    if ((*it & 1) == 0 || (*it & 0xffffffffu) >> 1 == length) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 void merge_analyzer(AnalyzerStats& into, const AnalyzerStats& from) {
@@ -65,9 +99,36 @@ SemanticAnalyzer::SemanticAnalyzer(std::vector<Template> templates, Options opti
       plans_(plans_of(templates_)),
       options_(std::move(options)) {}
 
-std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerStats* stats,
+void SemanticAnalyzer::begin_unit(AnalyzerScratch& scratch) const {
+  AnalyzerScratch::Unit& unit = scratch.unit;
+  unit.fired.assign(templates_.size(), 0);
+  unit.fired_count = 0;
+  unit.seen.clear();
+  unit.entries_left = options_.max_entries;
+  unit.insns_left = options_.max_total_insns;
+  unit.entry_budget_hit = false;
+  unit.insn_budget_hit = false;
+}
+
+void SemanticAnalyzer::forget_fired(std::string_view name, AnalyzerScratch& scratch) const {
+  AnalyzerScratch::Unit& unit = scratch.unit;
+  for (std::size_t ti = 0; ti < templates_.size(); ++ti) {
+    if (unit.fired[ti] && templates_[ti].name == name) {
+      unit.fired[ti] = 0;
+      --unit.fired_count;
+      // The traces analyzed so far were not tried against it.
+      unit.seen.clear();
+    }
+  }
+}
+
+std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame,
+                                                 std::optional<std::size_t> window,
+                                                 AnalyzerStats* stats,
                                                  AnalyzerScratch& scratch) const {
   const arch::Arch& isa = options_.arch ? *options_.arch : arch::Arch::x86_32();
+  AnalyzerScratch::Unit& unit = scratch.unit;
+  const std::size_t origin = window.value_or(0);
   std::vector<Detection> detections;
   // This call's counts and stage times. They are written out once, at
   // the end; an empty frame finds no runs and counts as no frame.
@@ -77,35 +138,52 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
 
   // 1. Candidate entry points, from one decode of the frame: starts of
   //    maximal decode runs, longest first, plus the loop heads and
-  //    post-call offsets inside them (arch::Arch::find_entries).
+  //    post-call offsets inside them (arch::Arch::find_entries), as many
+  //    as the unit's entry budget has left.
   clock.start();
   std::vector<std::size_t>& entries = scratch.entries;
-  counts.entry_budget_exhausted =
+  const bool entries_cut =
       isa.find_entries(frame, options_.min_run_insns, options_.max_trace_insns,
-                       options_.max_entries, scratch.runs, entries, scratch.scan);
+                       unit.entries_left, scratch.runs, entries, scratch.scan);
+  unit.entries_left -= entries.size();
+  if (entries_cut && !unit.entry_budget_hit) {
+    unit.entry_budget_hit = true;
+    counts.entry_budget_exhausted = 1;
+  }
   counts.candidate_runs = scratch.runs.size();
   clock.stop(counts.disasm_seconds);
 
-  // 2. Trace + lift + match. Stop trying a template once it has fired on
-  //    this frame (one detection per template per frame).
-  std::vector<char>& fired = scratch.fired;
-  fired.assign(templates_.size(), 0);
-  std::size_t fired_count = 0;
-  std::size_t lifted_budget = options_.max_total_insns;
+  // 2. Trace + lift + match, in payload offsets. A window's trace from
+  //    payload offset p is the payload's trace from p cut where it leaves
+  //    the window, so a trace that an earlier window analyzed, whole or
+  //    as a prefix of a longer trace from p, cannot match a template that
+  //    has not fired yet: it is skipped. Stop trying a template once it
+  //    has fired on this unit (one detection per template per unit).
+  unit.fresh.clear();
   std::vector<arch::Instruction>& trace = scratch.trace;
   ir::LiftResult& lifted = scratch.lifted;
   for (std::size_t entry : entries) {
-    if (fired_count == templates_.size()) break;
-    if (lifted_budget == 0) {  // per-frame work cap reached
-      counts.insn_budget_exhausted = 1;
+    if (unit.fired_count == templates_.size()) break;
+    if (unit.insns_left == 0) {  // per-unit work cap reached
+      if (!unit.insn_budget_hit) {
+        unit.insn_budget_hit = true;
+        counts.insn_budget_exhausted = 1;
+      }
       break;
     }
     clock.start();
-    isa.execution_trace(frame, entry, std::min(options_.max_trace_insns, lifted_budget),
+    isa.execution_trace(frame, entry, std::min(options_.max_trace_insns, unit.insns_left),
                         trace, scratch.scan);
     clock.stop(counts.disasm_seconds);
     if (trace.size() < options_.min_run_insns) continue;
-    lifted_budget -= std::min(lifted_budget, trace.size());
+    if (window) {
+      if (origin != 0) to_payload_offsets(trace, origin);
+      if (analyzed_before(unit.seen, trace[0].offset, trace.size())) {
+        ++counts.traces_shared;
+        continue;
+      }
+    }
+    unit.insns_left -= std::min(unit.insns_left, trace.size());
     ++counts.traces;
     counts.instructions_lifted += trace.size();
     clock.start();
@@ -114,9 +192,9 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
     if (options_.post_lift_hook) options_.post_lift_hook(trace, lifted);
     clock.start();
     TraceFacts& facts = scratch.facts;
-    facts.reset(LiftedCode{&trace, &lifted.events, frame});
+    facts.reset(LiftedCode{&trace, &lifted.events, frame, origin});
     for (std::size_t ti = 0; ti < templates_.size(); ++ti) {
-      if (fired[ti]) continue;
+      if (unit.fired[ti]) continue;
       if (!anchors_admit(plans_[ti].anchors, facts.features)) {
         ++counts.templates_skipped;
         continue;
@@ -124,13 +202,13 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
       ++counts.template_matches_tried;
       const Template& t = templates_[ti];
       if (auto m = match_template(plans_[ti], facts)) {
-        fired[ti] = 1;
-        ++fired_count;
+        unit.fired[ti] = 1;
+        ++unit.fired_count;
         Detection d;
         d.template_name = t.name;
         d.threat = t.threat;
         d.entry_offset = entry;
-        d.match_offset = m->start_offset;
+        d.match_offset = m->start_offset - origin;
         for (const auto& [var, value] : m->bindings) {
           d.bindings.emplace(var, ir::to_string(value));
         }
@@ -138,6 +216,19 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
       }
     }
     clock.stop(counts.match_seconds);
+    // A trace on which an ebx_points_to test found its pointer outside
+    // the window is not shared: another window may hold the string.
+    if (window && !facts.read_outside) {
+      unit.fresh.push_back(trace_key(trace[0].offset, trace.size(), facts.capped));
+    }
+  }
+  // The window's traces join the unit's, still sorted.
+  if (!unit.fresh.empty()) {
+    std::sort(unit.fresh.begin(), unit.fresh.end());
+    unit.merged.resize(unit.seen.size() + unit.fresh.size());
+    std::merge(unit.seen.begin(), unit.seen.end(), unit.fresh.begin(), unit.fresh.end(),
+               unit.merged.begin());
+    unit.seen.swap(unit.merged);
   }
 
   const AnalyzerCounters& counters = analyzer_counters();

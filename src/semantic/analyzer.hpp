@@ -5,7 +5,9 @@
 #include <array>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/lifter.hpp"
@@ -49,23 +51,31 @@ struct CountField {
 #define SENIDS_ANALYZER_COUNT_FIELDS(X)                                        \
   X(frames, frames, "Frames run through the semantic analyzer")               \
   X(candidate_runs, runs, "Candidate decode runs found")                       \
-  X(traces, traces, "Execution traces lifted to IR")                           \
-  X(instructions_lifted, insns_lifted, "Instructions lifted to IR")            \
+  /* A unit's raw frames are windows of its payload: a trace an earlier      \
+     window of the unit already lifted and matched counts as shared, and is    \
+     neither lifted nor counted in traces / instructions_lifted again. */      \
+  X(traces, traces,                                                            \
+    "Execution traces lifted to IR, each payload trace once per unit")         \
+  X(traces_shared, traces_shared,                                              \
+    "Traces skipped because an earlier window of the unit analyzed the same "  \
+    "payload trace")                                                           \
+  X(instructions_lifted, insns_lifted,                                         \
+    "Instructions lifted to IR, at most max_total_insns per unit")             \
   /* match_template calls that ran, and templates left untried on a trace     \
      because the trace lacks a feature the template's anchors require. On a    \
      frame where nothing fires, tried + skipped = traces x templates. */       \
   X(template_matches_tried, matches_tried, "Template match attempts")          \
   X(templates_skipped, templates_skipped,                                      \
     "Templates not tried on a trace that lacks their anchor features")         \
-  /* Work-budget bailouts: frames that left a candidate entry untried         \
-     because the entry budget (max_entries) was full, or burned the            \
-     per-frame instruction budget (max_total_insns). A spike is itself a       \
-     signal — adversarial frames shaped to exhaust the analyzer look exactly   \
-     like this. */                                                             \
+  /* Work-budget bailouts, at most one of each per unit: units that left a   \
+     candidate entry untried because the unit's entry budget (max_entries)     \
+     was full, or burned the unit's instruction budget (max_total_insns). A    \
+     spike is itself a signal — adversarial payloads shaped to exhaust the     \
+     analyzer look exactly like this. */                                       \
   X(entry_budget_exhausted, entry_budget_exhausted,                            \
-    "Frames that filled the candidate-entry budget")                           \
+    "Units that filled the per-unit candidate-entry budget")                   \
   X(insn_budget_exhausted, insn_budget_exhausted,                              \
-    "Frames that burned the per-frame instruction budget")
+    "Units that burned the per-unit instruction budget")
 
 struct AnalyzerStats {
   SENIDS_ANALYZER_COUNT_FIELDS(SENIDS_DECLARE_COUNT_FIELD)
@@ -102,8 +112,22 @@ struct AnalyzerScratch {
   std::vector<std::size_t> entries;
   std::vector<arch::Instruction> trace;
   ir::LiftResult lifted;
-  TraceFacts facts;               // the lifted trace's, shared by every template
-  std::vector<char> fired;        // per-template "already fired" flags
+  TraceFacts facts;  // the lifted trace's, shared by every template
+
+  /// The analysis unit the frames belong to (SemanticAnalyzer::begin_unit
+  /// starts one; the buffers are kept across units).
+  struct Unit {
+    std::vector<char> fired;  // per template: fired on this unit
+    std::size_t fired_count = 0;
+    /// The key (payload offset, length, capped) of every trace an earlier
+    /// window of the unit analyzed, sorted; the current window's are in
+    /// `fresh` until it ends, and `merged` is the buffer that merges them.
+    std::vector<std::uint64_t> seen, fresh, merged;
+    std::size_t entries_left = 0;  // of max_entries
+    std::size_t insns_left = 0;    // of max_total_insns
+    bool entry_budget_hit = false;
+    bool insn_budget_hit = false;
+  } unit;
 };
 
 /// Thread-safe analyzer: `analyze` is const and writes only the
@@ -118,6 +142,13 @@ struct AnalyzerScratch {
 /// anchors the trace's features cover; any other template would fail the
 /// first test of some statement on every event, so skipping it cannot
 /// change the detections.
+///
+/// Frames are analyzed as parts of a unit (one payload): a frame cut
+/// straight out of the payload is a window of it, analyzed in payload
+/// coordinates, and a trace an earlier window of the unit already lifted
+/// and matched is not lifted again; a template that fired on the unit is
+/// not tried again; and the work budgets hold for the whole unit
+/// (DESIGN.md, "A unit's frames are windows of its payload").
 class SemanticAnalyzer {
  public:
   struct Options {
@@ -127,15 +158,16 @@ class SemanticAnalyzer {
     /// arch::Arch::x86_32(), the classic pipeline.
     const arch::Arch* arch = nullptr;
     std::size_t min_run_insns = 6;     // candidate-run threshold
-    /// Entry points tried per frame. Large by default: the paper's system
-    /// disassembles whole samples; per-entry cost here is microseconds,
-    /// and the loop exits early once every template has fired.
+    /// Entry points listed per unit, over all its frames. Large by
+    /// default: the paper's system disassembles whole samples; per-entry
+    /// cost here is microseconds, and the loop exits early once every
+    /// template has fired.
     std::size_t max_entries = 8192;
     std::size_t max_trace_insns = 4096;
-    /// Hard per-frame work budget: total instructions lifted across all
-    /// entries. Bounds the worst case on pathological frames (the entry
-    /// count alone does not, since each entry may trace thousands of
-    /// instructions).
+    /// Hard per-unit work budget: total instructions lifted across all
+    /// entries of all its frames. Bounds the worst case on pathological
+    /// payloads (the entry count alone does not, since each entry may
+    /// trace thousands of instructions), however many frames they yield.
     std::size_t max_total_insns = 1u << 20;
     /// Verification hook invoked after every lift with the traced
     /// instructions and the lifted result. Empty = disabled (the default;
@@ -150,15 +182,36 @@ class SemanticAnalyzer {
       : SemanticAnalyzer(std::move(templates), Options{}) {}
   SemanticAnalyzer(std::vector<Template> templates, Options options);
 
-  /// Analyze one binary frame; returns at most one detection per template.
+  /// Starts a new unit in `scratch`: no template has fired on it, no
+  /// trace of it has been analyzed, and its budgets are full.
+  void begin_unit(AnalyzerScratch& scratch) const;
+
+  /// Analyze one frame of the unit begun in `scratch`; returns at most
+  /// one detection per template, and none for a template that already
+  /// fired on the unit. `window` is the payload offset of the frame's
+  /// first byte when the frame is a raw substring of the unit's payload,
+  /// and nullopt for a transformed buffer (decoded or emulated), whose
+  /// offsets are its own and whose traces are shared with no other
+  /// frame. Detection offsets are frame offsets either way.
   /// The frame must be smaller than 4 GiB: instruction offsets and the
   /// scanner's per-offset arrays are 32-bit. Units are capped far below
   /// that by NidsOptions::max_stream_bytes.
   /// The frame's counts go out once, on the way out: merged into `*stats`
   /// when given, and added to the senids_analyzer_*_total counters.
   /// `scratch` is the caller's working memory (see AnalyzerScratch).
+  std::vector<Detection> analyze(util::ByteView frame, std::optional<std::size_t> window,
+                                 AnalyzerStats* stats, AnalyzerScratch& scratch) const;
+
+  /// Analyze a standalone frame: a one-frame unit at payload offset 0.
   std::vector<Detection> analyze(util::ByteView frame, AnalyzerStats* stats,
-                                 AnalyzerScratch& scratch) const;
+                                 AnalyzerScratch& scratch) const {
+    begin_unit(scratch);
+    return analyze(frame, 0, stats, scratch);
+  }
+
+  /// Makes the templates named `name` triable again on the unit in
+  /// `scratch` (a caller that withdraws their alert).
+  void forget_fired(std::string_view name, AnalyzerScratch& scratch) const;
 
   [[nodiscard]] const std::vector<Template>& templates() const noexcept { return templates_; }
   [[nodiscard]] const Options& options() const noexcept { return options_; }

@@ -125,7 +125,7 @@ AnchorWord event_anchors(const Event& ev) noexcept {
   switch (ev.kind) {
     case EventKind::kMemWrite: return kAnchorStore | store_anchor(ev.width);
     case EventKind::kRegWrite: return kAnchorRegWrite;
-    case EventKind::kBranch: return ev.conditional && ev.target ? kAnchorCondBranch : 0;
+    case EventKind::kBranch: return ev.loops_back ? kAnchorLoopBack : 0;
     case EventKind::kSyscall: return syscall_anchor(ev.vector);
   }
   return 0;
@@ -139,7 +139,7 @@ AnchorWord stmt_anchors(const Stmt& s) noexcept {
       return s.width == 0 ? kAnchorStore : store_anchor(s.width);
     case Stmt::Kind::kRegWrite:
     case Stmt::Kind::kAdvance: return kAnchorRegWrite;
-    case Stmt::Kind::kBranchBack: return kAnchorCondBranch;
+    case Stmt::Kind::kBranchBack: return kAnchorLoopBack;
     case Stmt::Kind::kSyscall: return syscall_anchor(s.vector);
   }
   return 0;
@@ -543,7 +543,7 @@ struct Search {
         if (target_idx >= ev.insn_index) return false;
         // ...forming a compact loop body (decoder loops are tight; distant
         // coincidental branches are the main false-positive vector)...
-        if (ev.insn_index - target_idx > 64) return false;
+        if (ev.insn_index - target_idx > ir::kMaxLoopInsns) return false;
         // ...that encloses every previously matched statement, so the
         // transform and the pointer walk actually execute per iteration.
         for (std::size_t i = 0; i < si; ++i) {
@@ -592,8 +592,12 @@ struct Search {
             return false;
           const auto& buf = facts.code.buffer;
           const std::string& want = s.ebx_points_to;
-          if (ptr + want.size() > buf.size()) return false;
-          if (std::memcmp(buf.data() + ptr, want.data(), want.size()) != 0) return false;
+          const std::size_t at = ptr - facts.code.origin;
+          if (ptr < facts.code.origin || at + want.size() > buf.size()) {
+            facts.read_outside = true;
+            return false;
+          }
+          if (std::memcmp(buf.data() + at, want.data(), want.size()) != 0) return false;
         }
         return true;
       }
@@ -622,7 +626,10 @@ struct Search {
          it != admitted.end(); ++it) {
       const std::size_t e = *it;
       attempts += e - next + 1;
-      if (attempts > kMatchAttemptCap) return false;  // hostile-input safety valve
+      if (attempts > kMatchAttemptCap) {  // hostile-input safety valve
+        facts.capped = true;
+        return false;
+      }
       next = e + 1;
       SearchState trial = state;
       if (stmt_matches(si, e, trial)) {
@@ -698,6 +705,8 @@ MatchPlan::MatchPlan(const Template& t) : anchors(template_anchors(t)) {
 
 void TraceFacts::reset(const LiftedCode& c) {
   code = c;
+  capped = false;
+  read_outside = false;
   bucketed = 0;
   offset_index.clear();
   verdicts.clear();

@@ -101,6 +101,9 @@ struct LiftedCode {
   const std::vector<arch::Instruction>* trace = nullptr;
   const std::vector<ir::Event>* events = nullptr;
   util::ByteView buffer;  // the binary frame the trace was decoded from
+  /// The offset of buffer[0] in the trace's offsets: a window's payload
+  /// offset, 0 when the trace is in frame offsets.
+  std::size_t origin = 0;
 };
 
 struct MatchResult {
@@ -108,7 +111,7 @@ struct MatchResult {
   std::vector<std::size_t> matched_events;
   /// Nodes of the matched LiftResult: valid until the next lift into it.
   Env bindings;
-  /// Offset of the first matched instruction within the buffer.
+  /// Offset of the first matched instruction, in the trace's offsets.
   std::size_t start_offset = 0;
 };
 
@@ -131,7 +134,8 @@ enum Anchor : AnchorWord {
   kAnchorStore64 = 1u << 4,
   kAnchorStoreOther = 1u << 5,     // ... or of any other width
   kAnchorRegWrite = 1u << 6,
-  kAnchorCondBranch = 1u << 7,     // conditional branch with a static target
+  kAnchorLoopBack = 1u << 7,       // conditional branch that closes a loop
+                                   // (ir::Event::loops_back)
   kAnchorSyscall80 = 1u << 8,      // int 0x80
   kAnchorSyscall100 = 1u << 9,     // x86-64 `syscall` (ir::kSyscallVector)
   kAnchorSyscallOther = 1u << 10,  // any other int vector
@@ -203,6 +207,11 @@ struct TraceFacts {
 
   LiftedCode code;
   AnchorWord features = 0;  // trace_anchors() of the events
+  /// Some search on this trace gave up at kMatchAttemptCap.
+  bool capped = false;
+  /// Some ebx_points_to test on this trace found its pointer outside the
+  /// buffer: the same trace in a window that holds more bytes may match.
+  bool read_outside = false;
 
   // Working memory, kept across resets.
   std::vector<AnchorWord> anchor_words;  // per event

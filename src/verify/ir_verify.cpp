@@ -229,6 +229,18 @@ Report verify_ir(const std::vector<arch::Instruction>& trace, const ir::LiftResu
                                : "backward flag clear despite a static target at or "
                                  "before the branch");
         }
+        bool expect_loop = false;
+        if (ev.conditional && ev.target && ev.insn_index < trace.size()) {
+          const std::size_t first =
+              ev.insn_index > ir::kMaxLoopInsns ? ev.insn_index - ir::kMaxLoopInsns : 0;
+          for (std::size_t j = first; j < ev.insn_index; ++j) {
+            expect_loop = expect_loop || trace[j].offset == *ev.target;
+          }
+        }
+        if (ev.loops_back != expect_loop) {
+          out.error(where, ev.loops_back ? "loops_back set on a branch that closes no loop"
+                                         : "loops_back clear on a branch that closes a loop");
+        }
         if (ev.is_call && ev.conditional) {
           out.error(where, "conditional call event (no such instruction decodes)");
         }

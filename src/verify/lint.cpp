@@ -325,7 +325,7 @@ Report lint_template(const Template& t) {
   if ((anchors & ~semantic::kAnchorRegWrite) == 0) {
     out.warn(twhere, std::string("anchor word is ") +
                          (anchors == 0 ? "empty" : "only a register write") +
-                         ": no store, conditional branch or syscall statement narrows "
+                         ": no store, loopback or syscall statement narrows "
                          "it, so the template is tried on every lifted trace");
   }
   return out;

@@ -152,6 +152,37 @@ TEST(DeadCode, RepStringReadsAndWritesCounter) {
   EXPECT_FALSE(r.dead[0]);
 }
 
+TEST(DeadCode, ByteWriteKeepsTheRestOfTheRegisterLive) {
+  // `mov cl, 0x10` replaces only the low byte of ecx, and `loop` reads all
+  // of ecx: the xor that cleared the upper 24 bits is live.
+  Asm a;
+  a.xor_r32_r32(R32::ecx, R32::ecx);
+  a.mov_r8_imm8(gen::R8::cl, 0x10);
+  auto head = a.new_label();
+  a.bind(head);
+  a.inc_r32(R32::esi);
+  a.loop_(head);
+  auto r = analyze(a.finish());
+  ASSERT_EQ(r.dead.size(), 4u);
+  EXPECT_FALSE(r.dead[0]) << "xor ecx, ecx";
+  EXPECT_FALSE(r.dead[1]) << "mov cl, 0x10";
+}
+
+TEST(DeadCode, FullWidthWriteStillKills) {
+  // A 32-bit write replaces the whole register: the xor before it is dead.
+  Asm a;
+  a.xor_r32_r32(R32::ecx, R32::ecx);
+  a.mov_r32_imm32(R32::ecx, 0x10);
+  auto head = a.new_label();
+  a.bind(head);
+  a.inc_r32(R32::esi);
+  a.loop_(head);
+  auto r = analyze(a.finish());
+  ASSERT_EQ(r.dead.size(), 4u);
+  EXPECT_TRUE(r.dead[0]);
+  EXPECT_FALSE(r.dead[1]);
+}
+
 TEST(DeadCode, EmptyTrace) {
   auto r = find_dead_code({});
   EXPECT_EQ(r.dead_count, 0u);

@@ -1,13 +1,17 @@
 // One-shot scan, trace and analysis for tests: each call runs the one API
 // form of its operation (the arch::Arch members with an arch::ScanScratch,
 // SemanticAnalyzer::analyze with an AnalyzerScratch) on fresh working
-// memory, so nothing carries over from an earlier call.
+// memory, so nothing carries over from an earlier call. Also the
+// reference for a unit's alerts: every frame analyzed on its own.
 #pragma once
 
 #include <cstddef>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "arch/arch.hpp"
+#include "extract/extractor.hpp"
 #include "semantic/analyzer.hpp"
 #include "util/bytes.hpp"
 
@@ -42,6 +46,32 @@ inline std::vector<semantic::Detection> analyze(const semantic::SemanticAnalyzer
                                                 semantic::AnalyzerStats* stats = nullptr) {
   semantic::AnalyzerScratch scratch;
   return analyzer.analyze(frame, stats, scratch);
+}
+
+/// The fields of a unit's alert that its frames decide.
+struct UnitAlert {
+  std::string template_name;
+  extract::FrameReason frame_reason{};
+  std::size_t frame_offset = 0;
+};
+
+/// Reference for a unit's static alerts, the per-frame semantics: every
+/// frame `extractor` cuts from `payload` analyzed on its own (a one-frame
+/// unit at offset 0, on fresh working memory), the detections kept in
+/// frame order, each template name once.
+inline std::vector<UnitAlert> per_frame_alerts(const extract::BinaryExtractor& extractor,
+                                               const semantic::SemanticAnalyzer& analyzer,
+                                               util::ByteView payload) {
+  std::vector<UnitAlert> out;
+  std::set<std::string> fired;
+  for (const extract::BinaryFrame& frame : extractor.extract(payload)) {
+    for (semantic::Detection& d : analyze(analyzer, frame.data)) {
+      if (fired.insert(d.template_name).second) {
+        out.push_back({std::move(d.template_name), frame.reason, frame.src_offset});
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace senids::test

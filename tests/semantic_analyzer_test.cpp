@@ -543,9 +543,14 @@ TEST(Analyzer, RegistryCountersMatchStats) {
        &AnalyzerStats::frames},
       {"senids_analyzer_runs_total", "Candidate decode runs found",
        &AnalyzerStats::candidate_runs},
-      {"senids_analyzer_traces_total", "Execution traces lifted to IR",
+      {"senids_analyzer_traces_total",
+       "Execution traces lifted to IR, each payload trace once per unit",
        &AnalyzerStats::traces},
-      {"senids_analyzer_insns_lifted_total", "Instructions lifted to IR",
+      {"senids_analyzer_traces_shared_total",
+       "Traces skipped because an earlier window of the unit analyzed the same payload trace",
+       &AnalyzerStats::traces_shared},
+      {"senids_analyzer_insns_lifted_total",
+       "Instructions lifted to IR, at most max_total_insns per unit",
        &AnalyzerStats::instructions_lifted},
       {"senids_analyzer_matches_tried_total", "Template match attempts",
        &AnalyzerStats::template_matches_tried},
@@ -553,9 +558,10 @@ TEST(Analyzer, RegistryCountersMatchStats) {
        "Templates not tried on a trace that lacks their anchor features",
        &AnalyzerStats::templates_skipped},
       {"senids_analyzer_entry_budget_exhausted_total",
-       "Frames that filled the candidate-entry budget", &AnalyzerStats::entry_budget_exhausted},
+       "Units that filled the per-unit candidate-entry budget",
+       &AnalyzerStats::entry_budget_exhausted},
       {"senids_analyzer_insn_budget_exhausted_total",
-       "Frames that burned the per-frame instruction budget",
+       "Units that burned the per-unit instruction budget",
        &AnalyzerStats::insn_budget_exhausted},
   };
   ASSERT_EQ(std::size(series), kAnalyzerCountFields.size());
@@ -590,8 +596,14 @@ TEST(Analyzer, RegistryCountersMatchStats) {
       for (const bool with_stats : {true, false}) {
         std::vector<std::uint64_t> before;
         for (const Series& s : series) before.push_back(registry.counter(s.name).value());
+        // Each frame is a unit of two windows, the frame twice at one
+        // origin: the second window's traces are all shared.
         AnalyzerStats stats;
-        test::analyze(analyzer, frame, with_stats ? &stats : nullptr);
+        AnalyzerScratch scratch;
+        analyzer.begin_unit(scratch);
+        for (int window = 0; window < 2; ++window) {
+          analyzer.analyze(frame, 0, with_stats ? &stats : nullptr, scratch);
+        }
         if (with_stats) expected = stats;
         for (std::size_t i = 0; i < std::size(series); ++i) {
           EXPECT_EQ(registry.counter(series[i].name).value() - before[i],
@@ -612,7 +624,7 @@ TEST(Analyzer, RegistryCountersMatchStats) {
               std::string::npos)
         << s.name;
   }
-  EXPECT_EQ(total.frames, 2 * (frames.size() - 1));
+  EXPECT_EQ(total.frames, 2 * 2 * (frames.size() - 1));
 }
 }  // namespace
 }  // namespace senids::semantic
