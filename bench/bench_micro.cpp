@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 
 #include "extract/extractor.hpp"
 #include "emu/shellemu.hpp"
@@ -103,7 +104,7 @@ void BM_ExecutionTrace(benchmark::State& state) {
   arch::ScanScratch scratch;
   std::vector<arch::CodeRun> runs;
   std::vector<std::size_t> entries;
-  (void)isa.find_entries(frame, 6, 4096, 8192, runs, entries, scratch);
+  (void)isa.find_entries(frame, 0, frame.size(), 6, 4096, 8192, runs, entries, scratch);
   std::vector<arch::Instruction> trace;
   std::size_t insns = 0;
   for (auto _ : state) {
@@ -200,7 +201,7 @@ void BM_MatchLibrary(benchmark::State& state) {
                              : seed % 3 == 1 ? gen::admmutate_encode(shell, prng).bytes
                                              : gen::clet_encode(shell, prng).bytes;
     const util::Bytes frame = gen::wrap_in_overflow(code, prng);
-    (void)isa.find_entries(frame, 6, 4096, 8192, runs, entries, scan);
+    (void)isa.find_entries(frame, 0, frame.size(), 6, 4096, 8192, runs, entries, scan);
     for (std::size_t entry : entries) {
       auto t = std::make_unique<Lifted>();
       t->frame = frame;
@@ -281,6 +282,33 @@ void BM_AnalyzeBenignFrame(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * blob.size()));
 }
 BENCHMARK(BM_AnalyzeBenignFrame);
+
+/// One wrapped ADMmutate exploit analyzed as NidsEngine::analyze_payload
+/// runs a unit: extract, begin_unit, then every frame, the raw ones as
+/// windows of the payload that share its decode and their traces. Bytes
+/// are payload bytes.
+void BM_AnalyzeUnit(benchmark::State& state) {
+  util::Prng prng(3);
+  const util::Bytes payload = gen::wrap_in_overflow(
+      gen::admmutate_encode(gen::make_shell_spawn_corpus()[1].code, prng).bytes, prng);
+  const extract::BinaryExtractor extractor;
+  const semantic::SemanticAnalyzer analyzer(semantic::make_standard_library());
+  semantic::AnalyzerScratch scratch;
+  std::vector<extract::BinaryFrame> frames;
+  for (auto _ : state) {
+    extractor.extract(payload, frames);
+    analyzer.begin_unit(scratch, payload);
+    for (const extract::BinaryFrame& frame : frames) {
+      const std::optional<std::size_t> window =
+          extract::is_payload_window(frame.reason) ? std::optional(frame.src_offset)
+                                                   : std::nullopt;
+      benchmark::DoNotOptimize(analyzer.analyze(frame.data, window, nullptr, scratch));
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * payload.size()));
+  state.SetLabel(std::to_string(frames.size()) + " frames");
+}
+BENCHMARK(BM_AnalyzeUnit);
 
 void BM_ExtractCodeRed(benchmark::State& state) {
   extract::BinaryExtractor extractor;

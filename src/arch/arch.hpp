@@ -58,35 +58,43 @@ class Arch {
   /// Find decode runs of at least `min_insns` instructions into `out`,
   /// longest first (ties in start order). Runs contained in a longer run
   /// (same synchronization) are suppressed, so the result is a small set
-  /// of candidate shellcode entry points. Decodes each offset once and
-  /// keeps every decode in `scratch`, which then holds this frame.
+  /// of candidate shellcode entry points. Decodes every offset of `code`
+  /// afresh (an earlier table in `scratch` is dropped) and keeps every
+  /// decode in `scratch`, whose last scanned window is then all of `code`.
   void find_code_runs(util::ByteView code, std::size_t min_insns,
                       std::vector<CodeRun>& out, ScanScratch& scratch) const;
 
-  /// Candidate entries from one decode: find_code_runs into `runs`, then
-  /// each run's first `max_trace_insns` instructions, read from `scratch`,
-  /// propose the run start, every backward-branch target (a loop head: a
-  /// run may begin inside an unrolled loop body) and every post-call
-  /// offset (GetPC data, and the payload once a decoder has unrolled).
+  /// Candidate entries of the window [lo, hi) of `code` (lo <= hi <=
+  /// code.size()): its runs, as find_code_runs finds them in the window's
+  /// bytes alone, into `runs`, then each run's first `max_trace_insns`
+  /// instructions, read from `scratch`, propose the run start, every
+  /// backward-branch target inside the window (a loop head: a run may
+  /// begin inside an unrolled loop body) and every post-call offset
+  /// (GetPC data, and the payload once a decoder has unrolled).
   /// `entries` gets each proposed offset once, in order, at most
-  /// `max_entries`. Returns true when some candidate went untried.
-  [[nodiscard]] bool find_entries(util::ByteView code, std::size_t min_insns,
-                                  std::size_t max_trace_insns, std::size_t max_entries,
-                                  std::vector<CodeRun>& runs,
+  /// `max_entries`. Offsets are `code`'s. Returns true when some candidate
+  /// went untried. The decode table in `scratch` is kept when it holds
+  /// `code` already, so the windows of one buffer decode each offset they
+  /// cover once; only the offsets of [lo, hi) it lacks are decoded.
+  [[nodiscard]] bool find_entries(util::ByteView code, std::size_t lo, std::size_t hi,
+                                  std::size_t min_insns, std::size_t max_trace_insns,
+                                  std::size_t max_entries, std::vector<CodeRun>& runs,
                                   std::vector<std::size_t>& entries,
                                   ScanScratch& scratch) const;
 
   /// Execution-order trace from `entry` into `out`: follows unconditional
-  /// jmps and calls with in-buffer targets; conditional branches and
+  /// jmps and calls with targets in the window; conditional branches and
   /// loops fall through. Stops at invalid bytes, flow-ending
-  /// instructions, buffer exit, an already-visited offset (loop closure),
+  /// instructions, window exit, an already-visited offset (loop closure),
   /// or `max_insns`. The result is the de-obfuscated instruction stream
-  /// handed to the IR lifter. Calls no decoder: each instruction is copied
-  /// from `scratch`'s per-offset table, which should hold this frame
-  /// (find_code_runs / find_entries on `code` with the same scratch).
-  /// When it holds another frame, the scan's decode pass runs first. The
-  /// table is matched to `code` by pointer, size and mode only: after
-  /// rewriting a scanned buffer in place, scan it again before tracing,
+  /// handed to the IR lifter, in `code`'s offsets. Calls no decoder: each
+  /// instruction is copied from `scratch`'s decode table and the walk
+  /// stays inside the window scratch last scanned, which should be a
+  /// window of this buffer (find_code_runs / find_entries on `code` with
+  /// the same scratch). When the table holds another buffer, all of
+  /// `code` is scanned first. The table is matched to `code` by pointer,
+  /// size and mode only: after rewriting a scanned buffer in place, scan
+  /// it again with find_code_runs (or drop() the table) before tracing,
   /// or the trace reads the old decodes.
   void execution_trace(util::ByteView code, std::size_t entry, std::size_t max_insns,
                        std::vector<Instruction>& out, ScanScratch& scratch) const;

@@ -514,9 +514,10 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
     // interleave inside analyze(), so only the analyzer can attribute
     // time correctly.
     // The frames are analyzed as one unit: raw frames as windows of the
-    // payload, sharing their traces, and every frame within one budget.
+    // payload, sharing its decode and their traces, and every frame
+    // within one budget.
     semantic::AnalyzerStats& an = counts.analyzer;
-    analyzer_.begin_unit(ctx.scratch_);
+    analyzer_.begin_unit(ctx.scratch_, payload);
     auto analyze_frame = [&](util::ByteView data, std::optional<std::size_t> window) {
       const semantic::AnalyzerStats before = an;
       auto detections = analyzer_.analyze(data, window, &an, ctx.scratch_);

@@ -73,7 +73,7 @@ DeadCodeResult find_dead_code(const std::vector<arch::Instruction>& trace,
     // Backward transfer: full-width defs kill liveness, uses generate it.
     const arch::RegSet partial = partial_defs(trace[i]);
     arch::RegSet next_live;
-    for (unsigned f = 0; f < 8; ++f) {
+    for (unsigned f = 0; f < static_cast<unsigned>(arch::RegFamily::kNone); ++f) {
       const auto fam = static_cast<arch::RegFamily>(f);
       if (live.contains_family(fam) &&
           (!du.defs.contains_family(fam) || partial.contains_family(fam))) {

@@ -51,19 +51,6 @@ std::vector<MatchPlan> plans_of(const std::vector<Template>& templates) {
   return plans;
 }
 
-/// Moves `trace` from frame offsets to payload offsets, for a frame that
-/// starts at payload offset `origin`. The decoder resolved relative
-/// branch targets to frame offsets, so they move too.
-void to_payload_offsets(std::vector<arch::Instruction>& trace, std::size_t origin) {
-  for (arch::Instruction& insn : trace) {
-    insn.offset += static_cast<std::uint32_t>(origin);
-    if (insn.ops[0].kind == arch::OperandKind::kRel) {
-      const std::int64_t target = insn.ops[0].imm() + static_cast<std::int64_t>(origin);
-      insn.ops[0] = arch::Operand::make_rel(target);
-    }
-  }
-}
-
 /// A window's trace, as the unit remembers it: payload offset << 32 |
 /// length << 1 | whether a search on it gave up at kMatchAttemptCap.
 std::uint64_t trace_key(std::uint32_t start, std::size_t length, bool capped) {
@@ -99,8 +86,10 @@ SemanticAnalyzer::SemanticAnalyzer(std::vector<Template> templates, Options opti
       plans_(plans_of(templates_)),
       options_(std::move(options)) {}
 
-void SemanticAnalyzer::begin_unit(AnalyzerScratch& scratch) const {
+void SemanticAnalyzer::begin_unit(AnalyzerScratch& scratch, util::ByteView payload) const {
   AnalyzerScratch::Unit& unit = scratch.unit;
+  unit.payload = payload;
+  scratch.scan.drop();
   unit.fired.assign(templates_.size(), 0);
   unit.fired_count = 0;
   unit.seen.clear();
@@ -136,15 +125,22 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame,
   counts.frames = frame.empty() ? 0 : 1;
   StageClock clock(obs::metrics_enabled());
 
-  // 1. Candidate entry points, from one decode of the frame: starts of
-  //    maximal decode runs, longest first, plus the loop heads and
-  //    post-call offsets inside them (arch::Arch::find_entries), as many
-  //    as the unit's entry budget has left.
+  // 1. Candidate entry points: starts of maximal decode runs, longest
+  //    first, plus the loop heads and post-call offsets inside them
+  //    (arch::Arch::find_entries), as many as the unit's entry budget has
+  //    left. A window is scanned in the unit's payload decode table, in
+  //    payload offsets, so an offset an earlier window decoded is not
+  //    decoded again; a transformed frame is decoded afresh.
   clock.start();
+  arch::ScanScratch& scan = window ? scratch.scan : scratch.frame_scan;
+  const util::ByteView buffer = window ? unit.payload : frame;
+  if (!window) scan.drop();  // the frame may reuse an earlier frame's storage
+  const std::size_t decodes_before = scan.decodes;
   std::vector<std::size_t>& entries = scratch.entries;
-  const bool entries_cut =
-      isa.find_entries(frame, options_.min_run_insns, options_.max_trace_insns,
-                       unit.entries_left, scratch.runs, entries, scratch.scan);
+  const bool entries_cut = isa.find_entries(
+      buffer, origin, origin + frame.size(), options_.min_run_insns, options_.max_trace_insns,
+      unit.entries_left, scratch.runs, entries, scan);
+  counts.bytes_decoded = scan.decodes - decodes_before;
   unit.entries_left -= entries.size();
   if (entries_cut && !unit.entry_budget_hit) {
     unit.entry_budget_hit = true;
@@ -172,16 +168,13 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame,
       break;
     }
     clock.start();
-    isa.execution_trace(frame, entry, std::min(options_.max_trace_insns, unit.insns_left),
-                        trace, scratch.scan);
+    isa.execution_trace(buffer, entry, std::min(options_.max_trace_insns, unit.insns_left),
+                        trace, scan);
     clock.stop(counts.disasm_seconds);
     if (trace.size() < options_.min_run_insns) continue;
-    if (window) {
-      if (origin != 0) to_payload_offsets(trace, origin);
-      if (analyzed_before(unit.seen, trace[0].offset, trace.size())) {
-        ++counts.traces_shared;
-        continue;
-      }
+    if (window && analyzed_before(unit.seen, trace[0].offset, trace.size())) {
+      ++counts.traces_shared;
+      continue;
     }
     unit.insns_left -= std::min(unit.insns_left, trace.size());
     ++counts.traces;
@@ -207,7 +200,7 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame,
         Detection d;
         d.template_name = t.name;
         d.threat = t.threat;
-        d.entry_offset = entry;
+        d.entry_offset = entry - origin;
         d.match_offset = m->start_offset - origin;
         for (const auto& [var, value] : m->bindings) {
           d.bindings.emplace(var, ir::to_string(value));

@@ -51,6 +51,8 @@ struct CountField {
 #define SENIDS_ANALYZER_COUNT_FIELDS(X)                                        \
   X(frames, frames, "Frames run through the semantic analyzer")               \
   X(candidate_runs, runs, "Candidate decode runs found")                       \
+  X(bytes_decoded, bytes_decoded,                                              \
+    "Offsets the candidate scan decoded, each window offset once per unit")    \
   /* A unit's raw frames are windows of its payload: a trace an earlier      \
      window of the unit already lifted and matched counts as shared, and is    \
      neither lifted nor counted in traces / instructions_lifted again. */      \
@@ -102,12 +104,17 @@ void merge_analyzer(AnalyzerStats& into, const AnalyzerStats& from);
 /// trace, the lifted IR events and their expression arena, plus the
 /// scanner's internal arrays — lives here, so a worker that keeps one
 /// scratch across calls analyzes frames without per-frame heap churn
-/// (buffers grow to the high-water mark and are then reused). Not thread-safe; one per worker thread,
-/// so no expression node is ever shared between threads. A one-off
-/// caller passes a fresh scratch. analyze() rescans every frame it is
-/// given, so reusing a scratch on a buffer rewritten in place is safe.
+/// (buffers grow to the high-water mark and are then reused). Not
+/// thread-safe; one per worker thread, so no expression node is ever
+/// shared between threads. A one-off caller passes a fresh scratch.
+/// `scan` holds the unit's payload decode table, filled as its windows
+/// are scanned and dropped by begin_unit, so reusing a scratch on a
+/// payload buffer rewritten in place is safe once the new unit begins.
+/// A transformed frame is scanned afresh in `frame_scan`, so it never
+/// evicts the payload's table in the middle of a unit.
 struct AnalyzerScratch {
   arch::ScanScratch scan;
+  arch::ScanScratch frame_scan;
   std::vector<arch::CodeRun> runs;
   std::vector<std::size_t> entries;
   std::vector<arch::Instruction> trace;
@@ -117,6 +124,7 @@ struct AnalyzerScratch {
   /// The analysis unit the frames belong to (SemanticAnalyzer::begin_unit
   /// starts one; the buffers are kept across units).
   struct Unit {
+    util::ByteView payload;  // the bytes its windows are cut from
     std::vector<char> fired;  // per template: fired on this unit
     std::size_t fired_count = 0;
     /// The key (payload offset, length, capped) of every trace an earlier
@@ -182,17 +190,23 @@ class SemanticAnalyzer {
       : SemanticAnalyzer(std::move(templates), Options{}) {}
   SemanticAnalyzer(std::vector<Template> templates, Options options);
 
-  /// Starts a new unit in `scratch`: no template has fired on it, no
-  /// trace of it has been analyzed, and its budgets are full.
-  void begin_unit(AnalyzerScratch& scratch) const;
+  /// Starts a new unit of `payload` in `scratch`: no template has fired
+  /// on it, no trace or offset of it has been analyzed (the payload's
+  /// decode table is dropped: the buffer may be an earlier unit's storage
+  /// rewritten), and its budgets are full. `payload` must stay alive and
+  /// unchanged until the unit's last analyze() call.
+  void begin_unit(AnalyzerScratch& scratch, util::ByteView payload) const;
 
   /// Analyze one frame of the unit begun in `scratch`; returns at most
   /// one detection per template, and none for a template that already
   /// fired on the unit. `window` is the payload offset of the frame's
-  /// first byte when the frame is a raw substring of the unit's payload,
+  /// first byte when the frame is a raw substring of the unit's payload
+  /// (`frame` then equals payload[*window, *window + frame.size())),
   /// and nullopt for a transformed buffer (decoded or emulated), whose
   /// offsets are its own and whose traces are shared with no other
-  /// frame. Detection offsets are frame offsets either way.
+  /// frame. A window is scanned in the payload's decode table, so each
+  /// payload offset is decoded at most once per unit. Detection offsets
+  /// are frame offsets either way.
   /// The frame must be smaller than 4 GiB: instruction offsets and the
   /// scanner's per-offset arrays are 32-bit. Units are capped far below
   /// that by NidsOptions::max_stream_bytes.
@@ -205,7 +219,7 @@ class SemanticAnalyzer {
   /// Analyze a standalone frame: a one-frame unit at payload offset 0.
   std::vector<Detection> analyze(util::ByteView frame, AnalyzerStats* stats,
                                  AnalyzerScratch& scratch) const {
-    begin_unit(scratch);
+    begin_unit(scratch, frame);
     return analyze(frame, 0, stats, scratch);
   }
 

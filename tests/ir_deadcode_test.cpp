@@ -183,6 +183,21 @@ TEST(DeadCode, FullWidthWriteStillKills) {
   EXPECT_FALSE(r.dead[1]);
 }
 
+TEST(DeadCode, HighRegisterLivenessCrossesInstructions) {
+  // On x86-64, r8 is read two instructions after it is written: the mov
+  // is live, as it is for a low register at the same distance.
+  static const std::uint8_t kCode[] = {
+      0x49, 0xC7, 0xC0, 0x01, 0x00, 0x00, 0x00,  // mov r8, 1
+      0x90,                                      // nop
+      0x41, 0x50,                                // push r8
+  };
+  const auto trace = arch::linear_sweep(kCode, 0, SIZE_MAX, arch::Mode::k64);
+  ASSERT_EQ(trace.size(), 3u);
+  const auto r = find_dead_code(trace);
+  EXPECT_FALSE(r.dead[0]) << "mov r8, 1";
+  EXPECT_FALSE(r.dead[2]) << "push r8";
+}
+
 TEST(DeadCode, EmptyTrace) {
   auto r = find_dead_code({});
   EXPECT_EQ(r.dead_count, 0u);

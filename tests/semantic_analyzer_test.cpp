@@ -373,7 +373,7 @@ TEST(Analyzer, EntryListMatchesReference) {
       for (const auto& [frame_name, frame] : frames) {
         const EntryList want = reference_entries(opt, frame);
         const bool got_untried =
-            isa->find_entries(frame, opt.min_run_insns, opt.max_trace_insns,
+            isa->find_entries(frame, 0, frame.size(), opt.min_run_insns, opt.max_trace_insns,
                               opt.max_entries, runs, entries, scratch);
         const std::string where =
             std::string(isa->name()) + ", " + limit_name + ", " + frame_name;
@@ -543,6 +543,9 @@ TEST(Analyzer, RegistryCountersMatchStats) {
        &AnalyzerStats::frames},
       {"senids_analyzer_runs_total", "Candidate decode runs found",
        &AnalyzerStats::candidate_runs},
+      {"senids_analyzer_bytes_decoded_total",
+       "Offsets the candidate scan decoded, each window offset once per unit",
+       &AnalyzerStats::bytes_decoded},
       {"senids_analyzer_traces_total",
        "Execution traces lifted to IR, each payload trace once per unit",
        &AnalyzerStats::traces},
@@ -597,14 +600,16 @@ TEST(Analyzer, RegistryCountersMatchStats) {
         std::vector<std::uint64_t> before;
         for (const Series& s : series) before.push_back(registry.counter(s.name).value());
         // Each frame is a unit of two windows, the frame twice at one
-        // origin: the second window's traces are all shared.
+        // origin: the second window's traces are all shared, and it
+        // decodes nothing.
         AnalyzerStats stats;
         AnalyzerScratch scratch;
-        analyzer.begin_unit(scratch);
+        analyzer.begin_unit(scratch, frame);
         for (int window = 0; window < 2; ++window) {
           analyzer.analyze(frame, 0, with_stats ? &stats : nullptr, scratch);
         }
         if (with_stats) expected = stats;
+        EXPECT_EQ(expected.bytes_decoded, frame.size());
         for (std::size_t i = 0; i < std::size(series); ++i) {
           EXPECT_EQ(registry.counter(series[i].name).value() - before[i],
                     expected.*series[i].field)

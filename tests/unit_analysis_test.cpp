@@ -1,16 +1,19 @@
 // A unit's frames analyzed as one unit: raw frames are windows of the
 // payload that share their traces, a fired template is not retried, and
-// the work budgets hold for the whole unit. The alerts must be those of
-// the per-frame semantics (test::per_frame_alerts), the budgets must
-// bound the unit, and a frame's verdicts must not depend on where in the
-// payload its window starts.
+// the work budgets hold for the whole unit, and the windows scan one
+// decode of the payload. The alerts must be those of the per-frame
+// semantics (test::per_frame_alerts), the budgets must bound the unit, a
+// frame's verdicts must not depend on where in the payload its window
+// starts, and each payload offset a window covers is decoded once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "core/senids.hpp"
 #include "frame_corpus.hpp"
+#include "gen/mailworm.hpp"
 #include "gen/poly.hpp"
 #include "one_shot.hpp"
 
@@ -157,7 +160,7 @@ TEST(UnitAnalysis, LongerTraceOfALaterWindowIsAnalyzed) {
 
   const semantic::SemanticAnalyzer analyzer(semantic::make_standard_library());
   semantic::AnalyzerScratch scratch;
-  analyzer.begin_unit(scratch);
+  analyzer.begin_unit(scratch, frame);
   EXPECT_TRUE(analyzer.analyze(cut, 0, nullptr, scratch).empty());
   const auto later = analyzer.analyze(frame, 0, nullptr, scratch);
   const auto whole = test::analyze(analyzer, frame);
@@ -202,11 +205,21 @@ TEST(UnitAnalysis, EntryBudgetHoldsForTheWholeUnit) {
   EXPECT_EQ(stats.analyzer.entry_budget_exhausted, 1u);
 }
 
+/// `frame` at payload offset `origin` of a payload of noise around it.
+util::Bytes embed(util::ByteView frame, std::size_t origin, util::Prng& prng) {
+  util::Bytes payload = prng.bytes(origin);
+  payload.insert(payload.end(), frame.begin(), frame.end());
+  const util::Bytes tail = prng.bytes(64);
+  payload.insert(payload.end(), tail.begin(), tail.end());
+  return payload;
+}
+
 TEST(UnitAnalysis, WindowVerdictsDoNotDependOnTheOrigin) {
-  // A frame analyzed as a window at payload offset s > 0 lifts every
-  // trace in payload offsets; its detections, in frame offsets, are the
-  // ones the frame gets at offset 0.
+  // A frame analyzed as a window at payload offset s > 0 of a payload
+  // with other bytes around it traces in payload offsets; its
+  // detections, in frame offsets, are the ones the frame gets on its own.
   std::size_t detections = 0;
+  util::Prng prng(8);
   for (const arch::Arch* isa : arch::Arch::all()) {
     semantic::SemanticAnalyzer::Options opt;
     opt.arch = isa;
@@ -215,8 +228,10 @@ TEST(UnitAnalysis, WindowVerdictsDoNotDependOnTheOrigin) {
     for (const auto& [name, frame] : unit_corpus()) {
       const auto want = test::analyze(analyzer, frame);
       for (const std::size_t origin : {std::size_t{1}, std::size_t{0x1000}, std::size_t{77777}}) {
-        analyzer.begin_unit(scratch);
-        const auto got = analyzer.analyze(frame, origin, nullptr, scratch);
+        const util::Bytes payload = embed(frame, origin, prng);
+        analyzer.begin_unit(scratch, payload);
+        const auto got = analyzer.analyze(util::ByteView(payload).subspan(origin, frame.size()),
+                                          origin, nullptr, scratch);
         const std::string where = name + " at " + std::to_string(origin) + " under " +
                                   std::string(isa->name());
         ASSERT_EQ(got.size(), want.size()) << where;
@@ -232,6 +247,95 @@ TEST(UnitAnalysis, WindowVerdictsDoNotDependOnTheOrigin) {
   EXPECT_GT(detections, 40u);
 }
 
+TEST(UnitAnalysis, ScratchReusedAtTheSameAddress) {
+  // The next unit's payload written in place over the last one's: same
+  // storage, same size. Its alerts are those of a fresh scratch, so no
+  // decode of the earlier bytes survives into the new unit.
+  util::Prng prng(12);
+  const auto shells = gen::make_shell_spawn_corpus();
+  util::Bytes first = gen::wrap_in_overflow(gen::admmutate_encode(shells[1].code, prng).bytes,
+                                            prng);
+  util::Bytes second = gen::wrap_in_overflow(shells[0].code, prng);
+  const std::size_t size = std::max(first.size(), second.size());
+  first.resize(size, 0x41);
+  second.resize(size, 0x41);
+  for (const arch::Arch* isa : arch::Arch::all()) {
+    NidsOptions options;
+    options.arch = isa;
+    const NidsEngine nids(options);
+    ASSERT_NE(render(engine_alerts(nids, first)), render(engine_alerts(nids, second)))
+        << isa->name();
+    AnalysisContext ctx = nids.make_analysis_context();
+    util::Bytes buffer(size);
+    const std::uint8_t* storage = buffer.data();
+    for (const util::Bytes* unit : {&first, &second, &first}) {
+      std::copy(unit->begin(), unit->end(), buffer.begin());
+      ASSERT_EQ(buffer.data(), storage);
+      std::vector<test::UnitAlert> got;
+      for (const Alert& a : nids.analyze_payload(ctx, buffer, Alert{})) {
+        got.push_back({a.template_name, a.frame_reason, a.frame_offset});
+      }
+      EXPECT_EQ(render(got), render(engine_alerts(nids, *unit))) << isa->name();
+    }
+  }
+}
+
+/// The bytes a unit's candidate scan must decode: the union of its
+/// window frames' payload ranges, plus every transformed frame whole.
+std::size_t window_union_plus_transformed(const std::vector<extract::BinaryFrame>& frames,
+                                          std::size_t payload_size) {
+  std::vector<char> covered(payload_size, 0);
+  std::size_t bytes = 0;
+  for (const extract::BinaryFrame& f : frames) {
+    if (!extract::is_payload_window(f.reason)) {
+      bytes += f.data.size();
+      continue;
+    }
+    std::fill_n(covered.begin() + static_cast<std::ptrdiff_t>(f.src_offset), f.data.size(), 1);
+  }
+  return bytes + static_cast<std::size_t>(std::count(covered.begin(), covered.end(), 1));
+}
+
+TEST(UnitAnalysis, EachWindowOffsetDecodedOnce) {
+  auto corpus = unit_corpus();
+  // Overflow filler, an email whose base64 attachment is an exploit, then
+  // raw exploit bytes: the base64 frame sits between two windows.
+  util::Prng prng(21);
+  util::Bytes mail(300, 'A');
+  mail.push_back('\n');
+  const auto worm = gen::make_email_worm(prng).smtp_payload;
+  mail.insert(mail.end(), worm.begin(), worm.end());
+  const util::Bytes tail = gen::wrap_in_overflow(
+      gen::clet_encode(gen::make_shell_spawn_corpus()[2].code, prng).bytes, prng);
+  mail.insert(mail.end(), tail.begin(), tail.end());
+  corpus.emplace_back("base64 between windows", mail);
+
+  std::size_t between = 0, below_frame_bytes = 0;
+  for (const arch::Arch* isa : arch::Arch::all()) {
+    NidsOptions options;
+    options.arch = isa;
+    const NidsEngine nids(options);
+    const extract::BinaryExtractor extractor(nids.options().extractor);
+    AnalysisContext ctx = nids.make_analysis_context();
+    for (const auto& [name, payload] : corpus) {
+      const auto frames = extractor.extract(payload);
+      NidsStats stats;
+      nids.analyze_payload(ctx, payload, Alert{}, &stats);
+      EXPECT_EQ(stats.analyzer.bytes_decoded, window_union_plus_transformed(frames, payload.size()))
+          << name << " under " << isa->name();
+      EXPECT_LE(stats.analyzer.bytes_decoded, stats.bytes_analyzed) << name;
+      below_frame_bytes += stats.analyzer.bytes_decoded < stats.bytes_analyzed;
+      for (std::size_t i = 1; i + 1 < frames.size(); ++i) {
+        between += !extract::is_payload_window(frames[i].reason) &&
+                   extract::is_payload_window(frames[i - 1].reason) &&
+                   extract::is_payload_window(frames[i + 1].reason);
+      }
+    }
+  }
+  EXPECT_GT(between, 0u);
+  EXPECT_GT(below_frame_bytes, 10u);
+}
+
 TEST(UnitAnalysis, ForgottenTemplateIsTriedAgain) {
   // A caller that withdraws a template's alert (the engine's decoder
   // confirmation) makes it triable again, on windows too.
@@ -240,7 +344,7 @@ TEST(UnitAnalysis, ForgottenTemplateIsTriedAgain) {
   const util::Bytes frame =
       gen::admmutate_encode(gen::make_shell_spawn_corpus()[1].code, prng).bytes;
   semantic::AnalyzerScratch scratch;
-  analyzer.begin_unit(scratch);
+  analyzer.begin_unit(scratch, frame);
   const auto first = analyzer.analyze(frame, 0, nullptr, scratch);
   ASSERT_FALSE(first.empty());
   EXPECT_TRUE(analyzer.analyze(frame, 0, nullptr, scratch).empty());

@@ -308,6 +308,86 @@ TEST(ScanTable, RescanSeesBytesRewrittenInPlace) {
   EXPECT_EQ(trace, test::trace(code, 0));
 }
 
+/// `trace`, walked in a window that starts at buffer offset `lo`, in the
+/// window's own offsets.
+std::vector<Instruction> rebased(std::vector<Instruction> trace, std::size_t lo) {
+  for (Instruction& insn : trace) {
+    insn.offset -= static_cast<std::uint32_t>(lo);
+    if (insn.ops[0].kind == OperandKind::kRel) {
+      insn.ops[0] = Operand::make_rel(insn.ops[0].imm() - static_cast<std::int64_t>(lo));
+    }
+  }
+  return trace;
+}
+
+TEST(ScanTable, WindowOfABufferEqualsTheCopiedFrame) {
+  // Each corpus frame inside a payload of noise: an E8 (call rel32) or D9
+  // (x87 escape) just before it decodes across the window start, and a
+  // `mov eax, imm32` cut after its third byte crosses the window end. The
+  // windows [lo, hi) (the cut mov), [lo, n) (to the payload end) and
+  // [0, hi) (from the payload start, the return-region shape) are scanned
+  // in one decode table, in that order. Each gives the runs, entries and
+  // traces of a copy of its bytes, in payload offsets; together they
+  // decode each payload offset once.
+  const auto frames = test_corpus::scan_corpus();
+  ScanScratch table;  // reused across payloads, dropped for each as a new unit does
+  std::vector<CodeRun> runs, copy_runs;
+  std::vector<std::size_t> entries, copy_entries;
+  std::vector<Instruction> trace, copy_trace;
+  util::Prng prng(23);
+  std::size_t traces = 0;
+  for (const Arch* isa : Arch::all()) {
+    for (const std::size_t max_insns : {std::size_t{4096}, std::size_t{8}}) {
+      for (std::size_t k = 0; k < frames.size(); ++k) {
+        const auto& [name, frame] = frames[k];
+        Bytes payload = prng.bytes(16);
+        payload.push_back(k % 2 ? 0xD9 : 0xE8);
+        const std::size_t lo = payload.size();
+        payload.insert(payload.end(), frame.begin(), frame.end());
+        payload.insert(payload.end(), {0xB8, 0x90, 0x90});
+        const std::size_t hi = payload.size();
+        payload.insert(payload.end(), {0x90, 0x90});
+        const Bytes noise = prng.bytes(16);
+        payload.insert(payload.end(), noise.begin(), noise.end());
+        const std::size_t n = payload.size();
+
+        table.drop();
+        const std::size_t decodes_before = table.decodes;
+        for (const auto& [wlo, whi] : {std::pair{lo, hi}, std::pair{lo, n},
+                                       std::pair{std::size_t{0}, hi}}) {
+          const std::string where = std::string(isa->name()) + ", max " +
+                                    std::to_string(max_insns) + ", " + name + " in [" +
+                                    std::to_string(wlo) + ", " + std::to_string(whi) + ")";
+          const Bytes copy(payload.begin() + static_cast<std::ptrdiff_t>(wlo),
+                           payload.begin() + static_cast<std::ptrdiff_t>(whi));
+          ScanScratch copy_scratch;
+          const bool cut = isa->find_entries(payload, wlo, whi, 6, max_insns, 8192, runs,
+                                             entries, table);
+          const bool copy_cut = isa->find_entries(copy, 0, copy.size(), 6, max_insns, 8192,
+                                                  copy_runs, copy_entries, copy_scratch);
+          ASSERT_EQ(cut, copy_cut) << where;
+          ASSERT_EQ(runs.size(), copy_runs.size()) << where;
+          for (std::size_t i = 0; i < runs.size(); ++i) {
+            ASSERT_EQ(runs[i].start - wlo, copy_runs[i].start) << where;
+            ASSERT_EQ(runs[i].insn_count, copy_runs[i].insn_count) << where;
+            ASSERT_EQ(runs[i].byte_len, copy_runs[i].byte_len) << where;
+          }
+          ASSERT_EQ(entries.size(), copy_entries.size()) << where;
+          for (std::size_t i = 0; i < entries.size(); ++i) {
+            ASSERT_EQ(entries[i] - wlo, copy_entries[i]) << where;
+            isa->execution_trace(payload, entries[i], max_insns, trace, table);
+            isa->execution_trace(copy, copy_entries[i], max_insns, copy_trace, copy_scratch);
+            ASSERT_EQ(rebased(trace, wlo), copy_trace) << where << " @" << copy_entries[i];
+            ++traces;
+          }
+        }
+        EXPECT_EQ(table.decodes - decodes_before, n) << isa->name() << ", " << name;
+      }
+    }
+  }
+  EXPECT_GT(traces, 1000u);
+}
+
 TEST(ExecutionTrace, MatchesDecodingReference) {
   const auto frames = test_corpus::scan_corpus();
   ScanScratch scratch;  // reused across frames of different sizes
@@ -318,7 +398,8 @@ TEST(ExecutionTrace, MatchesDecodingReference) {
   for (const Arch* isa : Arch::all()) {
     for (const std::size_t max_insns : {std::size_t{4096}, std::size_t{8}}) {
       for (const auto& [name, frame] : frames) {
-        (void)isa->find_entries(frame, 6, max_insns, 8192, runs, entries, scratch);
+        (void)isa->find_entries(frame, 0, frame.size(), 6, max_insns, 8192, runs, entries,
+                                  scratch);
         for (std::size_t entry : entries) {
           isa->execution_trace(frame, entry, max_insns, trace, scratch);
           ASSERT_EQ(trace, decoding_trace(frame, entry, max_insns, isa->mode()))
