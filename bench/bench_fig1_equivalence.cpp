@@ -72,7 +72,7 @@ void evaluate(const char* name, const util::Bytes& code) {
   ir::LiftResult lifted;
   ir::lift(trace, lifted);
   semantic::LiftedCode lc{&trace, &lifted.events, code};
-  const semantic::Template t = semantic::tmpl_xor_decrypt_loop();
+  const semantic::Template& t = semantic::builtin_template("xor-decrypt-loop");
   auto m = semantic::match_template(t, lc);
   if (m) {
     std::uint32_t key = 0;

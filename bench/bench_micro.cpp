@@ -171,7 +171,7 @@ void BM_TemplateMatch(benchmark::State& state) {
   ir::LiftResult lifted;
   ir::lift(trace, lifted);
   semantic::LiftedCode lc{&trace, &lifted.events, code};
-  const auto t = semantic::tmpl_xor_decrypt_loop();
+  const auto& t = semantic::builtin_template("xor-decrypt-loop");
   for (auto _ : state) {
     benchmark::DoNotOptimize(semantic::match_template(t, lc));
   }
@@ -314,7 +314,10 @@ void BM_ExtractCodeRed(benchmark::State& state) {
   extract::BinaryExtractor extractor;
   const util::Bytes req = gen::make_code_red_ii_request();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(extractor.extract(req));
+    // A fresh vector per pass: each pass pays the vector allocation.
+    std::vector<extract::BinaryFrame> frames;
+    extractor.extract(req, frames);
+    benchmark::DoNotOptimize(frames);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * req.size()));
 }
@@ -324,7 +327,10 @@ void BM_ExtractBenign(benchmark::State& state) {
   extract::BinaryExtractor extractor;
   const util::Bytes blob = benign_blob(1400);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(extractor.extract(blob));
+    // A fresh vector per pass: each pass pays the vector allocation.
+    std::vector<extract::BinaryFrame> frames;
+    extractor.extract(blob, frames);
+    benchmark::DoNotOptimize(frames);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * blob.size()));
 }

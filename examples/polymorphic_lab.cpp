@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   isa.execution_trace(clet.bytes, 0, 4096, clet_trace, clet_scratch);
   ir::lift(clet_trace, lifted);  // reuses the buffers of the first lift
   semantic::LiftedCode clet_lc{&clet_trace, &lifted.events, clet.bytes};
-  auto m = semantic::match_template(semantic::tmpl_xor_decrypt_loop(), clet_lc);
+  auto m = semantic::match_template(semantic::builtin_template("xor-decrypt-loop"), clet_lc);
   std::printf("xor template on Clet instance: %s\n", m ? "MATCH" : "no match");
   return 0;
 }

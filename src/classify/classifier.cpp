@@ -75,14 +75,14 @@ Verdict TrafficClassifier::observe(const net::ParsedPacket& pkt) {
 
   const net::Ipv4Addr src = pkt.ip.src;
 
-  if (options_.use_honeypot && honeypots_.is_decoy(pkt.ip.dst)) {
+  if (honeypots_.is_decoy(pkt.ip.dst)) {
     // "Any sending host emitting traffic destined for a honeypot address
     // is considered suspicious; and any packets sent by such a host will
     // be analyzed."
     if (tainted_.insert(src.value).second) metrics.honeypot_taints.add();
   }
 
-  if (options_.use_dark_space && dark_space_.is_unused(pkt.ip.dst)) {
+  if (dark_space_.is_unused(pkt.ip.dst)) {
     if (dark_space_.record_probe(src) >= dark_space_.threshold()) {
       if (tainted_.insert(src.value).second) metrics.dark_space_taints.add();
     }

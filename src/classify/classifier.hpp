@@ -124,9 +124,10 @@ class DarkSpaceDetector {
 
 enum class Verdict : std::uint8_t { kIgnore, kAnalyze };
 
+/// The two detection methods have no switch of their own: a classifier
+/// with no decoys registered never taints by the honeypot method, and one
+/// with no dark prefixes never taints by the dark-space method.
 struct ClassifierOptions {
-  bool use_honeypot = true;
-  bool use_dark_space = true;
   std::size_t dark_space_threshold = 5;
   /// Cap on live per-source dark-space counters (LRU eviction past it;
   /// see DarkSpaceCounters). 0 = unbounded. The default bounds the table

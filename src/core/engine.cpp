@@ -305,12 +305,11 @@ namespace {
 
 /// Resolve the architecture knob: nullptr means the classic x86_32
 /// pipeline. The resolved Arch is pushed into the analyzer's scanner
-/// options and the emulator's CPU mode, so every stage agrees on the ISA
-/// without consulting NidsOptions::arch again.
+/// options, so the analyzer agrees on the ISA without consulting
+/// NidsOptions::arch again.
 NidsOptions with_arch_defaults(NidsOptions options) {
   if (!options.arch) options.arch = &arch::Arch::x86_32();
   options.analyzer.arch = options.arch;
-  options.emulator.mode = options.arch->mode();
   return options;
 }
 
@@ -349,7 +348,9 @@ NidsOptions with_debug_verification(NidsOptions options) {
 }
 
 /// SHA-256 over every input that can change a unit's verdict: the
-/// template set plus extractor/analyzer/emulation options. Prefixed to
+/// template set plus extractor/analyzer/emulation options (the extractor
+/// minimums and the sandbox budgets are constants, so no option carries
+/// them). Prefixed to
 /// every cache key, so reconfiguring the engine can never serve a stale
 /// hit. post_lift_hook is deliberately excluded — it verifies, it does
 /// not decide. The triage mode is excluded too: like the threading and
@@ -364,15 +365,7 @@ cache::Digest compute_config_fingerprint(const NidsOptions& o,
   auto opt = [&ctx](std::string_view label, std::uint64_t v) {
     cache::hash_option(ctx, label, v);
   };
-  const extract::ExtractorOptions& e = o.extractor;
-  opt("ex.min_unicode_escapes", e.min_unicode_escapes);
-  opt("ex.min_repetition", e.min_repetition);
-  opt("ex.min_sled", e.min_sled);
-  opt("ex.min_binary_region", e.min_binary_region);
-  opt("ex.min_return_addresses", e.min_return_addresses);
-  opt("ex.min_base64_encoded", e.min_base64_encoded);
-  opt("ex.min_base64_decoded", e.min_base64_decoded);
-  opt("ex.extract_all", e.extract_all ? 1 : 0);
+  opt("ex.extract_all", o.extractor.extract_all ? 1 : 0);
   // The ISA changes how the same bytes decode, lift, and emulate, so it
   // is verdict-affecting. o.arch is already normalized (never null here).
   opt("arch.mode", static_cast<std::uint64_t>(o.arch->mode()));
@@ -383,9 +376,6 @@ cache::Digest compute_config_fingerprint(const NidsOptions& o,
   opt("an.max_total_insns", a.max_total_insns);
   opt("enable_emulation", o.enable_emulation ? 1 : 0);
   opt("confirm_decoders", o.confirm_decoders_by_emulation ? 1 : 0);
-  opt("emu.max_steps", o.emulator.max_steps);
-  opt("emu.max_syscalls", o.emulator.max_syscalls);
-  opt("emu.max_entries", o.emulator.max_entries);
   return ctx.finish();
 }
 
@@ -537,7 +527,7 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
       if (!memo) {
         util::ByteView data = frames[frame_idx].data;
         const SteadyClock::time_point e0 = unit.now();
-        memo = emu::emulate_frame(data, options_.emulator);
+        memo = emu::emulate_frame(data, options_.arch->mode());
         unit.stage(obs::Stage::kEmulate, unit.since(e0), data.size());
         ++counts.frames_emulated;
         counts.emulated_steps += memo->steps;

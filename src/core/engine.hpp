@@ -70,9 +70,9 @@ struct NidsOptions {
   /// disassembly, IR lifting, template matching, and sandbox emulation
   /// all run under this Arch's rules (see src/arch/arch.hpp). nullptr =
   /// arch::Arch::x86_32(), the classic pipeline. The engine normalizes
-  /// this at construction and propagates it into analyzer.arch and
-  /// emulator.mode, so leave those derived fields alone; it is also part
-  /// of the verdict-cache config fingerprint (the same bytes can carry a
+  /// this at construction and propagates it into analyzer.arch (leave
+  /// that derived field alone); the sandbox runs in its mode. It is also
+  /// part of the verdict-cache config fingerprint (the same bytes can carry a
   /// 32-bit payload and a 64-bit payload with different verdicts).
   const arch::Arch* arch = nullptr;
   classify::ClassifierOptions classifier;
@@ -129,7 +129,6 @@ struct NidsOptions {
   /// paper for a measurably zero false-positive rate on corpora with
   /// large amounts of high-entropy data. Off by default.
   bool confirm_decoders_by_emulation = false;
-  emu::EmulatorOptions emulator;
   /// Byte budget for the content-addressed verdict cache (0 = disabled).
   /// Keyed on SHA-256(config fingerprint || unit bytes): a hit replays
   /// the stored verdict and skips stages (b)-(e) entirely. Behaviour-

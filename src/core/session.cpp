@@ -1,23 +1,9 @@
 #include "core/session.hpp"
 
-#include <atomic>
-
 #include "obs/pipeline.hpp"
 #include "util/timer.hpp"
 
 namespace senids::core {
-
-namespace {
-
-/// Each session claims the next "session" attribution slot; sessions are
-/// long-lived (one per capture worker), so indices stay small.
-obs::WorkerSlot& claim_session_slot() {
-  static std::atomic<std::size_t> next{0};
-  return obs::WorkerTable::instance().slot("session",
-                                           next.fetch_add(1, std::memory_order_relaxed));
-}
-
-}  // namespace
 
 LiveSession::LiveSession(NidsEngine& engine, AlertSink sink)
     : engine_(engine),
@@ -30,7 +16,7 @@ LiveSession::LiveSession(NidsEngine& engine, AlertSink sink)
           if (sink_) sink_(alert);
         }
       }),
-      worker_slot_(claim_session_slot()),
+      worker_slot_(obs::WorkerTable::instance().claim("session")),
       sink_(std::move(sink)) {
   shard_.begin_capture();
   obs::pipeline_metrics().flow_table_max_flows->set(
@@ -38,7 +24,10 @@ LiveSession::LiveSession(NidsEngine& engine, AlertSink sink)
   worker_slot_.begin_run();
 }
 
-LiveSession::~LiveSession() { worker_slot_.end_run(); }
+LiveSession::~LiveSession() {
+  worker_slot_.end_run();
+  obs::WorkerTable::instance().release(worker_slot_);
+}
 
 void LiveSession::feed(util::ByteView frame, std::uint32_t ts_sec, std::uint32_t ts_usec) {
   // Attribution: the gap since the previous feed returned is the caller

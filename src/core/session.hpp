@@ -65,7 +65,8 @@ class LiveSession {
   PipelineShard shard_;
   /// Analyzes each unit the shard forms, inline, into shard_.stats().
   PipelineShard::UnitSink unit_sink_;
-  /// Worker-attribution slot ("session", N): busy is the wall inside
+  /// Worker-attribution slot ("session", N), N the lowest index no other
+  /// live session holds, released at destruction: busy is the wall inside
   /// feed()/finish(), idle the gaps between feeds on the caller thread.
   obs::WorkerSlot& worker_slot_;
   std::uint64_t last_feed_end_ns_ = 0;

@@ -90,8 +90,7 @@ bool EmulationResult::bound_port() const {
   return false;
 }
 
-EmulationResult emulate_entry(util::ByteView frame, std::size_t entry,
-                              const EmulatorOptions& options) {
+EmulationResult emulate_entry(util::ByteView frame, std::size_t entry, arch::Mode mode) {
   EmulationResult result;
   result.entry = entry;
   if (entry >= frame.size()) {
@@ -103,7 +102,7 @@ EmulationResult emulate_entry(util::ByteView frame, std::size_t entry,
   }
 
   VirtualMemory mem(frame);
-  Cpu cpu(mem, kFrameBase + static_cast<std::uint32_t>(entry), options.mode);
+  Cpu cpu(mem, kFrameBase + static_cast<std::uint32_t>(entry), mode);
 
   std::uint32_t next_fd = 3;  // plausible kernel returns for socket-ish calls
   auto hook = [&](const SyscallRecord& rec) -> std::optional<std::uint32_t> {
@@ -128,7 +127,7 @@ EmulationResult emulate_entry(util::ByteView frame, std::size_t entry,
                           (rec.vector == kSyscall64Vector &&
                            (s.eax == 41 || s.eax == 43));
     result.syscalls.push_back(std::move(s));
-    if (result.syscalls.size() >= options.max_syscalls) return std::nullopt;
+    if (result.syscalls.size() >= kMaxSyscalls) return std::nullopt;
     // execve does not return on success; stopping here mirrors reality
     // and keeps the trace clean.
     if (execve) return std::nullopt;
@@ -136,7 +135,7 @@ EmulationResult emulate_entry(util::ByteView frame, std::size_t entry,
     return 0;
   };
 
-  result.stop = cpu.run(options.max_steps, hook);
+  result.stop = cpu.run(kMaxSteps, hook);
   result.steps = cpu.steps();
   result.frame_bytes_modified = mem.frame_bytes_modified();
   if (result.frame_bytes_modified > 0) {
@@ -150,11 +149,11 @@ EmulationResult emulate_entry(util::ByteView frame, std::size_t entry,
   return result;
 }
 
-EmulationResult emulate_frame(util::ByteView frame, const EmulatorOptions& options) {
+EmulationResult emulate_frame(util::ByteView frame, arch::Mode mode) {
   emu_metrics().frames.add();
   std::vector<arch::CodeRun> runs;
   arch::ScanScratch scratch;
-  arch::Arch::of_mode(options.mode).find_code_runs(frame, kMinRunInsns, runs, scratch);
+  arch::Arch::of_mode(mode).find_code_runs(frame, kMinRunInsns, runs, scratch);
 
   EmulationResult best;
   auto better = [](const EmulationResult& a, const EmulationResult& b) {
@@ -167,8 +166,8 @@ EmulationResult emulate_frame(util::ByteView frame, const EmulatorOptions& optio
 
   std::size_t tried = 0;
   for (const auto& run : runs) {
-    if (tried++ >= options.max_entries) break;
-    EmulationResult r = emulate_entry(frame, run.start, options);
+    if (tried++ >= kMaxEntries) break;
+    EmulationResult r = emulate_entry(frame, run.start, mode);
     if (better(r, best)) best = std::move(r);
     if (best.spawned_shell() || best.bound_port()) break;  // decisive
   }

@@ -49,21 +49,19 @@ struct EmulationResult {
   [[nodiscard]] bool made_syscall() const;
 };
 
-struct EmulatorOptions {
-  std::size_t max_steps = 100000;
-  std::size_t max_syscalls = 16;
-  std::size_t max_entries = 64;   // candidate entry points tried per frame
-  /// Instruction-set rules the sandbox decodes and executes under.
-  arch::Mode mode = arch::Mode::k32;
-};
+/// Sandbox budgets: instructions per run, syscalls recorded per run, and
+/// candidate entry points tried per frame.
+inline constexpr std::size_t kMaxSteps = 100000;
+inline constexpr std::size_t kMaxSyscalls = 16;
+inline constexpr std::size_t kMaxEntries = 64;
 
-/// Emulate from one specific entry offset.
+/// Emulate from one specific entry offset under `mode`'s instruction set.
 EmulationResult emulate_entry(util::ByteView frame, std::size_t entry,
-                              const EmulatorOptions& options = {});
+                              arch::Mode mode = arch::Mode::k32);
 
 /// Try candidate entries (decode-run starts, longest first) and return
 /// the most revealing result: syscalls observed > self-modification >
 /// longest run.
-EmulationResult emulate_frame(util::ByteView frame, const EmulatorOptions& options = {});
+EmulationResult emulate_frame(util::ByteView frame, arch::Mode mode = arch::Mode::k32);
 
 }  // namespace senids::emu

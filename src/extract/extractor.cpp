@@ -21,12 +21,6 @@ std::string_view frame_reason_name(FrameReason r) noexcept {
   return "?";
 }
 
-std::vector<BinaryFrame> BinaryExtractor::extract(util::ByteView payload) const {
-  std::vector<BinaryFrame> frames;
-  extract(payload, frames);
-  return frames;
-}
-
 void BinaryExtractor::extract(util::ByteView payload, std::vector<BinaryFrame>& frames) const {
   frames.clear();
   if (payload.empty()) return;
@@ -40,14 +34,14 @@ void BinaryExtractor::extract(util::ByteView payload, std::vector<BinaryFrame>& 
   // 1. %u-encoded content: translate to its binary form. This is how the
   //    Code Red II vector reaches the disassembler.
   UnicodeDecodeResult uni = decode_u_escapes(payload);
-  if (uni.escape_count >= options_.min_unicode_escapes) {
+  if (uni.escape_count >= kMinUnicodeEscapes) {
     frames.push_back(
         BinaryFrame{std::move(uni.decoded), uni.first_offset, FrameReason::kUnicodeDecoded});
   }
 
   // 2. Suspicious repetition: overflow filler; the exploit content sits
   //    at/after the run, so extract from the run's end.
-  if (auto rep = longest_repetition(payload, options_.min_repetition)) {
+  if (auto rep = longest_repetition(payload, kMinRepetition)) {
     const std::size_t from = rep->offset + rep->length;
     if (from < payload.size()) {
       frames.push_back(BinaryFrame{
@@ -58,7 +52,7 @@ void BinaryExtractor::extract(util::ByteView payload, std::vector<BinaryFrame>& 
 
   // 3. Variant NOP sled: extract from the sled start (the decoder and
   //    payload follow it).
-  if (auto sled = longest_nop_sled(payload, options_.min_sled)) {
+  if (auto sled = longest_nop_sled(payload, kMinSled)) {
     frames.push_back(BinaryFrame{
         util::Bytes(payload.begin() + static_cast<std::ptrdiff_t>(sled->offset),
                     payload.end()),
@@ -68,7 +62,7 @@ void BinaryExtractor::extract(util::ByteView payload, std::vector<BinaryFrame>& 
   // 4. Return-address region (Figure 4): repeated 4-byte addresses whose
   //    low byte varies mark the overwrite; the shellcode precedes it, so
   //    extract everything up to the region.
-  if (auto ret = longest_return_region(payload, options_.min_return_addresses)) {
+  if (auto ret = longest_return_region(payload, kMinReturnAddresses)) {
     if (ret->offset > 0) {
       frames.push_back(BinaryFrame{
           util::Bytes(payload.begin(),
@@ -78,14 +72,13 @@ void BinaryExtractor::extract(util::ByteView payload, std::vector<BinaryFrame>& 
   }
 
   // 5. Base64/MIME attachment: translate to binary (email-worm vector).
-  if (auto b64 = find_base64_region(payload, options_.min_base64_encoded,
-                                    options_.min_base64_decoded)) {
+  if (auto b64 = find_base64_region(payload, kMinBase64Encoded, kMinBase64Decoded)) {
     frames.push_back(
         BinaryFrame{std::move(b64->decoded), b64->offset, FrameReason::kBase64Decoded});
   }
 
   // 6. Dense binary region inside an otherwise textual payload.
-  if (auto bin = longest_binary_region(payload, options_.min_binary_region)) {
+  if (auto bin = longest_binary_region(payload, kMinBinaryRegion)) {
     // Extend to the payload end: decoders frequently trail their encoded
     // data, and the semantic stage is cheap once a frame is this small.
     frames.push_back(BinaryFrame{

@@ -47,14 +47,18 @@ struct BinaryFrame {
   FrameReason reason{};
 };
 
+/// Minimum evidence for each extraction heuristic. The stage-0 triage
+/// screen reads the same constants, so its "no frames possible" verdict
+/// is decided against the thresholds the extractor applies.
+inline constexpr std::size_t kMinUnicodeEscapes = 8;
+inline constexpr std::size_t kMinRepetition = 32;
+inline constexpr std::size_t kMinSled = 12;
+inline constexpr std::size_t kMinBinaryRegion = 24;
+inline constexpr std::size_t kMinReturnAddresses = 6;  // repeated dwords in the ret region
+inline constexpr std::size_t kMinBase64Encoded = 96;   // encoded chars
+inline constexpr std::size_t kMinBase64Decoded = 64;   // decoded bytes
+
 struct ExtractorOptions {
-  std::size_t min_unicode_escapes = 8;
-  std::size_t min_repetition = 32;
-  std::size_t min_sled = 12;
-  std::size_t min_binary_region = 24;
-  std::size_t min_return_addresses = 6;  // repeated dwords in the ret region
-  std::size_t min_base64_encoded = 96;   // encoded chars
-  std::size_t min_base64_decoded = 64;   // decoded bytes
   /// Bypass mode: emit the whole payload as one frame regardless of the
   /// heuristics (used by the FP evaluation and the ablation bench).
   bool extract_all = false;
@@ -65,15 +69,12 @@ class BinaryExtractor {
   explicit BinaryExtractor(ExtractorOptions options = ExtractorOptions{})
       : options_(options) {}
 
-  /// Extract candidate binary frames from one application payload.
-  /// Returns an empty vector when nothing looks like binary content —
-  /// that payload is pruned from the expensive pipeline stages.
-  std::vector<BinaryFrame> extract(util::ByteView payload) const;
-
-  /// Buffer-reusing form: clears and refills `out` in place so a worker
-  /// analyzing a stream of payloads reuses one frame vector (the frame
-  /// byte buffers themselves are per-payload — they are decoded or
-  /// sliced content and move on into analysis).
+  /// Extract candidate binary frames from one application payload into
+  /// `out`, which is cleared first: a worker analyzing a stream of
+  /// payloads reuses one frame vector (the frame byte buffers themselves
+  /// are per-payload — they are decoded or sliced content and move on
+  /// into analysis). `out` stays empty when nothing looks like binary
+  /// content — that payload is pruned from the expensive pipeline stages.
   void extract(util::ByteView payload, std::vector<BinaryFrame>& out) const;
 
   [[nodiscard]] const ExtractorOptions& options() const noexcept { return options_; }

@@ -143,7 +143,7 @@ Bytes smtp(Prng& prng) {
 Bytes ascii_sled_lookalike(Prng& prng) {
   // ASCII-art/banner padding whose fill byte lands in 0x40..0x5f — the
   // range the extractor's is_nop_like() accepts wholesale. A run well
-  // past min_sled_length guarantees a sled frame is *possible*, so
+  // past extract::kMinSled guarantees a sled frame is *possible*, so
   // stage-0 must escalate; full analysis then finds nothing to match.
   static constexpr char kFill[] = {'@', 'C', 'H', 'U', 'X', 'Z', '^', '_'};
   Bytes out;

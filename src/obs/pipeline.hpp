@@ -38,8 +38,10 @@ inline constexpr std::size_t kStageCount = 8;
 
 /// Handles into the process-wide registry for every engine-level metric.
 struct PipelineMetrics {
-  // Per-stage wall-clock latency (one observation per stage per unit;
-  // classify observes per packet, reassemble per flushed flow).
+  // Per-stage wall-clock latency. Observations: classify per packet,
+  // reassemble per flushed flow, triage per screened unit, extract per
+  // unit that reaches the extractor, disasm/lift/match per analyzed
+  // frame, emulate per sandbox run.
   std::array<Histogram*, kStageCount> stage_seconds{};
 
   // Pipeline volume counters.

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <set>
 
 #include "util/sync.hpp"
 
@@ -41,6 +42,19 @@ struct WorkerTable::Impl {
   // mu guards only the registration map.
   std::map<std::pair<std::string, std::size_t>, std::unique_ptr<WorkerSlot>> slots
       GUARDED_BY(mu);
+  std::set<const WorkerSlot*> claimed GUARDED_BY(mu);  // by claim(), until release()
+
+  WorkerSlot& find_or_create(std::string_view kind, std::size_t index) REQUIRES(mu) {
+    auto key = std::make_pair(std::string(kind), index);
+    auto it = slots.find(key);
+    if (it == slots.end()) {
+      auto slot = std::unique_ptr<WorkerSlot>(new WorkerSlot());
+      slot->kind_ = key.first;
+      slot->index_ = index;
+      it = slots.emplace(std::move(key), std::move(slot)).first;
+    }
+    return *it->second;
+  }
 };
 
 WorkerTable::WorkerTable() : impl_(new Impl) {}
@@ -59,15 +73,20 @@ std::uint64_t WorkerTable::now_ns() const noexcept {
 
 WorkerSlot& WorkerTable::slot(std::string_view kind, std::size_t index) {
   util::MutexLock lock(impl_->mu);
-  auto key = std::make_pair(std::string(kind), index);
-  auto it = impl_->slots.find(key);
-  if (it == impl_->slots.end()) {
-    auto slot = std::unique_ptr<WorkerSlot>(new WorkerSlot());
-    slot->kind_ = key.first;
-    slot->index_ = index;
-    it = impl_->slots.emplace(std::move(key), std::move(slot)).first;
+  return impl_->find_or_create(kind, index);
+}
+
+WorkerSlot& WorkerTable::claim(std::string_view kind) {
+  util::MutexLock lock(impl_->mu);
+  for (std::size_t index = 0;; ++index) {
+    WorkerSlot& slot = impl_->find_or_create(kind, index);
+    if (impl_->claimed.insert(&slot).second) return slot;
   }
-  return *it->second;
+}
+
+void WorkerTable::release(WorkerSlot& slot) {
+  util::MutexLock lock(impl_->mu);
+  impl_->claimed.erase(&slot);
 }
 
 std::vector<WorkerSlot::Snapshot> WorkerTable::snapshot() const {

@@ -90,6 +90,14 @@ class WorkerTable {
   /// consumers), "session" (LiveSession feeds).
   WorkerSlot& slot(std::string_view kind, std::size_t index);
 
+  /// Claim the lowest-index slot of `kind` that no other claimant holds
+  /// (found or created), until release(). For owners that come and go
+  /// without a fixed index, like live sessions: the table then holds one
+  /// slot per owner alive at once, not one per owner ever made.
+  WorkerSlot& claim(std::string_view kind);
+  /// Give back a slot returned by claim().
+  void release(WorkerSlot& slot);
+
   /// Point-in-time view of every slot, ordered by (kind, index).
   [[nodiscard]] std::vector<WorkerSlot::Snapshot> snapshot() const;
 

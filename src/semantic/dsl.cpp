@@ -311,6 +311,13 @@ class Parser {
       advance();
       return true;
     }
+    if (kw == "note") {
+      // Free text format_match prints with an alert; matches nothing.
+      if (cur_.kind != Token::Kind::kString) return fail("note expects a string");
+      t.note = cur_.text;
+      advance();
+      return true;
+    }
     if (kw == "loopback") {
       t.stmts.push_back(st_branch_back());
       return true;

@@ -30,6 +30,8 @@
 //                              (the hardened decoder-loop form)
 //   regwrite VALUE | advance VAR | loopback
 //   syscall N [sub N] [path "S"]
+//   syscall64 N [sub N] [path "S"]   the same, x86-64 `syscall` instruction
+//   note "TEXT"                free text shown with the template's alerts
 #pragma once
 
 #include <string>

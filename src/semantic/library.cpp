@@ -1,219 +1,70 @@
 #include "semantic/library.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
+#include "semantic/builtin_templates.hpp"  // generated from templates/*.tmpl
+#include "semantic/dsl.hpp"
+
 namespace senids::semantic {
 
-using ir::BinOp;
+namespace {
 
-Template tmpl_xor_decrypt_loop() {
-  // mem[A] := mem[A] xor K ; A-register += c ; conditional back-edge.
-  Template t;
-  t.name = "xor-decrypt-loop";
-  t.threat = ThreatClass::kDecryptionLoop;
-  t.note = "Figure 2/6 xor decryption template";
-  t.stmts.push_back(
-      st_decode_store(p_any("A"), p_bin(BinOp::kXor, p_load(p_any("A")), p_const("K"))));
-  t.stmts.push_back(st_advance("A"));
-  t.stmts.push_back(st_branch_back());
-  return t;
+/// Parse one embedded file. The text was checked in with the source, so
+/// a parse error is a defect of the build, not of any input.
+std::vector<Template> parse_builtin(std::string_view text, std::string_view file) {
+  auto parsed = parse_templates(text);
+  if (const auto* err = std::get_if<ParseError>(&parsed)) {
+    throw std::logic_error("templates/" + std::string(file) + " line " +
+                           std::to_string(err->line) + ": " + err->message);
+  }
+  return std::get<std::vector<Template>>(std::move(parsed));
 }
 
-Template tmpl_add_decrypt_loop() {
-  // Additive ciphers: sub normalizes to add of the negated constant, so
-  // one template covers both directions.
-  Template t;
-  t.name = "add-decrypt-loop";
-  t.threat = ThreatClass::kDecryptionLoop;
-  t.note = "equivalent-instruction decoder variant (add/sub key)";
-  t.stmts.push_back(
-      st_decode_store(p_any("A"), p_bin(BinOp::kAdd, p_load(p_any("A")), p_const("K"))));
-  t.stmts.push_back(st_advance("A"));
-  t.stmts.push_back(st_branch_back());
-  return t;
+/// Both shipped files, parsed once per process: standard.tmpl's
+/// templates, then extended.tmpl's.
+struct Builtins {
+  std::vector<Template> standard;
+  std::vector<Template> extended;
+};
+
+const Builtins& builtins() {
+  static const Builtins b = [] {
+    Builtins out;
+    out.standard = parse_builtin(kStandardTemplates, "standard.tmpl");
+    out.extended = out.standard;
+    for (Template& t : parse_builtin(kExtendedTemplates, "extended.tmpl")) {
+      out.extended.push_back(std::move(t));
+    }
+    return out;
+  }();
+  return b;
 }
 
-Template tmpl_ror_decrypt_loop() {
-  // Rotation ciphers (extension beyond the paper's template set).
-  Template t;
-  t.name = "ror-decrypt-loop";
-  t.threat = ThreatClass::kDecryptionLoop;
-  t.note = "rotate-key decoder (future-work extension)";
-  t.stmts.push_back(st_decode_store(
-      p_any("A"),
-      p_transform(p_load(p_any("A")), {BinOp::kRol, BinOp::kRor}, /*allow_not=*/false)));
-  t.stmts.push_back(st_advance("A"));
-  t.stmts.push_back(st_branch_back());
-  return t;
-}
+}  // namespace
 
-Template tmpl_admmutate_alt_decoder() {
-  // "a decoding scheme involving a sequence of mov, or, and, and not
-  // instructions that perform operations on a single memory location and
-  // register pair" — Section 5.2. The value written back is any
-  // or/and/not combination of the loaded byte and constants.
-  Template t;
-  t.name = "admmutate-alt-decoder";
-  t.threat = ThreatClass::kDecryptionLoop;
-  t.note = "Figure 7 alternate ADMmutate decryption loop";
-  t.stmts.push_back(st_decode_store(
-      p_any("A"),
-      p_transform(p_load(p_any("A")), {BinOp::kOr, BinOp::kAnd}, /*allow_not=*/true)));
-  t.stmts.push_back(st_advance("A"));
-  t.stmts.push_back(st_branch_back());
-  return t;
-}
-
-Template tmpl_shell_spawn_pushed_string() {
-  // The classic stack-built "/bin…sh" construction followed by
-  // execve(11). Only the "/bin" dword is demanded: push-order differs
-  // between push-built ("//sh" first, stack grows down) and store-built
-  // ("/bin" first) shellcode, and the statement list is order-sensitive.
-  Template t;
-  t.name = "shell-spawn-pushed-string";
-  t.threat = ThreatClass::kShellSpawn;
-  t.note = "Figure 6 shell-spawning template (stack-built path)";
-  t.stmts.push_back(st_mem_write(p_any(), p_fixed(0x6e69622f)));  // "/bin"
-  t.stmts.push_back(st_syscall(0x0b));                            // execve
-  return t;
-}
-
-Template tmpl_shell_spawn_embedded_string() {
-  // jmp/call/pop shellcode keeps the path as data; the lifter resolves
-  // the popped return address to a constant buffer offset, so the matcher
-  // can read the string straight out of the frame.
-  Template t;
-  t.name = "shell-spawn-embedded-string";
-  t.threat = ThreatClass::kShellSpawn;
-  t.note = "Figure 6 shell-spawning template (embedded path)";
-  t.stmts.push_back(st_syscall_str(0x0b, "/bin"));
-  return t;
-}
-
-Template tmpl_port_bind_shell() {
-  // socketcall(SYS_SOCKET), (SYS_BIND), (SYS_LISTEN), (SYS_ACCEPT):
-  // the paper's "extension" that flags shells bound to a separate port.
-  Template t;
-  t.name = "port-bind-shell";
-  t.threat = ThreatClass::kPortBindShell;
-  t.note = "Figure 6 extension: shell bound to a network port";
-  t.stmts.push_back(st_socketcall(1));
-  t.stmts.push_back(st_socketcall(2));
-  t.stmts.push_back(st_socketcall(4));
-  t.stmts.push_back(st_socketcall(5));
-  return t;
-}
-
-Template tmpl_reverse_shell() {
-  // socketcall(SYS_SOCKET) then socketcall(SYS_CONNECT): the connect-back
-  // counterpart of the port binder (extension family; listed by the
-  // paper's future work as "additional families").
-  Template t;
-  t.name = "reverse-shell";
-  t.threat = ThreatClass::kReverseShell;
-  t.note = "connect-back shell (extension)";
-  t.stmts.push_back(st_socketcall(1));
-  t.stmts.push_back(st_socketcall(3));
-  t.stmts.push_back(st_syscall(0x0b));
-  return t;
-}
-
-Template tmpl_code_red_ii() {
-  // The decoded CRII vector pushes the fixed trampoline address
-  // 0x7801cbd3 (call ebx inside msvcrt) — the invariant memory
-  // addressing the paper's Section 5.3 template keys on.
-  Template t;
-  t.name = "code-red-ii-vector";
-  t.threat = ThreatClass::kCodeRedII;
-  t.note = "Code Red II initial exploitation vector (Table 3)";
-  t.stmts.push_back(st_mem_write(p_any(), p_fixed(0x7801cbd3)));
-  return t;
-}
-
-// ----------------------------------------------------- x86-64 templates
-// Same behaviors under the Linux x86-64 calling convention: `syscall`
-// instead of int 0x80, direct socket syscalls instead of socketcall, and
-// the path pointer in rdi. The out-of-range event vector (0x100) keeps
-// these templates inert on 32-bit traces.
-
-Template tmpl_shell_spawn_stack_64() {
-  // mov rbx, 0x68732f2f6e69622f ; push rbx ; ... ; execve(59). The store
-  // event carries the low dword ("/bin") of the pushed immediate.
-  Template t;
-  t.name = "shell-spawn-stack-64";
-  t.arch = "x86_64";
-  t.threat = ThreatClass::kShellSpawn;
-  t.note = "x86-64 shell spawn, stack-built path";
-  t.stmts.push_back(st_mem_write(p_any(), p_fixed(0x6e69622f)));  // "/bin"
-  t.stmts.push_back(st_syscall64(59));                            // execve
-  return t;
-}
-
-Template tmpl_shell_spawn_embedded_64() {
-  // call/pop or RIP-relative GetPC with the path embedded in the frame.
-  Template t;
-  t.name = "shell-spawn-embedded-64";
-  t.arch = "x86_64";
-  t.threat = ThreatClass::kShellSpawn;
-  t.note = "x86-64 shell spawn, embedded path";
-  t.stmts.push_back(st_syscall64_str(59, "/bin"));
-  return t;
-}
-
-Template tmpl_port_bind_shell_64() {
-  // socket(41), bind(49), listen(50), accept(43): the direct-syscall
-  // equivalent of the socketcall sequence.
-  Template t;
-  t.name = "port-bind-shell-64";
-  t.arch = "x86_64";
-  t.threat = ThreatClass::kPortBindShell;
-  t.note = "x86-64 shell bound to a network port";
-  t.stmts.push_back(st_syscall64(41));
-  t.stmts.push_back(st_syscall64(49));
-  t.stmts.push_back(st_syscall64(50));
-  t.stmts.push_back(st_syscall64(43));
-  return t;
-}
-
-Template tmpl_reverse_shell_64() {
-  // socket(41), connect(42), then execve(59) for the spawned shell.
-  Template t;
-  t.name = "reverse-shell-64";
-  t.arch = "x86_64";
-  t.threat = ThreatClass::kReverseShell;
-  t.note = "x86-64 connect-back shell";
-  t.stmts.push_back(st_syscall64(41));
-  t.stmts.push_back(st_syscall64(42));
-  t.stmts.push_back(st_syscall64(59));
-  return t;
+const Template& builtin_template(std::string_view name) {
+  const std::vector<Template>& all = builtins().extended;
+  const auto it = std::find_if(all.begin(), all.end(),
+                               [name](const Template& t) { return t.name == name; });
+  if (it == all.end()) {
+    throw std::out_of_range("no built-in template named '" + std::string(name) + "'");
+  }
+  return *it;
 }
 
 std::vector<Template> make_xor_only_library() {
-  return {tmpl_xor_decrypt_loop()};
+  return {builtin_template("xor-decrypt-loop")};
 }
 
 std::vector<Template> make_decoder_library() {
-  return {tmpl_xor_decrypt_loop(), tmpl_add_decrypt_loop(),
-          tmpl_admmutate_alt_decoder()};
+  return {builtin_template("xor-decrypt-loop"), builtin_template("add-decrypt-loop"),
+          builtin_template("admmutate-alt-decoder")};
 }
 
-std::vector<Template> make_standard_library() {
-  return {tmpl_xor_decrypt_loop(),
-          tmpl_add_decrypt_loop(),
-          tmpl_admmutate_alt_decoder(),
-          tmpl_shell_spawn_pushed_string(),
-          tmpl_shell_spawn_embedded_string(),
-          tmpl_port_bind_shell(),
-          tmpl_reverse_shell(),
-          tmpl_code_red_ii(),
-          tmpl_shell_spawn_stack_64(),
-          tmpl_shell_spawn_embedded_64(),
-          tmpl_port_bind_shell_64(),
-          tmpl_reverse_shell_64()};
-}
+std::vector<Template> make_standard_library() { return builtins().standard; }
 
-std::vector<Template> make_extended_library() {
-  auto lib = make_standard_library();
-  lib.push_back(tmpl_ror_decrypt_loop());
-  return lib;
-}
+std::vector<Template> make_extended_library() { return builtins().extended; }
 
 }  // namespace senids::semantic

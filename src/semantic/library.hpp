@@ -1,14 +1,22 @@
-// Built-in template library reproducing the paper's template set:
+// Built-in template library reproducing the paper's template set. The
+// shipped DSL files are its only definition: templates/standard.tmpl and
+// templates/extended.tmpl are embedded into this library at build time
+// and parsed once per process.
+//
+// standard.tmpl:
 //  - xor decryption loop        (Figures 1/2, Table 2 "xor template")
 //  - additive decryption loop   (equivalent-instruction variant)
-//  - rotate decryption loop     (extension beyond the paper's set)
 //  - ADMmutate alternate decoder: mov/or/and/not over one memory
 //    location and register pair (Figure 7, the template that lifts
 //    ADMmutate detection from 68% to 100%)
 //  - Linux shell spawning, immediate and port-bound (Figure 6, Table 1)
+//  - connect-back shell, and x86-64 forms of the shell templates
 //  - Code Red II exploitation vector (Table 3)
+// extended.tmpl:
+//  - rotate decryption loop     (extension beyond the paper's set)
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "semantic/template.hpp"
@@ -22,30 +30,22 @@ std::vector<Template> make_xor_only_library();
 /// Decryption-loop templates only (xor + additive + alternate).
 std::vector<Template> make_decoder_library();
 
-/// The full standard library used by the NIDS in every experiment.
+/// The full standard library used by the NIDS in every experiment:
+/// templates/standard.tmpl, in file order.
 std::vector<Template> make_standard_library();
 
-/// Standard library plus the opt-in extension templates (currently the
-/// rotate-decoder). The rotate template is deliberately NOT in the
-/// standard set: rotation is the one invertible byte transform that
-/// coincidental code-shaped data produces at measurable rates, and the
-/// paper's zero-false-positive result depends on "high quality
-/// templates" — template selection is a precision decision.
+/// Standard library plus the opt-in extension templates of
+/// templates/extended.tmpl (currently the rotate-decoder). The rotate
+/// template is deliberately NOT in the standard set: rotation is the one
+/// invertible byte transform that coincidental code-shaped data produces
+/// at measurable rates, and the paper's zero-false-positive result
+/// depends on "high quality templates" — template selection is a
+/// precision decision.
 std::vector<Template> make_extended_library();
 
-// Individual templates, exposed for tests and ablations.
-Template tmpl_xor_decrypt_loop();
-Template tmpl_add_decrypt_loop();
-Template tmpl_ror_decrypt_loop();
-Template tmpl_admmutate_alt_decoder();
-Template tmpl_shell_spawn_pushed_string();
-Template tmpl_shell_spawn_embedded_string();
-Template tmpl_port_bind_shell();
-Template tmpl_reverse_shell();
-Template tmpl_code_red_ii();
-Template tmpl_shell_spawn_stack_64();
-Template tmpl_shell_spawn_embedded_64();
-Template tmpl_port_bind_shell_64();
-Template tmpl_reverse_shell_64();
+/// The built-in template named `name` (any template of the extended
+/// library), for tests and ablations. Throws std::out_of_range when no
+/// built-in template has that name.
+const Template& builtin_template(std::string_view name);
 
 }  // namespace senids::semantic

@@ -1,7 +1,6 @@
 #include "semantic/pattern.hpp"
 
 #include <cstdio>
-#include <stdexcept>
 
 namespace senids::semantic {
 
@@ -270,25 +269,6 @@ bool PatternSet::transform(const Node& n, ExprPtr root, Slots& slots, DagScratch
   }
   dag.busy = false;
   return ok && base_leaf && op && (const_leaf || !n.require_const_leaf);
-}
-
-bool match_expr(const PatPtr& p, ExprPtr e, Env& env) {
-  PatternSet set;
-  const std::uint32_t root = set.add(p);
-  if (set.vars().size() > kMaxTemplateVars) {
-    throw std::invalid_argument("pattern uses more than " +
-                                std::to_string(kMaxTemplateVars) + " variables");
-  }
-  Slots slots{};
-  for (std::size_t i = 0; i < set.vars().size(); ++i) {
-    if (auto it = env.find(set.vars()[i]); it != env.end()) slots[i] = it->second;
-  }
-  DagScratch dag;
-  if (!set.match(root, e, slots, dag)) return false;
-  for (std::size_t i = 0; i < set.vars().size(); ++i) {
-    if (slots[i]) env.insert_or_assign(set.vars()[i], slots[i]);
-  }
-  return true;
 }
 
 std::string to_string(const PatPtr& p) {

@@ -144,10 +144,6 @@ class PatternSet {
 /// Variable bindings by name: what a MatchResult reports.
 using Env = std::map<std::string, ir::ExprPtr, std::less<>>;
 
-/// Match `e` against `p`, extending `env`: the one-shot form of
-/// PatternSet::match. On failure `env` is left unchanged.
-bool match_expr(const PatPtr& p, ir::ExprPtr e, Env& env);
-
 /// Debug rendering of a pattern.
 std::string to_string(const PatPtr& p);
 

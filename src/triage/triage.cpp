@@ -425,7 +425,7 @@ bool has_getpc_code(util::ByteView data) noexcept {
 
 TriageFilter::TriageFilter(TriageOptions options, extract::ExtractorOptions extractor,
                            const std::vector<semantic::Template>& templates)
-    : options_(std::move(options)), extractor_(extractor) {
+    : options_(std::move(options)), extract_all_(extractor.extract_all) {
   for (const util::Bytes& lit : template_literals(templates)) {
     literals_.add_pattern(lit);
   }
@@ -437,15 +437,15 @@ bool TriageFilter::code_evidence(util::ByteView data) const {
   // The fused scan supplies the run lengths; the GetPC walk only runs
   // when the scan saw at least one candidate lead byte.
   const ScanStats s = scan(data);
-  if (s.sled_len >= extractor_.min_sled) return true;
-  if (s.rep_len >= extractor_.min_repetition && s.rep_end < data.size()) return true;
+  if (s.sled_len >= extract::kMinSled) return true;
+  if (s.rep_len >= extract::kMinRepetition && s.rep_end < data.size()) return true;
   if (s.getpc_lead > 0 && has_getpc_code(data)) return true;
-  if (extract::longest_return_region(data, extractor_.min_return_addresses)) return true;
+  if (extract::longest_return_region(data, extract::kMinReturnAddresses)) return true;
   return literals_.matches_any(data);
 }
 
 TriageDecision TriageFilter::screen(util::ByteView payload, std::uint16_t dst_port) const {
-  if (extractor_.extract_all) {
+  if (extract_all_) {
     // Bypass mode frames every payload whole; nothing can be rejected.
     return {true, TriageReason::kExtractAll};
   }
@@ -458,16 +458,16 @@ TriageDecision TriageFilter::screen(util::ByteView payload, std::uint16_t dst_po
   // Code probes over the raw bytes, cheapest first. Any hit escalates:
   // the matching extractor heuristic would form a frame (or, for GetPC /
   // literals, the analyzer could find matching code inside one).
-  if (s.rep_len >= extractor_.min_repetition && s.rep_end < payload.size()) {
+  if (s.rep_len >= extract::kMinRepetition && s.rep_end < payload.size()) {
     return {true, TriageReason::kRepetitionRun};
   }
-  if (s.sled_len >= extractor_.min_sled) {
+  if (s.sled_len >= extract::kMinSled) {
     return {true, TriageReason::kNopSled};
   }
   if (s.getpc_lead > 0 && has_getpc_code(payload)) {
     return {true, TriageReason::kGetPcCode};
   }
-  if (extract::longest_return_region(payload, extractor_.min_return_addresses)) {
+  if (extract::longest_return_region(payload, extract::kMinReturnAddresses)) {
     return {true, TriageReason::kReturnRegion};
   }
   if (literals_.matches_any(payload)) {
@@ -480,25 +480,25 @@ TriageDecision TriageFilter::screen(util::ByteView payload, std::uint16_t dst_po
   // Data-shaped frame sources: decode exactly what the extractor would
   // and re-run the code probes over the bytes the analyzer would see.
   bool data_frames = false;
-  if (s.percent >= extractor_.min_unicode_escapes) {
+  if (s.percent >= extract::kMinUnicodeEscapes) {
     const extract::UnicodeDecodeResult uni = extract::decode_u_escapes(payload);
-    if (uni.escape_count >= extractor_.min_unicode_escapes) {
+    if (uni.escape_count >= extract::kMinUnicodeEscapes) {
       if (code_evidence(uni.decoded)) {
         return {true, TriageReason::kDecodedCodeEvidence};
       }
       data_frames = true;
     }
   }
-  if (s.b64_len >= extractor_.min_base64_encoded) {
-    if (auto region = extract::find_base64_region(payload, extractor_.min_base64_encoded,
-                                                  extractor_.min_base64_decoded)) {
+  if (s.b64_len >= extract::kMinBase64Encoded) {
+    if (auto region = extract::find_base64_region(payload, extract::kMinBase64Encoded,
+                                                  extract::kMinBase64Decoded)) {
       if (code_evidence(region->decoded)) {
         return {true, TriageReason::kDecodedCodeEvidence};
       }
       data_frames = true;
     }
   }
-  if (s.binary_len >= extractor_.min_binary_region) data_frames = true;
+  if (s.binary_len >= extract::kMinBinaryRegion) data_frames = true;
 
   // No probe fired. Either no heuristic can form a frame at all (provably
   // alert-free) or only data-shaped frames are possible and none of them

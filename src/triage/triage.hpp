@@ -119,9 +119,11 @@ struct ScanProfile {
 
 class TriageFilter {
  public:
-  /// `extractor` must be the engine's extractor options: the screen
-  /// mirrors its thresholds so "no frames possible" is decided against
-  /// the extractor that actually runs on escalation.
+  /// `extractor` must be the engine's extractor options: in bypass mode
+  /// (extract_all) every payload forms a frame, so nothing is rejected.
+  /// The screen mirrors the extractor's thresholds (the extract::kMin*
+  /// constants), so "no frames possible" is decided against the
+  /// extractor that actually runs on escalation.
   TriageFilter(TriageOptions options, extract::ExtractorOptions extractor,
                const std::vector<semantic::Template>& templates);
 
@@ -141,7 +143,7 @@ class TriageFilter {
   [[nodiscard]] bool code_evidence(util::ByteView data) const;
 
   TriageOptions options_;
-  extract::ExtractorOptions extractor_;
+  bool extract_all_;
   sig::AhoCorasick literals_;
 };
 

@@ -81,6 +81,22 @@ TEST(ConfigFingerprint, ChangesWithVerdictAffectingOptions) {
   extract_all.extractor.extract_all = true;
   EXPECT_NE(fingerprint_of(extract_all), base);
 
+  core::NidsOptions confirm;
+  confirm.confirm_decoders_by_emulation = true;
+  EXPECT_NE(fingerprint_of(confirm), base);
+
+  core::NidsOptions run;
+  run.analyzer.min_run_insns = 7;
+  EXPECT_NE(fingerprint_of(run), base);
+
+  core::NidsOptions entries;
+  entries.analyzer.max_entries = 16;
+  EXPECT_NE(fingerprint_of(entries), base);
+
+  core::NidsOptions trace;
+  trace.analyzer.max_trace_insns = 512;
+  EXPECT_NE(fingerprint_of(trace), base);
+
   core::NidsOptions budget;
   budget.analyzer.max_total_insns = 1234;
   EXPECT_NE(fingerprint_of(budget), base);

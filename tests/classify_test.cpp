@@ -52,14 +52,6 @@ TEST(Honeypot, TouchingDecoyTaintsSource) {
   EXPECT_FALSE(c.is_tainted(kClient));
 }
 
-TEST(Honeypot, DisabledSchemeIgnoresDecoys) {
-  ClassifierOptions opts;
-  opts.use_honeypot = false;
-  TrafficClassifier c(opts);
-  c.honeypots().add_decoy(kHoneypot);
-  EXPECT_EQ(c.observe(packet(kAttacker, kHoneypot)), Verdict::kIgnore);
-}
-
 TEST(DarkSpace, ThresholdCrossingTaints) {
   ClassifierOptions opts;
   opts.dark_space_threshold = 3;

@@ -208,7 +208,7 @@ TEST(Engine, CustomTemplateLibrary) {
   // An engine built with only the Code Red template ignores shell spawns.
   NidsOptions options;
   options.classifier.analyze_everything = true;
-  NidsEngine nids(options, {semantic::tmpl_code_red_ii()});
+  NidsEngine nids(options, {semantic::builtin_template("code-red-ii-vector")});
   gen::TraceBuilder tb(22);
   tb.add_tcp_flow(kAttacker, Endpoint{kServer, 80},
                   gen::make_shell_spawn_corpus()[0].code);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "one_shot.hpp"
 #include "extract/extractor.hpp"
 #include "extract/heuristics.hpp"
 #include "extract/http.hpp"
@@ -184,12 +185,13 @@ TEST(Http, ToleratesMissingVersion) {
 
 TEST(Extractor, PrunesPlainText) {
   BinaryExtractor ex;
-  EXPECT_TRUE(ex.extract(util::as_bytes("GET / HTTP/1.1\r\nHost: a\r\n\r\n")).empty());
+  EXPECT_TRUE(
+      test::extract(ex, util::as_bytes("GET / HTTP/1.1\r\nHost: a\r\n\r\n")).empty());
 }
 
 TEST(Extractor, ExtractsUnicodeFrame) {
   BinaryExtractor ex;
-  auto frames = ex.extract(gen::make_code_red_ii_request());
+  auto frames = test::extract(ex, gen::make_code_red_ii_request());
   bool found = false;
   for (const auto& f : frames) {
     if (f.reason == FrameReason::kUnicodeDecoded) {
@@ -203,7 +205,7 @@ TEST(Extractor, ExtractsUnicodeFrame) {
 TEST(Extractor, ExtractsAfterRepetition) {
   std::string payload = "HEAD /cgi?" + std::string(64, 'A') + "BINARYPART";
   BinaryExtractor ex;
-  auto frames = ex.extract(util::as_bytes(payload));
+  auto frames = test::extract(ex, util::as_bytes(payload));
   bool found = false;
   for (const auto& f : frames) {
     if (f.reason == FrameReason::kAfterRepetition) {
@@ -222,7 +224,7 @@ TEST(Extractor, ExtractsNopSledFrame) {
   payload.insert(payload.end(), sled.begin(), sled.end());
   payload.insert(payload.end(), {0xCD, 0x80});
   BinaryExtractor ex;
-  auto frames = ex.extract(payload);
+  auto frames = test::extract(ex, payload);
   bool found = false;
   for (const auto& f : frames) {
     if (f.reason == FrameReason::kNopSled) {
@@ -237,7 +239,7 @@ TEST(Extractor, ExtractAllBypassMode) {
   ExtractorOptions opts;
   opts.extract_all = true;
   BinaryExtractor ex(opts);
-  auto frames = ex.extract(util::as_bytes("just text"));
+  auto frames = test::extract(ex, util::as_bytes("just text"));
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].reason, FrameReason::kWholePayload);
   EXPECT_EQ(frames[0].data.size(), 9u);
@@ -246,10 +248,10 @@ TEST(Extractor, ExtractAllBypassMode) {
 TEST(Extractor, EmptyPayloadNoFrames) {
   BinaryExtractor ex;
   Bytes empty;
-  EXPECT_TRUE(ex.extract(empty).empty());
+  EXPECT_TRUE(test::extract(ex, empty).empty());
   ExtractorOptions opts;
   opts.extract_all = true;
-  EXPECT_TRUE(BinaryExtractor(opts).extract(empty).empty());
+  EXPECT_TRUE(test::extract(BinaryExtractor(opts), empty).empty());
 }
 
 TEST(Extractor, FrameReasonNames) {
@@ -305,7 +307,7 @@ TEST(Extractor, ReturnRegionFrameCarriesPrecedingBytes) {
   auto wire = gen::wrap_in_overflow(gen::make_shell_spawn_corpus()[1].code, prng);
   BinaryExtractor extractor;
   bool found = false;
-  for (const auto& f : extractor.extract(wire)) {
+  for (const auto& f : test::extract(extractor, wire)) {
     if (f.reason == FrameReason::kReturnRegion) {
       found = true;
       EXPECT_EQ(f.src_offset, 0u);

@@ -2,6 +2,7 @@
 // end-to-end detection of a polymorphic worm attachment over SMTP.
 #include <gtest/gtest.h>
 
+#include "one_shot.hpp"
 #include "core/senids.hpp"
 #include "extract/base64.hpp"
 #include "gen/mailworm.hpp"
@@ -64,7 +65,7 @@ TEST(MailWorm, ExtractorEmitsBase64Frame) {
   util::Prng prng(3);
   auto worm = gen::make_email_worm(prng);
   extract::BinaryExtractor extractor;
-  auto frames = extractor.extract(worm.smtp_payload);
+  auto frames = test::extract(extractor, worm.smtp_payload);
   bool found = false;
   for (const auto& f : frames) {
     if (f.reason == extract::FrameReason::kBase64Decoded) {

@@ -1,18 +1,22 @@
-// One-shot scan, trace and analysis for tests: each call runs the one API
-// form of its operation (the arch::Arch members with an arch::ScanScratch,
-// SemanticAnalyzer::analyze with an AnalyzerScratch) on fresh working
-// memory, so nothing carries over from an earlier call. Also the
-// reference for a unit's alerts: every frame analyzed on its own.
+// One-shot scan, trace, extraction, pattern match and analysis for tests:
+// each call runs the one API form of its operation (the arch::Arch members
+// with an arch::ScanScratch, BinaryExtractor::extract into a frame vector,
+// PatternSet::match with a DagScratch, SemanticAnalyzer::analyze with an
+// AnalyzerScratch) on fresh working memory, so nothing carries over from
+// an earlier call. Also the reference for a unit's alerts: every frame
+// analyzed on its own.
 #pragma once
 
 #include <cstddef>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "arch/arch.hpp"
 #include "extract/extractor.hpp"
 #include "semantic/analyzer.hpp"
+#include "semantic/pattern.hpp"
 #include "util/bytes.hpp"
 
 namespace senids::test {
@@ -40,6 +44,36 @@ inline std::vector<arch::Instruction> trace(util::ByteView code, std::size_t ent
   return out;
 }
 
+/// The frames `extractor` cuts from `payload`.
+inline std::vector<extract::BinaryFrame> extract(const extract::BinaryExtractor& extractor,
+                                                 util::ByteView payload) {
+  std::vector<extract::BinaryFrame> frames;
+  extractor.extract(payload, frames);
+  return frames;
+}
+
+/// Match `e` against `p`, extending `env` by name: a one-pattern
+/// semantic::PatternSet, its slots seeded from `env`. On failure `env` is
+/// left unchanged.
+inline bool match_expr(const semantic::PatPtr& p, ir::ExprPtr e, semantic::Env& env) {
+  semantic::PatternSet set;
+  const std::uint32_t root = set.add(p);
+  if (set.vars().size() > semantic::kMaxTemplateVars) {
+    throw std::invalid_argument("pattern uses more than " +
+                                std::to_string(semantic::kMaxTemplateVars) + " variables");
+  }
+  semantic::Slots slots{};
+  for (std::size_t i = 0; i < set.vars().size(); ++i) {
+    if (auto it = env.find(set.vars()[i]); it != env.end()) slots[i] = it->second;
+  }
+  semantic::DagScratch dag;
+  if (!set.match(root, e, slots, dag)) return false;
+  for (std::size_t i = 0; i < set.vars().size(); ++i) {
+    if (slots[i]) env.insert_or_assign(set.vars()[i], slots[i]);
+  }
+  return true;
+}
+
 /// `analyzer.analyze(frame, stats, scratch)` with a fresh scratch.
 inline std::vector<semantic::Detection> analyze(const semantic::SemanticAnalyzer& analyzer,
                                                 util::ByteView frame,
@@ -64,7 +98,7 @@ inline std::vector<UnitAlert> per_frame_alerts(const extract::BinaryExtractor& e
                                                util::ByteView payload) {
   std::vector<UnitAlert> out;
   std::set<std::string> fired;
-  for (const extract::BinaryFrame& frame : extractor.extract(payload)) {
+  for (const extract::BinaryFrame& frame : extract(extractor, payload)) {
     for (semantic::Detection& d : analyze(analyzer, frame.data)) {
       if (fired.insert(d.template_name).second) {
         out.push_back({std::move(d.template_name), frame.reason, frame.src_offset});

@@ -5,6 +5,7 @@
 // engine's internal budgets.)
 #include <gtest/gtest.h>
 
+#include "one_shot.hpp"
 #include "core/senids.hpp"
 #include "extract/extractor.hpp"
 #include "gen/shellcode.hpp"
@@ -89,7 +90,7 @@ TEST(ExtractorFuzz, ArbitraryPayloadsNeverCrash) {
   extract::BinaryExtractor extractor;
   for (int trial = 0; trial < 100; ++trial) {
     auto payload = prng.bytes(prng.below(4096));
-    auto frames = extractor.extract(payload);
+    auto frames = test::extract(extractor, payload);
     for (const auto& f : frames) {
       EXPECT_LE(f.src_offset, payload.size());
     }

@@ -241,7 +241,7 @@ TEST(Hardening, RorDecoderMatchesExtensionTemplate) {
   a.loop_(head);
   Bytes code = a.finish();
   EXPECT_FALSE(any_decoder_match(code));  // not in the standard decoder set
-  EXPECT_TRUE(run_match(tmpl_ror_decrypt_loop(), code).has_value());
+  EXPECT_TRUE(run_match(builtin_template("ror-decrypt-loop"), code).has_value());
 }
 
 TEST(Hardening, BackwardWalkingDecoderStillMatches) {
@@ -470,7 +470,7 @@ TEST(Hardening, LadderDecoderMatchesInBoundedTime) {
   const auto [seconds, detections] = timed_analyze(frame);
   EXPECT_LT(seconds, 2.0);
   EXPECT_TRUE(detections.empty());
-  EXPECT_FALSE(run_match(tmpl_admmutate_alt_decoder(), frame));
+  EXPECT_FALSE(run_match(builtin_template("admmutate-alt-decoder"), frame));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "one_shot.hpp"
 #include "semantic/pattern.hpp"
 
 namespace senids::semantic {
@@ -9,6 +10,7 @@ using ir::BinOp;
 using ir::ExprPtr;
 using ir::UnOp;
 using arch::RegFamily;
+using test::match_expr;
 
 /// Every node these tests build lives in one arena that lasts as long as
 /// the test binary; the shorthands keep the tests reading like the IR.

@@ -78,7 +78,7 @@ Bytes figure_1c() {
 }
 
 TEST(Template, XorTemplateMatchesFigure1a) {
-  auto m = run_match(tmpl_xor_decrypt_loop(), figure_1a());
+  auto m = run_match(builtin_template("xor-decrypt-loop"), figure_1a());
   ASSERT_TRUE(m.has_value());
   ASSERT_EQ(m->matched_events.size(), 3u);
   // The key variable must have bound to 0x95.
@@ -90,7 +90,7 @@ TEST(Template, XorTemplateMatchesFigure1a) {
 
 TEST(Template, XorTemplateMatchesFigure1b) {
   // Same template, register-built key: the semantic point of the paper.
-  auto m = run_match(tmpl_xor_decrypt_loop(), figure_1b());
+  auto m = run_match(builtin_template("xor-decrypt-loop"), figure_1b());
   ASSERT_TRUE(m.has_value());
   std::uint32_t k;
   ASSERT_TRUE(ir::is_const(m->bindings["K"], &k));
@@ -99,13 +99,13 @@ TEST(Template, XorTemplateMatchesFigure1b) {
 
 TEST(Template, XorTemplateMatchesFigure1c) {
   // Garbage + out-of-order code: still the same behaviour.
-  auto m = run_match(tmpl_xor_decrypt_loop(), figure_1c());
+  auto m = run_match(builtin_template("xor-decrypt-loop"), figure_1c());
   ASSERT_TRUE(m.has_value());
 }
 
 TEST(Template, OneTemplateAllThreeFigures) {
   // The headline claim of Figure 2: one template, three syntaxes.
-  const Template t = tmpl_xor_decrypt_loop();
+  const Template& t = builtin_template("xor-decrypt-loop");
   EXPECT_TRUE(run_match(t, figure_1a()).has_value());
   EXPECT_TRUE(run_match(t, figure_1b()).has_value());
   EXPECT_TRUE(run_match(t, figure_1c()).has_value());
@@ -120,7 +120,7 @@ TEST(Template, RegisterReassignmentTolerated) {
   a.xor_mem8_r8(R32::esi, R8::dl);
   a.inc_r32(R32::esi);
   a.loop_(head);
-  auto m = run_match(tmpl_xor_decrypt_loop(), a.finish());
+  auto m = run_match(builtin_template("xor-decrypt-loop"), a.finish());
   ASSERT_TRUE(m.has_value());
 }
 
@@ -132,7 +132,7 @@ TEST(Template, DecJnzLoopBackAccepted) {
   a.inc_r32(R32::edi);
   a.dec_r32(R32::ecx);
   a.jnz(head);
-  EXPECT_TRUE(run_match(tmpl_xor_decrypt_loop(), a.finish()).has_value());
+  EXPECT_TRUE(run_match(builtin_template("xor-decrypt-loop"), a.finish()).has_value());
 }
 
 TEST(Template, NoLoopNoMatch) {
@@ -141,7 +141,7 @@ TEST(Template, NoLoopNoMatch) {
   a.xor_mem8_imm8(R32::eax, 0x95);
   a.inc_r32(R32::eax);
   a.ret();
-  EXPECT_FALSE(run_match(tmpl_xor_decrypt_loop(), a.finish()).has_value());
+  EXPECT_FALSE(run_match(builtin_template("xor-decrypt-loop"), a.finish()).has_value());
 }
 
 TEST(Template, NoAdvanceNoMatch) {
@@ -151,7 +151,7 @@ TEST(Template, NoAdvanceNoMatch) {
   a.bind(head);
   a.xor_mem8_imm8(R32::eax, 0x95);
   a.loop_(head);
-  EXPECT_FALSE(run_match(tmpl_xor_decrypt_loop(), a.finish()).has_value());
+  EXPECT_FALSE(run_match(builtin_template("xor-decrypt-loop"), a.finish()).has_value());
 }
 
 TEST(Template, ZeroKeyNoMatch) {
@@ -162,7 +162,7 @@ TEST(Template, ZeroKeyNoMatch) {
   a.xor_mem8_imm8(R32::eax, 0x00);
   a.inc_r32(R32::eax);
   a.loop_(head);
-  EXPECT_FALSE(run_match(tmpl_xor_decrypt_loop(), a.finish()).has_value());
+  EXPECT_FALSE(run_match(builtin_template("xor-decrypt-loop"), a.finish()).has_value());
 }
 
 TEST(Template, AdvanceViaDifferentEncodings) {
@@ -178,7 +178,7 @@ TEST(Template, AdvanceViaDifferentEncodings) {
       default: a.lea(R32::esi, R32::esi, 1); break;
     }
     a.loop_(head);
-    EXPECT_TRUE(run_match(tmpl_xor_decrypt_loop(), a.finish()).has_value())
+    EXPECT_TRUE(run_match(builtin_template("xor-decrypt-loop"), a.finish()).has_value())
         << "variant " << variant;
   }
 }
@@ -200,7 +200,7 @@ TEST(Template, DerivedPointerAdvance) {
   a.bind(lget);
   a.call(lmain);
   a.raw(util::to_bytes("ENCODEDENCODED"));
-  EXPECT_TRUE(run_match(tmpl_xor_decrypt_loop(), a.finish()).has_value());
+  EXPECT_TRUE(run_match(builtin_template("xor-decrypt-loop"), a.finish()).has_value());
 }
 
 TEST(Template, AddDecoderMatchesAddTemplateNotXor) {
@@ -211,8 +211,8 @@ TEST(Template, AddDecoderMatchesAddTemplateNotXor) {
   a.inc_r32(R32::eax);
   a.loop_(head);
   Bytes code = a.finish();
-  EXPECT_TRUE(run_match(tmpl_add_decrypt_loop(), code).has_value());
-  EXPECT_FALSE(run_match(tmpl_xor_decrypt_loop(), code).has_value());
+  EXPECT_TRUE(run_match(builtin_template("add-decrypt-loop"), code).has_value());
+  EXPECT_FALSE(run_match(builtin_template("xor-decrypt-loop"), code).has_value());
 }
 
 TEST(Template, SubDecoderAlsoMatchesAddTemplate) {
@@ -223,7 +223,7 @@ TEST(Template, SubDecoderAlsoMatchesAddTemplate) {
   a.alu_mem8_imm8(5, R32::eax, 0x21);  // sub byte [eax], 0x21
   a.inc_r32(R32::eax);
   a.loop_(head);
-  EXPECT_TRUE(run_match(tmpl_add_decrypt_loop(), a.finish()).has_value());
+  EXPECT_TRUE(run_match(builtin_template("add-decrypt-loop"), a.finish()).has_value());
 }
 
 TEST(Template, AltDecoderMatchesOnlyAltTemplate) {
@@ -241,12 +241,12 @@ TEST(Template, AltDecoderMatchesOnlyAltTemplate) {
   a.inc_r32(R32::esi);
   a.loop_(head);
   Bytes code = a.finish();
-  EXPECT_TRUE(run_match(tmpl_admmutate_alt_decoder(), code).has_value());
-  EXPECT_FALSE(run_match(tmpl_xor_decrypt_loop(), code).has_value());
+  EXPECT_TRUE(run_match(builtin_template("admmutate-alt-decoder"), code).has_value());
+  EXPECT_FALSE(run_match(builtin_template("xor-decrypt-loop"), code).has_value());
 }
 
 TEST(Template, XorDecoderDoesNotMatchAltTemplate) {
-  EXPECT_FALSE(run_match(tmpl_admmutate_alt_decoder(), figure_1a()).has_value());
+  EXPECT_FALSE(run_match(builtin_template("admmutate-alt-decoder"), figure_1a()).has_value());
 }
 
 TEST(Template, RorDecoderMatchesRorTemplate) {
@@ -258,7 +258,7 @@ TEST(Template, RorDecoderMatchesRorTemplate) {
   a.mov_mem_r8(R32::esi, 0, R8::al);
   a.inc_r32(R32::esi);
   a.loop_(head);
-  EXPECT_TRUE(run_match(tmpl_ror_decrypt_loop(), a.finish()).has_value());
+  EXPECT_TRUE(run_match(builtin_template("ror-decrypt-loop"), a.finish()).has_value());
 }
 
 TEST(Template, ShellSpawnPushedString) {
@@ -274,7 +274,7 @@ TEST(Template, ShellSpawnPushedString) {
   a.cdq();
   a.mov_r8_imm8(R8::al, 0x0b);
   a.int_imm(0x80);
-  EXPECT_TRUE(run_match(tmpl_shell_spawn_pushed_string(), a.finish()).has_value());
+  EXPECT_TRUE(run_match(builtin_template("shell-spawn-pushed-string"), a.finish()).has_value());
 }
 
 TEST(Template, ShellSpawnWrongSyscallNumberRejected) {
@@ -285,7 +285,7 @@ TEST(Template, ShellSpawnWrongSyscallNumberRejected) {
   a.push_imm32(0x6e69622f);
   a.mov_r8_imm8(R8::al, 0x0c);  // not execve
   a.int_imm(0x80);
-  EXPECT_FALSE(run_match(tmpl_shell_spawn_pushed_string(), a.finish()).has_value());
+  EXPECT_FALSE(run_match(builtin_template("shell-spawn-pushed-string"), a.finish()).has_value());
 }
 
 TEST(Template, ShellSpawnEmbeddedString) {
@@ -301,7 +301,7 @@ TEST(Template, ShellSpawnEmbeddedString) {
   a.bind(lget);
   a.call(lmain);
   a.raw(util::to_bytes("/bin/sh"));
-  EXPECT_TRUE(run_match(tmpl_shell_spawn_embedded_string(), a.finish()).has_value());
+  EXPECT_TRUE(run_match(builtin_template("shell-spawn-embedded-string"), a.finish()).has_value());
 }
 
 TEST(Template, EmbeddedStringChecksActualBytes) {
@@ -318,7 +318,7 @@ TEST(Template, EmbeddedStringChecksActualBytes) {
   a.bind(lget);
   a.call(lmain);
   a.raw(util::to_bytes("/tmp/xy"));
-  EXPECT_FALSE(run_match(tmpl_shell_spawn_embedded_string(), a.finish()).has_value());
+  EXPECT_FALSE(run_match(builtin_template("shell-spawn-embedded-string"), a.finish()).has_value());
 }
 
 TEST(Template, PortBindSequence) {
@@ -337,7 +337,7 @@ TEST(Template, PortBindSequence) {
   a.mov_r8_imm8(R8::bl, 0x05);
   a.mov_r8_imm8(R8::al, 0x66);
   a.int_imm(0x80);
-  EXPECT_TRUE(run_match(tmpl_port_bind_shell(), a.finish()).has_value());
+  EXPECT_TRUE(run_match(builtin_template("port-bind-shell"), a.finish()).has_value());
 }
 
 TEST(Template, PortBindOutOfOrderSubcallsRejected) {
@@ -354,7 +354,7 @@ TEST(Template, PortBindOutOfOrderSubcallsRejected) {
   a.mov_r8_imm8(R8::bl, 0x02);  // bind
   a.mov_r8_imm8(R8::al, 0x66);
   a.int_imm(0x80);
-  EXPECT_FALSE(run_match(tmpl_port_bind_shell(), a.finish()).has_value());
+  EXPECT_FALSE(run_match(builtin_template("port-bind-shell"), a.finish()).has_value());
 }
 
 TEST(Template, CodeRedVector) {
@@ -365,7 +365,7 @@ TEST(Template, CodeRedVector) {
   a.push_imm32(0x7801cbd3);
   a.nop();
   a.ret();
-  EXPECT_TRUE(run_match(tmpl_code_red_ii(), a.finish()).has_value());
+  EXPECT_TRUE(run_match(builtin_template("code-red-ii-vector"), a.finish()).has_value());
 }
 
 TEST(Template, EmptyTemplateNeverMatches) {
@@ -389,7 +389,7 @@ TEST(Template, TooManyVariablesRefusedNotMisMatched) {
 }
 
 TEST(Template, MatchReportsOffsets) {
-  auto m = run_match(tmpl_xor_decrypt_loop(), figure_1a());
+  auto m = run_match(builtin_template("xor-decrypt-loop"), figure_1a());
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->start_offset, 0u);  // the xor is the first instruction
 }
@@ -406,12 +406,12 @@ TEST(Template, ReverseShellTemplate) {
   // must not satisfy the connect template.
   {
     auto code = gen::make_reverse_shell(0xC0000264u /*192.0.2.100*/, 0x5c11u);
-    auto m = run_match(tmpl_reverse_shell(), code);
+    auto m = run_match(builtin_template("reverse-shell"), code);
     EXPECT_TRUE(m.has_value());
   }
   {
     auto binder = gen::make_shell_spawn_corpus()[8].code;
-    EXPECT_FALSE(run_match(tmpl_reverse_shell(), binder).has_value());
+    EXPECT_FALSE(run_match(builtin_template("reverse-shell"), binder).has_value());
   }
 }
 
@@ -441,7 +441,7 @@ TEST(Template, FnstenvDecoderMatchesStatically) {
   ir::LiftResult lifted;
   ir::lift(trace, lifted);
   LiftedCode lc{&trace, &lifted.events, payload};
-  EXPECT_TRUE(match_template(tmpl_xor_decrypt_loop(), lc).has_value());
+  EXPECT_TRUE(match_template(builtin_template("xor-decrypt-loop"), lc).has_value());
 }
 
 }  // namespace
@@ -456,7 +456,7 @@ TEST(Template, FormatMatchExplainsStatements) {
   ir::LiftResult lifted;
   ir::lift(trace, lifted);
   LiftedCode lc{&trace, &lifted.events, code};
-  const Template t = tmpl_xor_decrypt_loop();
+  const Template& t = builtin_template("xor-decrypt-loop");
   auto m = match_template(t, lc);
   ASSERT_TRUE(m.has_value());
   const std::string text = format_match(t, lc, *m);

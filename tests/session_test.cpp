@@ -284,5 +284,54 @@ TEST(LiveSession, NullSinkIsSafe) {
   EXPECT_GT(session.stats().units_analyzed, 0u);
 }
 
+/// The ("session", N) attribution slots the worker table lists (what
+/// /statusz shows), and how many of them a live session holds.
+struct SessionSlots {
+  std::size_t listed = 0;
+  std::size_t active = 0;
+};
+
+SessionSlots session_slots() {
+  SessionSlots out;
+  for (const obs::WorkerSlot::Snapshot& s : obs::WorkerTable::instance().snapshot()) {
+    if (s.kind != "session") continue;
+    ++out.listed;
+    if (s.active) ++out.active;
+  }
+  return out;
+}
+
+TEST(LiveSession, SessionsReuseAttributionSlots) {
+  // A session holds its slot only while it lives: sessions opened one
+  // after another reuse one slot, and sessions alive at once hold
+  // different slots.
+  NidsEngine engine(NidsOptions{});
+  const std::size_t before = session_slots().listed;
+  for (int i = 0; i < 100; ++i) {
+    LiveSession session(engine, nullptr);
+    session.finish();
+  }
+  EXPECT_EQ(session_slots().listed, std::max<std::size_t>(before, 1));
+  EXPECT_EQ(session_slots().active, 0u);
+  {
+    LiveSession a(engine, nullptr);
+    LiveSession b(engine, nullptr);
+    EXPECT_EQ(session_slots().active, 2u);
+  }
+  EXPECT_EQ(session_slots().listed, std::max<std::size_t>(before, 2));
+
+  // Claims from two threads at once (this test runs under ThreadSanitizer
+  // too): never more slots than sessions alive at once.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&engine] {
+      for (int i = 0; i < 50; ++i) LiveSession session(engine, nullptr);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(session_slots().listed, std::max<std::size_t>(before, 2));
+  EXPECT_EQ(session_slots().active, 0u);
+}
+
 }  // namespace
 }  // namespace senids::core

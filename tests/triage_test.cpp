@@ -66,7 +66,7 @@ TEST(Triage, PlainTextRejectedAsNoFramesPossible) {
 }
 
 TEST(Triage, RepetitionRunEscalates) {
-  // An overflow-filler run (>= min_repetition identical bytes) that does
+  // An overflow-filler run (>= kMinRepetition identical bytes) that does
   // not reach the payload end is exactly what longest_repetition frames.
   const TriageFilter f = make_filter();
   Bytes payload(40, std::uint8_t{0x07});
@@ -270,6 +270,81 @@ TEST(Triage, ExtractAllDisablesRejection) {
   EXPECT_EQ(reason(d), "extract-all");
 }
 
+// ------------------------------------------- extractor minimums mirrored
+
+/// `n` characters of the base64 alphabet, cycling a..z: lowercase only,
+/// so no run of them is NOP-like or identical.
+std::string b64_chars(std::size_t n) {
+  std::string out;
+  for (std::size_t i = 0; i < n; ++i) out.push_back(static_cast<char>('a' + i % 26));
+  return out;
+}
+
+/// Base64 text decoding to `n` bytes (n % 3 is 0 or 1), padded with line
+/// breaks to at least extract::kMinBase64Encoded characters.
+std::string b64_decoding_to(std::size_t n) {
+  std::string out = b64_chars(n / 3 * 4) + (n % 3 == 1 ? "xA==" : "");
+  while (out.size() < extract::kMinBase64Encoded) out += "\r\n";
+  return out;
+}
+
+TEST(Triage, NoFramesVerdictAgreesWithExtractorAtEachMinimum) {
+  // At each extractor minimum and one below it, the extractor forms a
+  // frame exactly when the screen does not rule frames out. A screen
+  // threshold that drifted from the extractor's would reject units that
+  // form frames (lost alerts), or stop rejecting units that cannot.
+  struct Case {
+    const char* heuristic;
+    std::size_t minimum;
+    Bytes (*evidence)(std::size_t n);
+  };
+  const Case cases[] = {
+      {"unicode escapes", extract::kMinUnicodeEscapes,
+       [](std::size_t n) {
+         Bytes out;
+         for (std::size_t i = 0; i < n; ++i) append(out, "%u6162");
+         return out;
+       }},
+      {"repetition", extract::kMinRepetition, [](std::size_t n) { return Bytes(n, 'z'); }},
+      {"sled", extract::kMinSled, [](std::size_t n) { return Bytes(n, 0x90); }},
+      {"binary region", extract::kMinBinaryRegion,
+       [](std::size_t n) {
+         Bytes out;
+         for (std::size_t i = 0; i < n; ++i) out.push_back(static_cast<std::uint8_t>(0x80 + i));
+         return out;
+       }},
+      {"return addresses", extract::kMinReturnAddresses,
+       [](std::size_t n) {
+         Bytes out;
+         for (std::size_t i = 0; i < n; ++i) {
+           out.push_back(static_cast<std::uint8_t>('a' + i));
+           append(out, "xyw");
+         }
+         return out;
+       }},
+      {"base64 encoded", extract::kMinBase64Encoded,
+       [](std::size_t n) { return text(b64_chars(n)); }},
+      {"base64 decoded", extract::kMinBase64Decoded,
+       [](std::size_t n) { return text(b64_decoding_to(n)); }},
+  };
+  const TriageFilter filter = make_filter();
+  const extract::BinaryExtractor extractor;
+  std::vector<extract::BinaryFrame> frames;
+  for (const Case& c : cases) {
+    for (const std::size_t n : {c.minimum - 1, c.minimum}) {
+      SCOPED_TRACE(::testing::Message() << c.heuristic << " x " << n);
+      // The evidence sits between plain words no heuristic fires on.
+      Bytes payload = text("lorem ipsum dolor sit amet ");
+      const Bytes evidence = c.evidence(n);
+      payload.insert(payload.end(), evidence.begin(), evidence.end());
+      append(payload, " consectetur adipiscing elit");
+      extractor.extract(payload, frames);
+      EXPECT_EQ(!frames.empty(), n >= c.minimum);
+      EXPECT_EQ(reason(filter.screen(payload)) == "no-frames-possible", frames.empty());
+    }
+  }
+}
+
 // -------------------------------------------------------- PAYL spectrum
 
 TEST(Triage, SpectrumAnomalyEscalates) {
@@ -374,7 +449,7 @@ TEST(Triage, SuspiciousBenignEscalatesWithoutAlerts) {
       ++sleds;
       const TriageDecision d = f.screen(p.data, p.dst_port);
       EXPECT_TRUE(d.escalate);
-      // A banner shorter than min_repetition reads as a NOP-like sled; a
+      // A banner shorter than kMinRepetition reads as a NOP-like sled; a
       // longer one is caught earlier as an overflow-filler run. Either
       // way it must escalate on a run probe, not slip to rejection.
       EXPECT_TRUE(reason(d) == "nop-sled" || reason(d) == "repetition-run") << reason(d);

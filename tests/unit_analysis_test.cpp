@@ -318,7 +318,7 @@ TEST(UnitAnalysis, EachWindowOffsetDecodedOnce) {
     const extract::BinaryExtractor extractor(nids.options().extractor);
     AnalysisContext ctx = nids.make_analysis_context();
     for (const auto& [name, payload] : corpus) {
-      const auto frames = extractor.extract(payload);
+      const auto frames = test::extract(extractor, payload);
       NidsStats stats;
       nids.analyze_payload(ctx, payload, Alert{}, &stats);
       EXPECT_EQ(stats.analyzer.bytes_decoded, window_union_plus_transformed(frames, payload.size()))
