@@ -14,8 +14,9 @@
 // runners print the measurements but cannot fail the floor (a 2-core
 // box can never show 3x).
 //
-// The last section measures the worker pool (threads=4, shards=1)
-// against shard-local analysis (threads=0, shards=4) on spread,
+// The last section measures the worker pool (threads=4, shards=1),
+// four shard threads (threads=0, shards=4) and four shard threads that
+// are also the analysis threads (threads=4, shards=4) on spread,
 // single-source-dominated and triage-dominated benign captures; it has
 // no floor. For a run of at least a second per configuration, set
 // SENIDS_POOL_SHARD_FLOWS (e.g. 6000).
@@ -51,7 +52,7 @@ double quantile(std::vector<double>& v, double q) {
   return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
 }
 
-/// Repetitions of each configuration in the pool vs shard-local section.
+/// Repetitions of each configuration in the pool vs sharded section.
 constexpr std::size_t kPoolShardReps = 5;
 
 /// Benign flows per exploit flow in the triage-dominated capture: a
@@ -69,21 +70,22 @@ std::vector<std::string> alert_lines(const core::Report& report) {
   return lines;
 }
 
-/// Worker pool (threads=4, shards=1) against shard-local analysis
-/// (threads=0, shards=4) on three captures to a honeypot: one ADMmutate
+/// Worker pool (threads=4, shards=1) against sharded runs (threads=0 and
+/// threads=4, shards=4) on three captures to a honeypot: one ADMmutate
 /// flow per source spread over up to 250 sources; the same with one
 /// source sending 19 of every 20 flows; and benign payloads spread over
 /// 250 sources, where triage rejects most units cheaply and stage (a)
-/// dominates. Shard-local analysis keeps every unit on the shard that
-/// owns its source, so a dominant source serializes its analysis on one
-/// shard; the pool spreads units over all workers but runs stage (a) on
-/// one producer thread. The configurations run interleaved,
+/// dominates. The pool spreads units over all workers but runs stage (a)
+/// on one producer thread. Sharded, max(threads, shards) threads run and
+/// a shard thread keeps the units it forms unless another thread waits
+/// for work, so a dominant source's analysis spills over to idle shard
+/// threads. The configurations run interleaved,
 /// kPoolShardReps times, and the table reports the median and
 /// interquartile range of end-to-end wall; the keys go into `json`.
 /// SENIDS_POOL_SHARD_FLOWS sets the exploit flow count per capture
 /// (default SENIDS_ATTACK_FLOWS, i.e. 120). Returns whether every run
 /// reported the same alerts as the first run on its capture.
-bool pool_vs_shard_local(const util::Bytes& payload, net::Ipv4Addr honeypot,
+bool pool_vs_sharded(const util::Bytes& payload, net::Ipv4Addr honeypot,
                          bench::JsonReport& json) {
   const std::size_t flows = bench::env_size(
       "SENIDS_POOL_SHARD_FLOWS", bench::env_size("SENIDS_ATTACK_FLOWS", 120));
@@ -131,7 +133,8 @@ bool pool_vs_shard_local(const util::Bytes& payload, net::Ipv4Addr honeypot,
     const char* name;
     std::size_t threads, shards;
   };
-  const Config configs[] = {{"pool t=4 s=1", 4, 1}, {"local t=0 s=4", 0, 4}};
+  const Config configs[] = {
+      {"pool t=4 s=1", 4, 1}, {"local t=0 s=4", 0, 4}, {"shards t=4 s=4", 4, 4}};
   // seconds[workload][config], one entry per repetition.
   std::vector<std::vector<std::vector<double>>> seconds(
       workloads.size(), std::vector<std::vector<double>>(std::size(configs)));
@@ -159,7 +162,7 @@ bool pool_vs_shard_local(const util::Bytes& payload, net::Ipv4Addr honeypot,
     }
   }
 
-  bench::section("worker pool vs shard-local analysis (interleaved repetitions)");
+  bench::section("worker pool vs sharded analysis (interleaved repetitions)");
   std::printf("exploit flows per capture: %zu, benign flows: %zu, repetitions: %zu, "
               "hardware threads: %u\n",
               flows, flows * kBenignFlowsPerExploitFlow, kPoolShardReps,
@@ -393,7 +396,7 @@ int main() {
   json2.set("speedup_observed", shard_speedup);
   json2.write();
 
-  const bool pool_shard_consistent = pool_vs_shard_local(payload, honeypot, json);
+  const bool pool_shard_consistent = pool_vs_sharded(payload, honeypot, json);
   json.write();
 
   const bool ok = consistent && dup_consistent && shard_consistent && pool_shard_consistent &&

@@ -4,7 +4,9 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <optional>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -16,9 +18,7 @@
 #include "obs/trace.hpp"
 #include "obs/workers.hpp"
 #include "util/log.hpp"
-#include "util/queue.hpp"
 #include "util/sync.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "verify/ir_verify.hpp"
 #include "verify/table_check.hpp"
@@ -629,230 +629,333 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
   return finish_unit(unit, stats);
 }
 
+namespace {
+
+/// One payload (or reassembled stream) bound for stages (b)-(e).
+struct Unit {
+  util::Bytes payload;
+  Alert meta;
+  std::uint64_t unit_id = 0;
+};
+
+/// Records the caller routed to one shard. An empty batch is the shard's
+/// last: its thread flushes the shard's flows.
+using Batch = std::vector<const pcap::Record*>;
+constexpr std::size_t kBatchRecords = 64;
+/// Batches a shard may have waiting before the caller blocks, so a slow
+/// shard backpressures the dispatcher instead of buffering the capture.
+constexpr std::size_t kQueueBatches = 16;
+
+/// What next() hands a thread: a batch of its shard's records, a unit to
+/// analyze, or neither once all work is done.
+struct Task {
+  std::optional<Batch> records;
+  std::optional<Unit> unit;
+};
+
+/// The work process_capture's threads share, behind one lock: each
+/// shard's waiting record batches and one bounded queue of units. Each
+/// thread waits on its own condition variable, which wakes it for either
+/// its shard's records or a unit.
+class WorkBoard {
+ public:
+  /// `threads` threads call next(); the first `shards` of them each own
+  /// a shard's batches. `producers` parties form units until each calls
+  /// producer_done().
+  WorkBoard(std::size_t threads, std::size_t shards, std::size_t producers,
+            const NidsOptions& options)
+      : wake_(threads),
+        max_units_(std::max<std::size_t>(1, options.max_queued_units)),
+        max_bytes_(options.max_queued_bytes),
+        batches_(shards),
+        producers_(producers) {
+    for (std::size_t si = 0; si < shards; ++si) shard_gauges_.push_back(obs::shard_metrics(si));
+  }
+
+  /// The caller routes `batch` to `shard`'s thread, blocking while that
+  /// shard has kQueueBatches waiting.
+  void push_batch(std::size_t shard, Batch batch) EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    std::deque<Batch>& q = batches_[shard];
+    while (q.size() >= kQueueBatches) room_.wait(mu_);
+    q.push_back(std::move(batch));
+    publish_batches(shard);
+    wake_[shard].notify_one();
+  }
+
+  /// The caller, running stage (a) itself, queues a unit and blocks while
+  /// the queue is full (backpressure).
+  void push_unit(Unit unit) EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    const std::size_t weight = unit.payload.size();
+    if (!admits(weight)) {
+      pm_.queue_backpressure_waits->add();
+      const SteadyClock::time_point start = SteadyClock::now();
+      while (!admits(weight)) room_.wait(mu_);
+      pm_.queue_backpressure_wait_seconds->observe(seconds_since(start));
+    }
+    enqueue(std::move(unit));
+  }
+
+  /// A shard thread hands over a unit it formed while the queue holds
+  /// fewer units than there are threads. Refused otherwise, and the unit
+  /// left for the shard thread to analyze itself, so it never blocks.
+  bool offer_unit(util::Bytes& payload, const Alert& meta, std::uint64_t unit_id)
+      EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    if (units_.size() >= wake_.size() || !admits(payload.size())) return false;
+    enqueue(Unit{std::move(payload), meta, unit_id});
+    return true;
+  }
+
+  /// One producer formed its last unit. After the last, threads finish
+  /// the queue and stop.
+  void producer_done() EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    if (--producers_ > 0) return;
+    for (std::size_t t : idle_) wake_[t].notify_one();
+    idle_.clear();
+  }
+
+  /// Thread `thread`'s next task: its shard's next batch, else a queued
+  /// unit, else nothing once every producer is done. Blocks while there
+  /// is no task.
+  Task next(std::size_t thread) EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    for (;;) {
+      if (thread < batches_.size() && !batches_[thread].empty()) {
+        std::deque<Batch>& q = batches_[thread];
+        Task task{std::move(q.front()), std::nullopt};
+        q.pop_front();
+        publish_batches(thread);
+        room_.notify_one();
+        // A thread woken for a unit that takes its records instead passes
+        // the wake-up on.
+        if (!units_.empty()) wake_idle();
+        return task;
+      }
+      if (!units_.empty()) {
+        Task task{std::nullopt, std::move(units_.front())};
+        unit_bytes_ -= task.unit->payload.size();
+        units_.pop_front();
+        publish_units();
+        room_.notify_one();
+        return task;
+      }
+      if (producers_ == 0) return Task{};
+      idle_.push_back(thread);
+      wake_[thread].wait(mu_);
+      std::erase(idle_, thread);  // still listed when woken for records
+    }
+  }
+
+ private:
+  /// Queue admission, as util::BoundedQueue: a count cap, a byte budget,
+  /// and an empty queue admits any unit.
+  [[nodiscard]] bool admits(std::size_t weight) const REQUIRES(mu_) {
+    if (units_.size() >= max_units_) return false;
+    return max_bytes_ == 0 || units_.empty() || unit_bytes_ + weight <= max_bytes_;
+  }
+
+  void enqueue(Unit unit) REQUIRES(mu_) {
+    unit_bytes_ += unit.payload.size();
+    units_.push_back(std::move(unit));
+    pm_.queue_pushed->add();
+    publish_units();
+    wake_idle();
+  }
+
+  void wake_idle() REQUIRES(mu_) {
+    if (idle_.empty()) return;
+    wake_[idle_.back()].notify_one();
+    idle_.pop_back();
+  }
+
+  void publish_units() REQUIRES(mu_) {
+    const auto depth = static_cast<std::int64_t>(units_.size());
+    pm_.queue_depth->set(depth);
+    pm_.queue_depth_peak->set_max(depth);
+    pm_.queue_bytes->set(static_cast<std::int64_t>(unit_bytes_));
+  }
+
+  void publish_batches(std::size_t shard) REQUIRES(mu_) {
+    const auto depth = static_cast<std::int64_t>(batches_[shard].size());
+    shard_gauges_[shard].queue_depth->set(depth);
+    shard_gauges_[shard].queue_depth_peak->set_max(depth);
+  }
+
+  obs::PipelineMetrics& pm_ = obs::pipeline_metrics();
+  std::vector<obs::ShardMetrics> shard_gauges_;
+  util::Mutex mu_{"Engine.work"};
+  std::vector<util::CondVar> wake_;  // one per thread
+  util::CondVar room_;               // the caller: room for a batch or a unit
+  const std::size_t max_units_;
+  const std::size_t max_bytes_;
+  std::vector<std::deque<Batch>> batches_ GUARDED_BY(mu_);
+  std::deque<Unit> units_ GUARDED_BY(mu_);
+  std::size_t unit_bytes_ GUARDED_BY(mu_) = 0;
+  /// Threads waiting for a task that no one has woken yet.
+  std::vector<std::size_t> idle_ GUARDED_BY(mu_);
+  std::size_t producers_ GUARDED_BY(mu_);
+};
+
+/// One thread's share of a capture: its working memory and what it
+/// analyzed, merged into the report after the threads join.
+struct ThreadSlot {
+  AnalysisContext ctx;
+  NidsStats stats;
+  std::vector<Alert> alerts;
+
+  void analyze(const NidsEngine& engine, util::ByteView payload, const Alert& meta,
+               std::uint64_t unit_id) {
+    std::vector<Alert> found = engine.analyze_payload(ctx, payload, meta, &stats, unit_id);
+    alerts.insert(alerts.end(), std::make_move_iterator(found.begin()),
+                  std::make_move_iterator(found.end()));
+  }
+};
+
+}  // namespace
+
 Report NidsEngine::process_capture(const pcap::Capture& capture) {
   Report report;
   ensure_shards();
   const std::size_t nshards = shards_.size();
-
-  /// One payload (or reassembled stream) bound for stages (b)-(e).
-  struct Unit {
-    util::Bytes payload;
-    Alert meta;
-    std::uint64_t unit_id = 0;
-  };
-
-  // Handoff queue and worker pool for stages (b)-(e). With threads <= 1
-  // the queue/pool are bypassed entirely and units are analyzed inline
-  // on the shard that formed them.
-  const std::size_t workers = options_.threads > 1 ? options_.threads : 0;
-  util::BoundedQueue<Unit> queue(options_.max_queued_units, options_.max_queued_bytes);
-  queue.set_metrics(&queue_metrics());
   // Publish the configured limits the readiness checks divide by
   // (/healthz treats a 0 capacity gauge as "check disabled").
   obs::pipeline_metrics().queue_capacity->set(
       static_cast<std::int64_t>(options_.max_queued_units));
   obs::pipeline_metrics().flow_table_max_flows->set(
       static_cast<std::int64_t>(options_.max_flows));
-  // Merge point for worker-local results. A named struct (rather than a
-  // bare local mutex) so the shared report is GUARDED_BY its mutex and
-  // the thread-safety analysis enforces that workers only reach it
-  // through merge().
-  struct MergePoint {
-    util::Mutex mu{"Engine.report"};
-    Report& report GUARDED_BY(mu);
-    explicit MergePoint(Report& r) : report(r) {}
-    void merge(std::vector<Alert>&& alerts, const NidsStats& local) {
-      util::MutexLock lock(mu);
-      report.alerts.insert(report.alerts.end(), std::make_move_iterator(alerts.begin()),
-                           std::make_move_iterator(alerts.end()));
-      merge_stats(report.stats, local);
-    }
-  } merge_point{report};
+  for (auto& shard : shards_) shard->begin_capture();
 
-  std::optional<util::ThreadPool> pool;
-  if (workers) {
-    pool.emplace(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-      pool->submit([this, i, &queue, &merge_point] {
-        // Long-running consumer: drain units until the producers close
-        // the queue, then merge local results once. Each worker owns a
-        // private AnalysisContext (its working memory; the extractor and
-        // analyzer are the engine's const ones); verdicts are per-unit and
-        // the report is fully sorted, so scheduling cannot change the output.
+  // Three shapes, one per (threads, shards) region:
+  //  - serial (threads <= 1, shards == 1): the caller runs stage (a) and
+  //    analyzes each unit as it forms; no queue, no thread.
+  //  - pool (threads > 1, shards == 1): the caller runs stage (a) and
+  //    queues every unit; `threads` threads analyze them.
+  //  - sharded (shards > 1): the caller routes records by source hash;
+  //    max(threads, shards) threads run, thread i < shards owns shard i.
+  //    A shard thread hands the units it forms to the queue until it
+  //    holds one per thread and analyzes the rest itself, so busy shards
+  //    keep their units and threads that run dry take the overflow of a
+  //    dominant source.
+  // Every thread analyzes queued units whenever it has no records.
+  const std::size_t nthreads = nshards > 1            ? std::max(options_.threads, nshards)
+                               : options_.threads > 1 ? options_.threads
+                                                      : 0;
+  std::vector<ThreadSlot> slots;
+  slots.reserve(std::max<std::size_t>(nthreads, 1));
+  for (std::size_t i = 0; i < std::max<std::size_t>(nthreads, 1); ++i) {
+    slots.push_back(ThreadSlot{make_analysis_context(), {}, {}});
+  }
+
+  // Stage (a) on the caller, one shard: returns its wall.
+  auto classify_on_caller = [this, &capture](const PipelineShard::UnitSink& sink) {
+    util::WallTimer timer;
+    for (const pcap::Record& rec : capture.records) {
+      shards_[0]->process_record(rec.data, rec.ts_sec, rec.ts_usec, sink);
+    }
+    shards_[0]->finish_capture(sink);
+    return timer.seconds();
+  };
+
+  if (nthreads == 0) {
+    ThreadSlot& slot = slots[0];
+    const PipelineShard::UnitSink sink = [this, &slot](util::Bytes payload, const Alert& meta,
+                                                       std::uint64_t unit_id) {
+      if (!payload.empty()) slot.analyze(*this, payload, meta, unit_id);
+    };
+    // Classify wall excludes the analysis the caller ran inline.
+    shards_[0]->stats().classify_seconds =
+        classify_on_caller(sink) - slot.stats.analysis_seconds;
+  } else {
+    const std::size_t shard_threads = nshards > 1 ? nshards : 0;
+    WorkBoard board(nthreads, shard_threads, std::max<std::size_t>(shard_threads, 1),
+                    options_);
+    std::vector<std::thread> threads;
+    threads.reserve(nthreads);
+    for (std::size_t i = 0; i < nthreads; ++i) {
+      threads.emplace_back([this, i, &board, &slot = slots[i], shard_threads] {
         obs::WorkerSlot& wslot = obs::WorkerTable::instance().slot("worker", i);
         wslot.begin_run();
-        NidsStats local;
-        std::vector<Alert> alerts;
-        AnalysisContext ctx = make_analysis_context();
+        const PipelineShard::UnitSink sink = [this, &board, &slot](
+                                                 util::Bytes payload, const Alert& meta,
+                                                 std::uint64_t unit_id) {
+          if (payload.empty() || board.offer_unit(payload, meta, unit_id)) return;
+          slot.analyze(*this, payload, meta, unit_id);
+        };
+        // Stage-(a) wall of this thread's shard: its batches' wall minus
+        // the analysis it ran inline, as on the serial path.
+        double classify = 0.0;
         for (;;) {
-          // Blocked in pop is *idle* (starved for input); everything
-          // between dequeue and the next pop is *busy*.
-          util::WallTimer idle_timer;
-          std::optional<Unit> unit = queue.pop();
+          util::WallTimer idle_timer;  // waiting for records or a unit
+          Task task = board.next(i);
           wslot.add_idle(idle_timer.seconds());
-          if (!unit) break;
+          if (!task.records && !task.unit) break;
           wslot.heartbeat();
-          const double analysis_before = local.analysis_seconds;
-          auto found = analyze_payload(ctx, unit->payload, unit->meta, &local, unit->unit_id);
-          alerts.insert(alerts.end(), std::make_move_iterator(found.begin()),
-                        std::make_move_iterator(found.end()));
-          wslot.add_busy(local.analysis_seconds - analysis_before);
-          wslot.add_units(1);
+          util::WallTimer busy_timer;
+          const double analysis_before = slot.stats.analysis_seconds;
+          const std::size_t units_before = slot.stats.units_analyzed;
+          if (task.unit) {
+            slot.analyze(*this, task.unit->payload, task.unit->meta, task.unit->unit_id);
+          } else if (!task.records->empty()) {
+            for (const pcap::Record* rec : *task.records) {
+              shards_[i]->process_record(rec->data, rec->ts_sec, rec->ts_usec, sink);
+            }
+          } else {
+            shards_[i]->finish_capture(sink);
+            board.producer_done();
+          }
+          const double busy = busy_timer.seconds();
+          wslot.add_busy(busy);
+          wslot.add_units(slot.stats.units_analyzed - units_before);
+          if (task.records) classify += busy - (slot.stats.analysis_seconds - analysis_before);
         }
-        merge_point.merge(std::move(alerts), local);
+        if (i < shard_threads) shards_[i]->stats().classify_seconds = classify;
         wslot.end_run();
       });
     }
-  }
 
-  // Per-shard unit sinks. With workers the unit goes through the shared
-  // queue; without, it is analyzed inline on the emitting shard's thread
-  // — shard-local stages (b)-(e): each shard gets its own
-  // AnalysisContext, and results land in that shard's stats and alert
-  // list (merged after the shards join — analyze_payload is const and
-  // safe to call concurrently). With threads <= 1, shards == N this is
-  // how the whole pipeline scales N ways with no global queue.
-  std::vector<std::vector<Alert>> inline_alerts(nshards);
-  std::vector<AnalysisContext> inline_ctx;
-  if (!workers) {
-    inline_ctx.reserve(nshards);
-    for (std::size_t si = 0; si < nshards; ++si) inline_ctx.push_back(make_analysis_context());
-  }
-  std::vector<PipelineShard::UnitSink> sinks;
-  sinks.reserve(nshards);
-  for (std::size_t si = 0; si < nshards; ++si) {
-    sinks.push_back([this, si, workers, &queue, &inline_alerts,
-                     &inline_ctx](util::Bytes payload, const Alert& meta,
-                                  std::uint64_t unit_id) {
-      if (payload.empty()) return;
-      if (workers) {
-        const std::size_t weight = payload.size();
-        queue.push(Unit{std::move(payload), meta, unit_id}, weight);
-      } else {
-        auto alerts =
-            analyze_payload(inline_ctx[si], payload, meta, &shards_[si]->stats(), unit_id);
-        auto& out = inline_alerts[si];
-        out.insert(out.end(), std::make_move_iterator(alerts.begin()),
-                   std::make_move_iterator(alerts.end()));
-      }
-    });
-  }
-
-  for (auto& shard : shards_) shard->begin_capture();
-
-  if (nshards == 1) {
-    // ------------------------------- stage (a), single shard (no dispatcher)
-    // Classification runs directly on the caller thread; classify wall is
-    // the caller's stage-(a) wall minus any inline analysis it triggered.
-    util::WallTimer classify_timer;
-    for (const pcap::Record& rec : capture.records) {
-      shards_[0]->process_record(rec.data, rec.ts_sec, rec.ts_usec, sinks[0]);
-    }
-    shards_[0]->finish_capture(sinks[0]);
-    NidsStats& sstats = shards_[0]->stats();
-    sstats.classify_seconds = classify_timer.seconds() - sstats.analysis_seconds;
-  } else {
-    // --------------------------------- stage (a), source-affine shard fanout
-    // The caller thread only peeks each frame's IPv4 source and routes the
-    // record; every shard thread runs the full stage (a) for its sources.
-    // Records are batched to amortize queue locking, and the per-shard
-    // queues are shallow so a slow shard backpressures the dispatcher
-    // instead of buffering the capture.
-    using Batch = std::vector<const pcap::Record*>;
-    constexpr std::size_t kBatchRecords = 64;
-    constexpr std::size_t kQueueBatches = 16;
-    std::vector<std::unique_ptr<util::BoundedQueue<Batch>>> shard_queues;
-    std::vector<util::QueueMetrics> shard_queue_metrics(nshards);
-    shard_queues.reserve(nshards);
-    obs::shard_queue_capacity_gauge().set(kQueueBatches);
-    for (std::size_t si = 0; si < nshards; ++si) {
-      auto q = std::make_unique<util::BoundedQueue<Batch>>(kQueueBatches);
-      const obs::ShardMetrics sm = obs::shard_metrics(si);
-      shard_queue_metrics[si].depth = sm.queue_depth;
-      shard_queue_metrics[si].depth_peak = sm.queue_depth_peak;
-      q->set_metrics(&shard_queue_metrics[si]);
-      shard_queues.push_back(std::move(q));
-    }
-    {
-      util::ThreadPool shard_pool(nshards);
-      for (std::size_t si = 0; si < nshards; ++si) {
-        shard_pool.submit([this, si, &shard_queues, &sinks] {
-          PipelineShard& shard = *shards_[si];
-          auto& q = *shard_queues[si];
-          obs::WorkerSlot& sslot = obs::WorkerTable::instance().slot("shard", si);
-          sslot.begin_run();
-          double wall = 0.0;
-          for (;;) {
-            util::WallTimer idle_timer;  // blocked on the dispatch queue
-            auto batch = q.pop();
-            sslot.add_idle(idle_timer.seconds());
-            if (!batch) break;
-            sslot.heartbeat();
-            util::WallTimer batch_timer;
-            for (const pcap::Record* rec : *batch) {
-              shard.process_record(rec->data, rec->ts_sec, rec->ts_usec, sinks[si]);
-            }
-            const double busy = batch_timer.seconds();
-            wall += busy;
-            sslot.add_busy(busy);
-            sslot.add_units(batch->size());
-          }
-          util::WallTimer drain_timer;
-          shard.finish_capture(sinks[si]);
-          const double drain = drain_timer.seconds();
-          wall += drain;
-          sslot.add_busy(drain);
-          // Same stage-(a) definition the caller thread uses at
-          // shards == 1: producer wall minus inline analysis.
-          shard.stats().classify_seconds = wall - shard.stats().analysis_seconds;
-          sslot.end_run();
-        });
-      }
-
+    if (nshards == 1) {
+      const PipelineShard::UnitSink sink = [&board](util::Bytes payload, const Alert& meta,
+                                                    std::uint64_t unit_id) {
+        if (!payload.empty()) board.push_unit(Unit{std::move(payload), meta, unit_id});
+      };
+      // Includes the time the caller was blocked on a full queue.
+      shards_[0]->stats().classify_seconds = classify_on_caller(sink);
+      board.producer_done();
+    } else {
+      // The caller only peeks each frame's IPv4 source and routes the
+      // record in batches; frames whose source cannot be peeked (non-IP,
+      // which any shard classifies alike) ride to shard 0.
+      obs::shard_queue_capacity_gauge().set(kQueueBatches);
       util::WallTimer dispatch_timer;
       std::vector<Batch> pending(nshards);
       for (const pcap::Record& rec : capture.records) {
-        // Frames whose source cannot be peeked (non-IP — any shard would
-        // classify them identically) all ride to shard 0.
         const auto src = net::peek_src(rec.data);
         const std::size_t si = src ? shard_index_for(*src, nshards) : 0;
         Batch& batch = pending[si];
         if (batch.empty()) batch.reserve(kBatchRecords);
         batch.push_back(&rec);
-        if (batch.size() >= kBatchRecords) {
-          shard_queues[si]->push(std::move(batch));
-          batch = Batch{};
-        }
+        if (batch.size() >= kBatchRecords) board.push_batch(si, std::exchange(batch, {}));
       }
       for (std::size_t si = 0; si < nshards; ++si) {
-        if (!pending[si].empty()) shard_queues[si]->push(std::move(pending[si]));
-        shard_queues[si]->close();
+        if (!pending[si].empty()) board.push_batch(si, std::move(pending[si]));
+        board.push_batch(si, Batch{});
       }
       report.stats.dispatch_seconds = dispatch_timer.seconds();
-      shard_pool.wait_idle();
     }
+    for (std::thread& t : threads) t.join();
   }
 
-  // Fold per-shard stage-(a) results. The shard threads are joined, and
-  // the worker queue is still open, so nothing else touches report here.
-  for (std::size_t si = 0; si < nshards; ++si) {
-    merge_stats(report.stats, shards_[si]->stats());
-    auto& found = inline_alerts[si];
-    report.alerts.insert(report.alerts.end(), std::make_move_iterator(found.begin()),
-                         std::make_move_iterator(found.end()));
+  for (const auto& shard : shards_) merge_stats(report.stats, shard->stats());
+  for (ThreadSlot& slot : slots) {
+    merge_stats(report.stats, slot.stats);
+    report.alerts.insert(report.alerts.end(), std::make_move_iterator(slot.alerts.begin()),
+                         std::make_move_iterator(slot.alerts.end()));
   }
 
-  // Streaming drain: close the queue so the consumers finish the backlog
-  // and merge their results, then join them. analysis_seconds accrues
-  // per unit in the workers' stats (or, inline, the shard's) and
-  // arrives via merge_stats.
-  queue.close();
-  if (pool) {
-    pool->wait_idle();
-    pool.reset();
-  }
-
-  // Deterministic alert order regardless of shard routing or worker
+  // Deterministic alert order regardless of shard routing or thread
   // scheduling: the sort key covers every alert field (a partial key left
   // alerts differing only in frame_offset/ports in schedule-dependent
   // order), so 1-shard and N-shard runs render byte-identical alerts.

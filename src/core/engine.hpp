@@ -15,31 +15,35 @@
 // driven frame by frame.
 //
 // Each suspicious payload or reassembled stream becomes an analysis
-// unit handed through one bounded queue to a pool of workers running
-// stages (b)-(e) — pure functions of one unit — *while* classification
-// continues. The engine holds the one extractor and the one analyzer;
-// both are const and every worker, shard and session calls them. Each
-// worker owns only an AnalysisContext — working memory, no analysis
-// state — dequeues one unit at a time, and merges its results once at
-// the end; the per-unit hot loop touches no cross-worker mutable state
-// beyond the sharded obs counters and the internally synchronized
-// verdict cache. Those counters have two writers: analyze()'s exit adds
-// each frame's analyzer counts, and analyze_payload's exit (finish_unit)
-// adds each unit's counts and its analysis_seconds. The queue bounds
-// both unit count and queued bytes, so a traffic burst backpressures the
-// producers instead of exhausting memory; flow tables are LRU-managed
-// with an idle timeout and a live-flow cap, so long-lived or hostile
-// flows cannot exhaust state either (evicted flows are flushed as
-// units, not dropped). Alerts are merged and sorted on the full key at
-// the end, so 1-shard and N-shard runs produce byte-identical reports.
-// With threads 0 or 1 (one mode, two spellings) the queue/pool
-// machinery is bypassed entirely and units are analyzed shard-local —
-// inline on the shard consumer thread that formed them, each shard with
-// its own AnalysisContext; with shards == N that is the scale-by-shards
-// mode (the whole pipeline parallelizes N ways with no global queue).
-// It keeps each unit on its source's shard, so only the pool spreads a
-// dominant source's analysis; shard-local is faster when triage rejects
-// most units (EXPERIMENTS.md "Worker pool vs shard-local analysis").
+// unit for stages (b)-(e), pure functions of one unit, analyzed *while*
+// classification continues. The engine holds the one extractor and the
+// one analyzer; both are const and every thread and session calls them.
+// process_capture runs one of three shapes:
+//  - serial (threads <= 1, shards == 1): the caller analyzes each unit
+//    as it forms.
+//  - pool (threads > 1, shards == 1): the caller queues each unit on one
+//    bounded queue and `threads` threads analyze them.
+//  - sharded (shards > 1): max(threads, shards) threads run one thread
+//    function; thread i < shards owns shard i. A shard thread hands the
+//    units it forms to the queue until it holds one per thread and
+//    analyzes the rest itself, so shards with their own traffic analyze
+//    it locally and a dominant source's units spill over to threads that
+//    run dry. Every thread analyzes queued units whenever it has no
+//    records.
+// Each thread owns only an AnalysisContext — working memory, no analysis
+// state — and its own stats and alert list, merged into the report after
+// the threads join; the per-unit hot loop touches no cross-thread
+// mutable state beyond the sharded obs counters and the internally
+// synchronized verdict cache. Those counters have two writers: analyze()'s
+// exit adds each frame's analyzer counts, and analyze_payload's exit
+// (finish_unit) adds each unit's counts and its analysis_seconds. The
+// queue bounds both unit count and queued bytes, so a traffic burst
+// backpressures the producer instead of exhausting memory; flow tables
+// are LRU-managed with an idle timeout and a live-flow cap, so long-lived
+// or hostile flows cannot exhaust state either (evicted flows are
+// flushed as units, not dropped). Alerts are merged and sorted on the
+// full key at the end, so every shape and thread count produces
+// byte-identical reports.
 #pragma once
 
 #include <array>
@@ -78,13 +82,11 @@ struct NidsOptions {
   classify::ClassifierOptions classifier;
   extract::ExtractorOptions extractor;
   semantic::SemanticAnalyzer::Options analyzer;
-  /// Worker threads for the analysis stages (b)-(e). 0 and 1 are the
-  /// same shard-local mode, at any shard count: no worker pool or global
-  /// unit queue; every unit is analyzed inline on the shard consumer
-  /// thread that formed it. With shards == 1 (the default) that is fully
-  /// serial; with shards == N the entire pipeline scales N ways with no
-  /// cross-shard handoff. With threads > 1, a pool of that many workers
-  /// drains one shared unit queue.
+  /// Threads for the analysis stages (b)-(e). With shards == 1: 0 and 1
+  /// are the serial pipeline on the calling thread, and above 1 that many
+  /// threads analyze the units the calling thread queues. With
+  /// shards > 1, max(threads, shards) threads run: the first `shards`
+  /// also run stage (a) for a shard each, and every one analyzes units.
   std::size_t threads = 1;
   /// Stage-(a) pipeline shards. Records are routed to shards by a
   /// source-IP hash, and each shard owns its classifier state /
@@ -111,11 +113,12 @@ struct NidsOptions {
   /// Hard cap on live flows; past it the least-recently-active flow is
   /// flushed and evicted to make room. 0 = unlimited.
   std::size_t max_flows = 0;
-  /// Depth of the stage-(a) -> workers handoff queue, in analysis units.
-  /// The producer blocks when it is full (backpressure).
+  /// Depth of the unit queue, in analysis units. With shards == 1 the
+  /// calling thread blocks when it is full (backpressure); a shard thread
+  /// analyzes the unit itself instead.
   std::size_t max_queued_units = 256;
-  /// Byte budget for payloads waiting in the handoff queue; the producer
-  /// also blocks while it would be exceeded. 0 = unlimited.
+  /// Byte budget for payloads waiting in the unit queue, enforced like
+  /// max_queued_units. 0 = unlimited.
   std::size_t max_queued_bytes = 64 << 20;
   /// Deep analysis: emulate suspicious frames so decoders decrypt
   /// themselves, then statically re-analyze the decoded frame and alert
@@ -214,10 +217,10 @@ struct NidsStats {
   std::array<StageStat, obs::kStageCount> stages{};
   /// Stage-(a) *producer* wall, summed across shards: for each shard,
   /// the wall time its producing thread spent parsing, classifying,
-  /// defragmenting, reassembling, and handing units off. Excludes
-  /// analysis run inline when threads <= 1; with threads > 1 it includes
-  /// time producers spent blocked on queue backpressure (wall they
-  /// really lost). With shards == 1 this is exactly the caller thread's
+  /// defragmenting, reassembling, and handing units off. Excludes the
+  /// analysis a producing thread ran itself; in the pool shape it
+  /// includes time the caller spent blocked on queue backpressure (wall
+  /// it really lost). With shards == 1 this is exactly the caller thread's
   /// stage-(a) wall — the pre-shard definition. With shards > 1 it is a
   /// summed, CPU-time-style figure (elapsed stage-(a) wall is the max
   /// over shards, not this sum), and the caller thread's own cost moves
@@ -268,8 +271,8 @@ struct Report {
 /// buffers the per-unit hot loop reuses (extraction frames, scanner
 /// arrays, execution traces, lifted IR events, the per-unit emulation
 /// memo and alert-dedup set). It holds no analysis state: the extractor
-/// and analyzer are the engine's. One context per worker or shard thread
-/// keeps the loop free of cross-worker mutable state and, after
+/// and analyzer are the engine's. One context per analyzing thread
+/// keeps the loop free of cross-thread mutable state and, after
 /// warm-up, free of per-frame heap churn. Construct via
 /// NidsEngine::make_analysis_context(); movable, not thread-safe.
 class AnalysisContext {
@@ -319,8 +322,9 @@ class NidsEngine {
   /// source". Sessions keep their own taint.
   [[nodiscard]] bool is_tainted(net::Ipv4Addr src) const;
 
-  /// Run the full pipeline over a capture (streaming: analysis workers
-  /// drain units while classification is still feeding them).
+  /// Run the full pipeline over a capture (streaming: units are analyzed
+  /// while classification is still forming more; see the threading model
+  /// above).
   Report process_capture(const pcap::Capture& capture);
 
   /// Analyze one application payload directly (classification skipped):

@@ -1,9 +1,10 @@
 // Internal glue between the core pipeline containers and the
-// process-wide observability handles. BoundedQueue and BoundedFlowTable
-// deliberately take nullable metric-handle structs (util/ and net/ know
-// nothing about which registry families exist); these helpers bind them
-// to the families in obs::pipeline_metrics() exactly once, and every
-// engine / live session shares the same bound structs. record_stage is
+// process-wide observability handles. BoundedFlowTable, the defragmenter
+// and the verdict cache deliberately take nullable metric-handle structs
+// (net/ and cache/ know nothing about which registry families exist);
+// these helpers bind them to the families in obs::pipeline_metrics()
+// exactly once, and every engine / live session shares the same bound
+// structs. record_stage is
 // the one writer of stage timings, for stage (a) and stages (b)-(e).
 #pragma once
 
@@ -15,18 +16,8 @@
 #include "net/flow.hpp"
 #include "obs/pipeline.hpp"
 #include "obs/trace.hpp"
-#include "util/queue.hpp"
 
 namespace senids::core {
-
-inline const util::QueueMetrics& queue_metrics() {
-  obs::PipelineMetrics& pm = obs::pipeline_metrics();
-  static const util::QueueMetrics m{pm.queue_depth,        pm.queue_depth_peak,
-                                    pm.queue_bytes,        pm.queue_pushed,
-                                    pm.queue_backpressure_waits,
-                                    pm.queue_backpressure_wait_seconds};
-  return m;
-}
 
 inline const net::FlowTableMetrics& flow_table_metrics() {
   obs::PipelineMetrics& pm = obs::pipeline_metrics();

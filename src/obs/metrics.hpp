@@ -4,7 +4,7 @@
 //
 // Hot-path design: counters and histograms are sharded into cache-line-
 // padded atomic cells indexed by a per-thread slot, so concurrent
-// increments from the analysis worker pool never contend on one line;
+// increments from the engine's analysis threads never contend on one line;
 // reads aggregate across shards (monotonic but not a point-in-time
 // snapshot, which is all scrape-style consumers need). Handles returned
 // by the registry are stable for the process lifetime — look them up

@@ -52,7 +52,7 @@ struct PipelineMetrics {
   Counter* bytes_analyzed;
   Counter* alerts;
 
-  // Handoff queue between stage (a) and the worker pool.
+  // process_capture's unit queue (threads analyze from it).
   Gauge* queue_depth;
   Gauge* queue_depth_peak;  // high watermark over the process lifetime
   Gauge* queue_capacity;    // configured max_queued_units (0 = never ran)

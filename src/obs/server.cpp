@@ -100,9 +100,9 @@ HealthReport evaluate_health(const HealthThresholds& t) {
                   ok ? "true" : "false", json_escape(detail).c_str());
   };
 
-  // Unit handoff queue: saturated when depth reaches the configured
-  // fraction of capacity. Capacity gauge unset => engine never ran with
-  // a worker pool; nothing to judge.
+  // Unit queue: saturated when depth reaches the configured fraction of
+  // capacity. Capacity gauge unset => no engine ran a capture; nothing
+  // to judge.
   const std::int64_t unit_cap = gauge_value(views, "senids_unit_queue_capacity");
   if (unit_cap > 0) {
     const std::int64_t depth = gauge_value(views, "senids_queue_depth");

@@ -8,7 +8,7 @@
 //             live gauges and the worker table: unit-queue saturation,
 //             per-shard dispatch-queue saturation, flow-table occupancy
 //             against its configured cap, and stale heartbeats from
-//             active workers/shard consumers. 200 when ready, 503 with
+//             active worker slots. 200 when ready, 503 with
 //             the failing checks otherwise.
 //   /statusz  JSON snapshot for humans and scripts: uptime, build/config
 //             fingerprint, queue depths + high watermarks, per-shard

@@ -1,10 +1,10 @@
 // Per-thread work attribution for the pipeline's long-running loops:
-// analysis workers draining the unit queue, shard consumers running
-// stage (a), and live sessions fed from a capture thread. Each loop
+// the engine's threads running stage (a) for a shard and analyzing
+// units, and live sessions fed from a capture thread. Each loop
 // owns one WorkerSlot and splits its wall time into *busy* (doing
 // pipeline work) and *idle* (blocked on a queue or waiting for input),
 // stamping a heartbeat every iteration — which is exactly what a live
-// operator needs to answer "is shard 3 stalled or merely idle" and
+// operator needs to answer "is worker 3 stalled or merely idle" and
 // "where did the worker wall time go". The telemetry server surfaces
 // the table on /statusz and derives readiness from the heartbeats.
 //
@@ -86,8 +86,8 @@ class WorkerTable {
   static WorkerTable& instance();
 
   /// Find-or-create the slot for (kind, index). `kind` is a short stable
-  /// family name: "worker" (analysis pool), "shard" (stage-(a)
-  /// consumers), "session" (LiveSession feeds).
+  /// family name: "worker" (process_capture's threads), "session"
+  /// (LiveSession feeds).
   WorkerSlot& slot(std::string_view kind, std::size_t index);
 
   /// Claim the lowest-index slot of `kind` that no other claimant holds

@@ -78,27 +78,9 @@ Stmt st_socketcall(std::uint8_t subfn) {
   return s;
 }
 
-Stmt st_syscall_str(std::uint8_t sysno, std::string ebx_points_to) {
-  Stmt s = st_syscall(sysno);
-  s.ebx_points_to = std::move(ebx_points_to);
-  return s;
-}
-
 Stmt st_syscall64(std::uint8_t sysno) {
   Stmt s = st_syscall(sysno);
   s.vector = ir::kSyscallVector;
-  return s;
-}
-
-Stmt st_syscall64_low(std::uint8_t sysno, std::uint8_t rdi_low) {
-  Stmt s = st_syscall64(sysno);
-  s.ebx_low = rdi_low;
-  return s;
-}
-
-Stmt st_syscall64_str(std::uint8_t sysno, std::string rdi_points_to) {
-  Stmt s = st_syscall64(sysno);
-  s.ebx_points_to = std::move(rdi_points_to);
   return s;
 }
 

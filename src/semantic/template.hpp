@@ -256,10 +256,7 @@ Stmt st_advance(std::string ref_var);
 Stmt st_branch_back();
 Stmt st_syscall(std::uint8_t sysno);
 Stmt st_socketcall(std::uint8_t subfn);
-Stmt st_syscall_str(std::uint8_t sysno, std::string ebx_points_to);
-/// x86-64 `syscall` statements (vector ir::kSyscallVector, args in rdi..).
+/// x86-64 `syscall` statement (vector ir::kSyscallVector, args in rdi..).
 Stmt st_syscall64(std::uint8_t sysno);
-Stmt st_syscall64_low(std::uint8_t sysno, std::uint8_t rdi_low);
-Stmt st_syscall64_str(std::uint8_t sysno, std::string rdi_points_to);
 
 }  // namespace senids::semantic

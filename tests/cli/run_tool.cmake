@@ -2,10 +2,11 @@
 # senids_scan.* and senids_disasm.* tests in tests/CMakeLists.txt as
 #
 #   cmake -DTOOL=<tool> -DEXPECT_EXIT=<code> -DEXPECT_STDOUT=<file or empty>
-#         -P run_tool.cmake -- <tool arguments...>
+#         [-DEXPECT_STDERR=<text>] -P run_tool.cmake -- <tool arguments...>
 #
 # The exit code must equal EXPECT_EXIT. With a nonempty EXPECT_STDOUT,
-# standard output must equal that file byte for byte. A nonzero expected exit
+# standard output must equal that file byte for byte; with a nonempty
+# EXPECT_STDERR, standard error must contain that text. A nonzero expected exit
 # other than 3 (threats found, or templates matched) is a refusal, so it must
 # also say why on standard error.
 set(args)
@@ -31,6 +32,13 @@ if(EXPECT_STDOUT)
   if(NOT out STREQUAL want)
     message(FATAL_ERROR "${name} ${args}: stdout differs from ${EXPECT_STDOUT}\n"
                         "got:\n${out}\nwant:\n${want}")
+  endif()
+endif()
+if(EXPECT_STDERR)
+  string(FIND "${err}" "${EXPECT_STDERR}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${name} ${args}: stderr lacks \"${EXPECT_STDERR}\"\n"
+                        "stderr:\n${err}")
   endif()
 endif()
 if(NOT EXPECT_EXIT EQUAL 0 AND NOT EXPECT_EXIT EQUAL 3 AND err STREQUAL "")

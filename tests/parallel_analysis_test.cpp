@@ -9,8 +9,8 @@
 //  - A frame is emulated at most once per unit even when the
 //    decoder-confirmation pass and the deep-analysis pass both want it
 //    (the per-frame memo in AnalysisContext).
-//  - Worker count and the threads == 0 shard-local mode are invisible in
-//    the report: every combination reproduces the serial baseline
+//  - Thread count, with one shard or several, is invisible in the
+//    report: every combination reproduces the serial baseline
 //    byte-for-byte.
 //  - An AnalysisContext reused across units carries no state between
 //    them.
@@ -208,9 +208,10 @@ TEST(WorkerScaling, ThreadsDoNotChangeTheReport) {
 }
 
 TEST(WorkerScaling, ThreadsZeroRunsShardLocal) {
-  // threads == 0, shards == N: stages (b)-(e) run inline on each shard's
-  // consumer thread with a per-shard context and no global unit queue.
-  // The report must still reproduce the serial single-shard baseline.
+  // threads == 0: serial at one shard; at shards == N, N threads each
+  // run a shard and analyze its units, handing them to one another
+  // through the unit queue. The report must still reproduce the serial
+  // single-shard baseline.
   const pcap::Capture capture = mixed_corpus(306);
 
   NidsOptions base;

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "core/senids.hpp"
@@ -90,18 +91,23 @@ void expect_cache_invariant(const NidsStats& s) {
   EXPECT_EQ(s.cache_hits + s.cache_misses + s.cache_bypass, s.units_analyzed);
 }
 
-/// The harness: a 1-shard serial cache-off baseline against N-shard
-/// runs across threads {1, 4} x cache {off, on}; every combination
-/// must reproduce the baseline report exactly.
+/// The harness: a 1-shard serial cache-off baseline against sharded
+/// runs with the cache off and on. A sharded run starts
+/// max(threads, shards) threads, so the (threads, shards) pairs sit on
+/// each side of that: fewer threads than shards (0, N), (2, N), as many
+/// (N, N), and more (8, 2). Every combination must reproduce the
+/// baseline report exactly.
 void expect_shards_transparent(const pcap::Capture& capture) {
   NidsEngine baseline = make_engine(1, 1, 0);
   const Report base = baseline.process_capture(capture);
 
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  const std::size_t n = test_shards();
+  const std::pair<std::size_t, std::size_t> configs[] = {{0, n}, {2, n}, {n, n}, {8, 2}};
+  for (const auto& [threads, shards] : configs) {
     for (std::size_t cache_bytes : {std::size_t{0}, kCacheBytes}) {
-      SCOPED_TRACE(::testing::Message() << "threads=" << threads
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads << " shards=" << shards
                                         << " cache=" << cache_bytes);
-      NidsEngine sharded = make_engine(test_shards(), threads, cache_bytes);
+      NidsEngine sharded = make_engine(shards, threads, cache_bytes);
       const Report r = sharded.process_capture(capture);
 
       expect_alerts_equal(base.alerts, r.alerts);

@@ -237,24 +237,33 @@ pcap::Capture small_corpus() {
 }
 
 TEST_F(TelemetryTest, WorkerBusyIdleSumsReconcileWithRunWall) {
-  WorkerTable::instance().reset();
-  core::NidsEngine engine(threaded_options());
-  (void)engine.process_capture(small_corpus());
+  // process_capture starts `threads` threads in the pool shape and
+  // max(threads, shards) sharded, each with one "worker" slot.
+  struct Case {
+    std::size_t threads, shards, slots;
+  };
+  for (const Case c : {Case{2, 1, 2}, Case{2, 3, 3}, Case{4, 2, 4}}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << c.threads << " shards=" << c.shards);
+    WorkerTable::instance().reset();
+    core::NidsOptions o = threaded_options();
+    o.threads = c.threads;
+    o.shards = c.shards;
+    core::NidsEngine engine(o);
+    (void)engine.process_capture(small_corpus());
 
-  bool saw_worker = false;
-  for (const WorkerSlot::Snapshot& w : WorkerTable::instance().snapshot()) {
-    if (w.kind != "worker") continue;
-    saw_worker = true;
-    EXPECT_FALSE(w.active) << "workers joined before process_capture returned";
-    EXPECT_GT(w.run_seconds, 0.0);
-    const double attributed = w.busy_seconds + w.idle_seconds;
-    // Acceptance bound: attributed within 5% of the worker's own run
-    // wall (plus a small absolute floor — these runs are only a few ms).
-    EXPECT_NEAR(attributed, w.run_seconds,
-                std::max(0.05 * w.run_seconds, 2e-3))
-        << w.kind << " " << w.index;
+    std::size_t ran = 0;
+    for (const WorkerSlot::Snapshot& w : WorkerTable::instance().snapshot()) {
+      if (w.kind != "worker" || w.run_seconds == 0.0) continue;
+      ++ran;
+      EXPECT_FALSE(w.active) << "threads joined before process_capture returned";
+      const double attributed = w.busy_seconds + w.idle_seconds;
+      // Acceptance bound: attributed within 5% of the thread's own run
+      // wall (plus a small absolute floor — these runs are only a few ms).
+      EXPECT_NEAR(attributed, w.run_seconds, std::max(0.05 * w.run_seconds, 2e-3))
+          << w.kind << " " << w.index;
+    }
+    EXPECT_EQ(ran, c.slots);
   }
-  EXPECT_TRUE(saw_worker);
 
   // The engine published the capacity gauges the readiness checks use.
   EXPECT_EQ(pipeline_metrics().queue_capacity->value(), 256);

@@ -7,7 +7,6 @@
 #include "util/hexdump.hpp"
 #include "util/log.hpp"
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace senids::util {
 namespace {
@@ -195,55 +194,6 @@ TEST(Prng, PickReturnsElement) {
     int x = p.pick(v);
     EXPECT_TRUE(x == 10 || x == 20 || x == 30);
   }
-}
-
-// ------------------------------------------------------------ thread pool
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPool, WorkersCanSubmit) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&] {
-    pool.submit([&count] { ++count; });
-  });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, ZeroThreadsClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 1u);
-}
-
-TEST(ThreadPool, DrainsQueueOnDestruction) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&count] { ++count; });
-    }
-  }
-  EXPECT_EQ(count.load(), 100);
 }
 
 // -------------------------------------------------------------------- log

@@ -9,12 +9,17 @@
 //     --arch <name>           instruction set for analysis/emulation:
 //                             x86_32 (default) or x86_64
 //     --analyze-all           disable classification (analyze every payload)
-//     --templates <file>      add templates from a DSL file
-//     --extended              use the extended template library
+//     --templates <file>      load the template set from a DSL file
+//                             instead of the built-in one; a file the
+//                             template linter finds errors in is refused
+//     --extended              use the extended template library (not
+//                             with --templates)
 //     --emulate               enable emulation-backed deep analysis
-//     --threads <n>           analysis worker threads (default 1;
-//                             0 and 1 both analyze on the shard
-//                             threads, no global unit queue)
+//     --threads <n>           analysis threads (default 1). With one
+//                             shard, 0 and 1 analyze on the calling
+//                             thread and n > 1 adds n analysis threads;
+//                             with --shards s > 1, max(n, s) threads
+//                             run, the first s running a shard each
 //     --shards <n>            source-affine stage-(a) shards (default 1)
 //     --verdict-cache-mb <n>  verdict cache byte budget in MB (default 64)
 //     --no-verdict-cache      disable the content-addressed verdict cache
@@ -63,6 +68,7 @@
 #include "obs/server.hpp"
 #include "obs/trace.hpp"
 #include "sig/ruleparse.hpp"
+#include "verify/lint.hpp"
 
 using namespace senids;
 
@@ -110,12 +116,12 @@ void usage(const char* argv0) {
                "  --dark-threshold <n>  scans before a source is tainted (default 5)\n"
                "  --arch <name>         analysis ISA: x86_32 (default) | x86_64\n"
                "  --analyze-all         disable classification\n"
-               "  --templates <file>    add templates from a DSL file\n"
+               "  --templates <file>    template set from a DSL file (replaces the built-in one)\n"
                "  --sig-rules <file>    also run Snort-style content rules\n"
-               "  --extended            use the extended template library\n"
+               "  --extended            use the extended template library (not with --templates)\n"
                "  --emulate             enable emulation deep analysis\n"
-               "  --threads <n>         analysis worker threads (0, 1: inline on the shards)\n"
-               "  --shards <n>          source-affine stage-(a) shards\n"
+               "  --threads <n>         analysis threads (0, 1: on the caller or the shard threads)\n"
+               "  --shards <n>          source-affine stage-(a) shards, each on its own thread\n"
                "  --verdict-cache-mb <n>  verdict cache byte budget (default 64)\n"
                "  --no-verdict-cache    disable the verdict cache\n"
                "  --no-triage           disable the stage-0 triage prefilter\n"
@@ -361,6 +367,11 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
+  if (cli.extended && !cli.templates_file.empty()) {
+    std::fprintf(stderr, "--extended and --templates each choose the template set; give one\n");
+    usage(argv[0]);
+    return 2;
+  }
 
   auto capture = pcap::read_file(cli.pcap_path);
   if (!capture) {
@@ -368,10 +379,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Template set: standard or extended, plus any DSL file.
-  std::vector<semantic::Template> templates =
-      cli.extended ? semantic::make_extended_library() : semantic::make_standard_library();
-  if (!cli.templates_file.empty()) {
+  // Template set: standard, extended, or a DSL file in their place. A
+  // file must pass the checks senids_lint runs (a repeated name is one).
+  std::vector<semantic::Template> templates;
+  if (cli.templates_file.empty()) {
+    templates =
+        cli.extended ? semantic::make_extended_library() : semantic::make_standard_library();
+  } else {
     std::ifstream in(cli.templates_file);
     if (!in) {
       std::fprintf(stderr, "cannot open templates file: %s\n", cli.templates_file.c_str());
@@ -385,8 +399,12 @@ int main(int argc, char** argv) {
                    err->message.c_str());
       return 1;
     }
-    for (auto& t : std::get<std::vector<semantic::Template>>(parsed)) {
-      templates.push_back(std::move(t));
+    templates = std::move(std::get<std::vector<semantic::Template>>(parsed));
+    const verify::Report lint = verify::lint_templates(templates);
+    if (!lint.ok()) {
+      std::fprintf(stderr, "%s: refused, the template linter reports:\n%s",
+                   cli.templates_file.c_str(), lint.str().c_str());
+      return 1;
     }
   }
 
