@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the pipeline stages, backing the
 // "our implementation is more efficient than [5]" claim with per-stage
-// numbers: decode, scan, lift, match, extract, signature scan, pcap parse.
+// numbers: decode, scan, lift, match, extract, stage-0 triage, signature
+// scan, pcap parse.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -18,6 +19,7 @@
 #include "semantic/analyzer.hpp"
 #include "semantic/library.hpp"
 #include "sig/rules.hpp"
+#include "triage/triage.hpp"
 #include "arch/arch.hpp"
 
 using namespace senids;
@@ -335,6 +337,53 @@ void BM_ExtractBenign(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * blob.size()));
 }
 BENCHMARK(BM_ExtractBenign);
+
+/// The stage-0 screen over a fixed ~256 KB slice of the benign corpus,
+/// where most units are rejected: the per-byte cost of a triage reject.
+void BM_TriageScreenBenign(benchmark::State& state) {
+  util::Prng prng(4);
+  const std::vector<gen::BenignPayload> corpus = gen::make_benign_corpus(prng, 256 << 10);
+  std::size_t bytes = 0;
+  for (const gen::BenignPayload& p : corpus) bytes += p.data.size();
+  triage::TriageOptions options;
+  options.mode = triage::TriageMode::kOn;
+  const triage::TriageFilter filter(options, {}, semantic::make_standard_library());
+  for (auto _ : state) {
+    for (const gen::BenignPayload& p : corpus) {
+      benchmark::DoNotOptimize(filter.screen(p.data, p.dst_port));
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_TriageScreenBenign);
+
+/// The template-literal probe over 64 KB of benign payloads that hold no
+/// literal (so the probe reads every byte, as on a triage reject), with
+/// the standard library's literals (arg 3) or 32 random 4-byte literals
+/// (arg 32): its cost grows with the number of distinct leading pairs.
+void BM_TriageLiterals(benchmark::State& state) {
+  std::vector<util::Bytes> literals;
+  if (state.range(0) == 3) {
+    literals = triage::template_literals(semantic::make_standard_library());
+  } else {
+    util::Prng prng(5);
+    for (std::int64_t i = 0; i < state.range(0); ++i) literals.push_back(prng.bytes(4));
+  }
+  const triage::LiteralSet probe(literals);
+  util::Prng prng(2);
+  util::Bytes blob;
+  while (blob.size() < (64 << 10)) {
+    const util::Bytes p = gen::make_benign_payload(prng).data;
+    if (!probe.matches_any(p)) blob.insert(blob.end(), p.begin(), p.end());
+  }
+  if (probe.matches_any(blob)) state.SkipWithError("a literal spans two payloads");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(probe.matches_any(blob));
+  }
+  state.counters["literals"] = static_cast<double>(probe.size());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * blob.size()));
+}
+BENCHMARK(BM_TriageLiterals)->Arg(3)->Arg(32);
 
 void BM_SignatureScan(benchmark::State& state) {
   sig::SignatureEngine engine(sig::make_default_rules());

@@ -3,6 +3,7 @@
 // workloads of the paper; the default is scaled for quick iteration).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +24,16 @@ inline std::size_t env_size(const char* name, std::size_t fallback) {
   char* end = nullptr;
   const unsigned long long v = std::strtoull(env, &end, 10);
   return (end && *end == '\0' && v > 0) ? static_cast<std::size_t>(v) : fallback;
+}
+
+/// Linear-interpolated quantile of `v` (sorted in place), q in [0, 1];
+/// `v` must not be empty.
+inline double quantile(std::vector<double>& v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
 }
 
 inline void rule(char c = '-', int width = 78) {

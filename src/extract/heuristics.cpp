@@ -1,8 +1,53 @@
 #include "extract/heuristics.hpp"
 
-#include <cctype>
+#include <cstring>
+
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 namespace senids::extract {
+
+namespace {
+
+/// True when some offset starts `min_count` dwords whose three high bytes
+/// all repeat (min_count >= 2): without such a chain the return-region
+/// walk cannot report anything. SSE2 compares the bytes 4 apart for 16
+/// start offsets at once, and each offset whose first pair repeats is
+/// confirmed pair by pair.
+bool has_dword_chain(util::ByteView payload, std::size_t min_count) noexcept {
+  if (payload.size() < 4 * min_count) return false;
+  const std::size_t last = payload.size() - 4 * min_count;  // last start that fits
+  const std::uint8_t* p = payload.data();
+  auto chain_at = [&](std::size_t j) {
+    for (std::size_t k = 1; k < min_count; ++k, j += 4) {
+      if (std::memcmp(p + j + 1, p + j + 5, 3) != 0) return false;
+    }
+    return true;
+  };
+  std::size_t j = 0;
+#ifdef __SSE2__
+  // Starts j..j+15 read up to p[j + 22], inside the payload while j + 15 <= last.
+  auto load = [p](std::size_t at) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + at));
+  };
+  for (; j + 15 <= last; j += 16) {
+    const __m128i eq = _mm_and_si128(
+        _mm_and_si128(_mm_cmpeq_epi8(load(j + 1), load(j + 5)),
+                      _mm_cmpeq_epi8(load(j + 2), load(j + 6))),
+        _mm_cmpeq_epi8(load(j + 3), load(j + 7)));
+    for (auto m = static_cast<unsigned>(_mm_movemask_epi8(eq)); m != 0; m &= m - 1) {
+      if (chain_at(j + static_cast<std::size_t>(__builtin_ctz(m)))) return true;
+    }
+  }
+#endif
+  for (; j <= last; ++j) {
+    if (chain_at(j)) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 std::optional<Run> longest_repetition(util::ByteView payload, std::size_t min_len) {
   Run best;
@@ -59,6 +104,8 @@ std::optional<Run> longest_nop_sled(util::ByteView payload, std::size_t min_len)
 
 std::optional<Run> longest_return_region(util::ByteView payload,
                                          std::size_t min_count) {
+  // Candidate pass; the exact walk below runs only past it.
+  if (min_count >= 2 && !has_dword_chain(payload, min_count)) return std::nullopt;
   Run best;
   // Degenerate-run filter: when the three high bytes are one repeated
   // byte, the "region" is an identical-byte filler unless a meaningful

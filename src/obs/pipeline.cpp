@@ -94,11 +94,13 @@ ShardMetrics shard_metrics(std::size_t shard_index) {
   Registry& r = Registry::instance();
   const std::string label = std::to_string(shard_index);
   ShardMetrics m;
-  m.queue_depth = &r.gauge("senids_shard_packet_queue_depth",
-                           "Frames waiting in a shard's dispatch queue", "shard", label);
+  m.queue_depth = &r.gauge(
+      "senids_shard_packet_queue_depth",
+      "Record batches (up to 64 frames each) waiting in a shard's dispatch queue",
+      "shard", label);
   m.queue_depth_peak =
       &r.gauge("senids_shard_packet_queue_depth_peak",
-               "High watermark of a shard's dispatch queue depth", "shard", label);
+               "High watermark of a shard's waiting record batches", "shard", label);
   m.packets = &r.counter("senids_shard_packets_total", "Frames classified per shard",
                          "shard", label);
   m.units = &r.counter("senids_shard_units_total", "Analysis units emitted per shard",
@@ -110,7 +112,7 @@ ShardMetrics shard_metrics(std::size_t shard_index) {
 Gauge& shard_queue_capacity_gauge() {
   return Registry::instance().gauge(
       "senids_shard_packet_queue_capacity",
-      "Configured per-shard dispatch queue capacity (0 = not sharded)");
+      "Configured per-shard dispatch queue capacity in record batches (0 = not sharded)");
 }
 
 std::string_view stage_name(Stage stage) noexcept {

@@ -105,8 +105,8 @@ PipelineMetrics& pipeline_metrics();
 /// front end: dispatcher->shard queue depth plus shard-local volume. Kept
 /// out of PipelineMetrics because the shard count is a runtime option.
 struct ShardMetrics {
-  Gauge* queue_depth;       // frames waiting in this shard's dispatch queue
-  Gauge* queue_depth_peak;  // high watermark of that queue
+  Gauge* queue_depth;       // record batches waiting in this shard's dispatch queue
+  Gauge* queue_depth_peak;  // high watermark of that depth
   Counter* packets;         // frames classified by this shard
   Counter* units;           // analysis units this shard emitted
   Gauge* flows;             // live flows in this shard's flow table

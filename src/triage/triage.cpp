@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
+#elif defined(__SSE2__)
+#include <emmintrin.h>
 #endif
 
 #include "extract/base64.hpp"
@@ -334,6 +337,22 @@ ScanStats scan(util::ByteView payload, [[maybe_unused]] bool allow_simd = true) 
   return t.finalize(n);
 }
 
+/// The GetPC test at one offset: a call with a small displacement, or
+/// fnstenv [esp-12].
+bool getpc_at(util::ByteView data, std::size_t i) noexcept {
+  const std::uint8_t b = data[i];
+  if (b == 0xE8 && i + 5 <= data.size()) {
+    const std::uint32_t disp = static_cast<std::uint32_t>(data[i + 1]) |
+                               (static_cast<std::uint32_t>(data[i + 2]) << 8) |
+                               (static_cast<std::uint32_t>(data[i + 3]) << 16) |
+                               (static_cast<std::uint32_t>(data[i + 4]) << 24);
+    // |disp| <= 0x1000, branch-free on the unsigned representation.
+    if (disp + 0x1000u <= 0x2000u) return true;
+  }
+  return b == 0xD9 && i + 4 <= data.size() && data[i + 1] == 0x74 &&
+         data[i + 2] == 0x24 && data[i + 3] == 0xF4;
+}
+
 void collect_fixed_consts(const semantic::PatPtr& p, std::vector<util::Bytes>& out) {
   if (!p) return;
   if (p->kind == semantic::PatKind::kFixedConst) {
@@ -404,33 +423,87 @@ std::vector<util::Bytes> template_literals(
   return out;
 }
 
+LiteralSet::LiteralSet(std::vector<util::Bytes> literals) {
+  std::vector<std::array<std::uint8_t, 3>> leads;
+  for (util::Bytes& l : literals) {
+    if (l.empty()) continue;
+    const bool single = l.size() == 1;
+    const std::array<std::uint8_t, 3> lead{l[0], single ? std::uint8_t{0} : l[1],
+                                           single ? std::uint8_t{0xFF} : std::uint8_t{0}};
+    if (std::find(leads.begin(), leads.end(), lead) == leads.end()) {
+      leads.push_back(lead);
+      for (const std::uint8_t b : lead) splats_.insert(splats_.end(), 16, b);
+    }
+    literals_.push_back(std::move(l));
+  }
+}
+
+bool LiteralSet::match_at(util::ByteView data, std::size_t at) const noexcept {
+  for (const util::Bytes& l : literals_) {
+    if (l.size() <= data.size() - at &&
+        std::memcmp(data.data() + at, l.data(), l.size()) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool LiteralSet::matches_any(util::ByteView data) const noexcept {
+  const std::size_t n = data.size();
+  std::size_t i = 0;
+#ifdef __SSE2__
+  // Offset i + k is a candidate when a lead's first byte is at it and its
+  // second byte (or any) at the next; i + 17 <= n keeps both loads inside.
+  auto load = [](const std::uint8_t* at) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+  };
+  for (; i + 17 <= n; i += 16) {
+    const __m128i x = load(data.data() + i);
+    const __m128i y = load(data.data() + i + 1);
+    __m128i hit = _mm_setzero_si128();
+    for (std::size_t k = 0; k < splats_.size(); k += 48) {
+      const std::uint8_t* lead = splats_.data() + k;
+      const __m128i second =
+          _mm_or_si128(_mm_cmpeq_epi8(y, load(lead + 16)), load(lead + 32));
+      hit = _mm_or_si128(hit, _mm_and_si128(_mm_cmpeq_epi8(x, load(lead)), second));
+    }
+    for (auto m = static_cast<unsigned>(_mm_movemask_epi8(hit)); m != 0; m &= m - 1) {
+      if (match_at(data, i + ctz32(m))) return true;
+    }
+  }
+#endif
+  for (; i < n; ++i) {
+    if (match_at(data, i)) return true;
+  }
+  return false;
+}
+
 bool has_getpc_code(util::ByteView data) noexcept {
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const std::uint8_t b = data[i];
-    if (b == 0xE8 && i + 5 <= data.size()) {
-      const std::uint32_t disp = static_cast<std::uint32_t>(data[i + 1]) |
-                                 (static_cast<std::uint32_t>(data[i + 2]) << 8) |
-                                 (static_cast<std::uint32_t>(data[i + 3]) << 16) |
-                                 (static_cast<std::uint32_t>(data[i + 4]) << 24);
-      // |disp| <= 0x1000, branch-free on the unsigned representation.
-      if (disp + 0x1000u <= 0x2000u) return true;
+  const std::size_t n = data.size();
+  std::size_t i = 0;
+#ifdef __SSE2__
+  // Candidates are the E8 / D9 lead bytes, 16 offsets per compare.
+  for (; i + 16 <= n; i += 16) {
+    const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data.data() + i));
+    const __m128i lead =
+        _mm_or_si128(_mm_cmpeq_epi8(x, _mm_set1_epi8(static_cast<char>(0xE8))),
+                     _mm_cmpeq_epi8(x, _mm_set1_epi8(static_cast<char>(0xD9))));
+    for (auto m = static_cast<unsigned>(_mm_movemask_epi8(lead)); m != 0; m &= m - 1) {
+      if (getpc_at(data, i + ctz32(m))) return true;
     }
-    if (b == 0xD9 && i + 4 <= data.size() && data[i + 1] == 0x74 && data[i + 2] == 0x24 &&
-        data[i + 3] == 0xF4) {
-      return true;  // fnstenv [esp-12]
-    }
+  }
+#endif
+  for (; i < n; ++i) {
+    if (getpc_at(data, i)) return true;
   }
   return false;
 }
 
 TriageFilter::TriageFilter(TriageOptions options, extract::ExtractorOptions extractor,
                            const std::vector<semantic::Template>& templates)
-    : options_(std::move(options)), extract_all_(extractor.extract_all) {
-  for (const util::Bytes& lit : template_literals(templates)) {
-    literals_.add_pattern(lit);
-  }
-  literals_.build();
-}
+    : options_(std::move(options)),
+      extract_all_(extractor.extract_all),
+      literals_(template_literals(templates)) {}
 
 bool TriageFilter::code_evidence(util::ByteView data) const {
   // Same probes the raw-byte path runs, re-applied to decoded bytes.

@@ -2,9 +2,11 @@
 // the stage (b)-(e) pipeline (and before the verdict cache's SHA-256 —
 // hashing at memory bandwidth would cap the fast path). The screen runs a
 // handful of O(n) byte passes — run statistics mirroring the extractor
-// heuristics, a GetPC code probe, an Aho-Corasick prefilter over the
-// template library's fixed byte literals, and optionally a PAYL byte-
-// spectrum model — and only escalates units that show code evidence.
+// heuristics, a GetPC code probe, a probe for the template library's
+// fixed byte literals, and optionally a PAYL byte-spectrum model — and
+// only escalates units that show code evidence. The GetPC, literal and
+// return-region probes find candidate offsets with a vector compare and
+// confirm each one exactly, so they answer as their byte loops would.
 //
 // Escalation policy (conservative, escalate-on-doubt):
 //
@@ -22,7 +24,7 @@
 //     triage-off reports to be byte-identical over every corpus.
 //
 // The filter is immutable after construction and safe to share across
-// analysis workers (the automaton is built once; screen() is const and
+// analysis workers (the literal set is built once; screen() is const and
 // touches no mutable state).
 #pragma once
 
@@ -33,7 +35,6 @@
 #include "anomaly/payl.hpp"
 #include "extract/extractor.hpp"
 #include "semantic/template.hpp"
-#include "sig/aho.hpp"
 #include "util/bytes.hpp"
 
 namespace senids::triage {
@@ -89,6 +90,29 @@ struct TriageOptions {
 [[nodiscard]] std::vector<util::Bytes> template_literals(
     const std::vector<semantic::Template>& templates);
 
+/// A set of byte literals, probed for any occurrence. A vector compare
+/// per distinct leading byte pair (a 1-byte literal's lead is its byte)
+/// finds the candidate offsets 16 at a time, and each candidate is
+/// confirmed against every literal, so the cost per byte grows with the
+/// number of distinct leads. Empty literals are ignored.
+class LiteralSet {
+ public:
+  explicit LiteralSet(std::vector<util::Bytes> literals);
+
+  /// True if any literal occurs in `data`.
+  [[nodiscard]] bool matches_any(util::ByteView data) const noexcept;
+
+  [[nodiscard]] std::size_t size() const noexcept { return literals_.size(); }
+
+ private:
+  [[nodiscard]] bool match_at(util::ByteView data, std::size_t at) const noexcept;
+
+  std::vector<util::Bytes> literals_;
+  /// Per distinct lead, three 16-byte compare operands: its first byte,
+  /// its second byte, and 0xFF when the second byte is any (else 0).
+  std::vector<std::uint8_t> splats_;
+};
+
 /// True when `data` contains a GetPC idiom: a call (0xE8) whose 32-bit
 /// displacement is small (|disp| <= 0x1000 — jmp/call/pop shellcode
 /// calls backwards or just past itself, never megabytes away), or the
@@ -133,9 +157,7 @@ class TriageFilter {
                                       std::uint16_t dst_port = 0) const;
 
   [[nodiscard]] const TriageOptions& options() const noexcept { return options_; }
-  [[nodiscard]] std::size_t literal_count() const noexcept {
-    return literals_.pattern_count();
-  }
+  [[nodiscard]] std::size_t literal_count() const noexcept { return literals_.size(); }
 
  private:
   /// The code probes over one byte view (raw payload or decoded region):
@@ -144,7 +166,7 @@ class TriageFilter {
 
   TriageOptions options_;
   bool extract_all_;
-  sig::AhoCorasick literals_;
+  LiteralSet literals_;
 };
 
 }  // namespace senids::triage

@@ -138,6 +138,24 @@ TEST(ObsRegistry, PrometheusExpositionIsWellFormed) {
   }
 }
 
+TEST(ObsRegistry, ShardQueueGaugesCountRecordBatches) {
+  // process_capture publishes the number of waiting record batches (up
+  // to 64 records each, 16 per shard at most), not frames; the help text
+  // is what a dashboard reads the unit from.
+  (void)shard_metrics(0);
+  (void)shard_queue_capacity_gauge();
+  const std::string text = Registry::instance().prometheus_text();
+  EXPECT_NE(text.find("# HELP senids_shard_packet_queue_depth Record batches (up to 64 "
+                      "frames each) waiting in a shard's dispatch queue\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# HELP senids_shard_packet_queue_depth_peak High watermark of a "
+                      "shard's waiting record batches\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# HELP senids_shard_packet_queue_capacity Configured per-shard "
+                      "dispatch queue capacity in record batches (0 = not sharded)\n"),
+            std::string::npos);
+}
+
 TEST(ObsRegistry, LabelValuesAndHelpAreEscaped) {
   auto& r = Registry::instance();
   // Label values carrying the three characters the exposition format
