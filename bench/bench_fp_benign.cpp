@@ -30,7 +30,6 @@
 #include "core/senids.hpp"
 #include "gen/benign.hpp"
 #include "obs/pipeline.hpp"
-#include "util/queue.hpp"
 #include "util/timer.hpp"
 
 using namespace senids;

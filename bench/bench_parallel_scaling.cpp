@@ -66,11 +66,13 @@ std::vector<std::string> alert_lines(const core::Report& report) {
 /// flow per source spread over up to 250 sources; the same with one
 /// source sending 19 of every 20 flows; and benign payloads spread over
 /// 250 sources, where triage rejects most units cheaply and stage (a)
-/// dominates. The pool spreads units over all workers but runs stage (a)
-/// on one producer thread. Sharded, max(threads, shards) threads run and
-/// a shard thread keeps the units it forms unless another thread waits
-/// for work, so a dominant source's analysis spills over to idle shard
-/// threads. The configurations run interleaved,
+/// dominates. With one shard the calling thread runs stage (a) alone and
+/// four threads analyze. Sharded, max(threads, shards) threads run and
+/// each shard thread runs stage (a) for its sources. Every unit producer
+/// hands a unit to the queue while it holds fewer units than there are
+/// threads and analyzes it itself otherwise, so a dominant producer's
+/// analysis spills over to the threads that run dry. The configurations
+/// run interleaved,
 /// kPoolShardReps times, and the table reports the median and
 /// interquartile range of end-to-end wall; the keys go into `json`.
 /// SENIDS_POOL_SHARD_FLOWS sets the exploit flow count per capture

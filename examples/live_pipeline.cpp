@@ -1,20 +1,16 @@
-// Live pipeline: the deployment shape for continuous monitoring. A
-// capture thread pushes frames into a bounded queue (backpressure bounds
-// memory under bursts); an analysis thread drains it through a
-// LiveSession and alerts fire the moment a flow closes — no end-of-batch
-// wait. Here the "capture" replays a synthesized trace.
+// Live pipeline: the deployment shape for continuous monitoring. Each
+// frame is fed to a LiveSession the moment it is captured, and alerts
+// fire the moment a flow closes — no end-of-batch wait. Here the
+// "capture" replays a synthesized trace.
 //
 //   $ ./live_pipeline
-#include <atomic>
 #include <cstdio>
-#include <thread>
 
 #include "core/senids.hpp"
 #include "gen/benign.hpp"
 #include "gen/poly.hpp"
 #include "gen/shellcode.hpp"
 #include "gen/traffic.hpp"
-#include "util/queue.hpp"
 
 using namespace senids;
 
@@ -45,37 +41,21 @@ int main() {
   std::printf("replaying %zu frames through the live pipeline...\n\n",
               capture.records.size());
 
-  // --- the pipeline: capture thread -> bounded queue -> analysis thread
-  util::BoundedQueue<util::Bytes> queue(/*capacity=*/64);
-
+  // --- the pipeline: every captured frame goes straight to the session
   core::NidsOptions options;
   core::NidsEngine engine(options);
   engine.classifier().honeypots().add_decoy(honeypot);
 
-  std::atomic<std::size_t> alert_count{0};
-  std::thread analysis([&] {
-    core::LiveSession session(engine, [&](const core::Alert& alert) {
-      ++alert_count;
-      std::printf("ALERT %s\n", alert.str().c_str());
-    });
-    while (auto frame = queue.pop()) {
-      session.feed(*frame);
-    }
-    session.finish();
-    std::printf("\nsession: %zu packets, %zu suspicious, %zu units analyzed\n",
-                session.stats().packets, session.stats().suspicious_packets,
-                session.stats().units_analyzed);
+  std::size_t alert_count = 0;
+  core::LiveSession session(engine, [&](const core::Alert& alert) {
+    ++alert_count;
+    std::printf("ALERT %s\n", alert.str().c_str());
   });
-
-  std::thread producer([&] {
-    for (const auto& rec : capture.records) {
-      queue.push(rec.data);  // blocks under backpressure
-    }
-    queue.close();
-  });
-
-  producer.join();
-  analysis.join();
-  std::printf("total alerts: %zu\n", alert_count.load());
-  return alert_count.load() > 0 ? 0 : 1;
+  for (const auto& rec : capture.records) session.feed(rec.data);
+  session.finish();
+  std::printf("\nsession: %zu packets, %zu suspicious, %zu units analyzed\n",
+              session.stats().packets, session.stats().suspicious_packets,
+              session.stats().units_analyzed);
+  std::printf("total alerts: %zu\n", alert_count);
+  return alert_count > 0 ? 0 : 1;
 }

@@ -654,7 +654,8 @@ struct Task {
 };
 
 /// The work process_capture's threads share, behind one lock: each
-/// shard's waiting record batches and one bounded queue of units. Each
+/// shard's waiting record batches and one queue of at most one unit per
+/// thread. Each
 /// thread waits on its own condition variable, which wakes it for either
 /// its shard's records or a unit.
 class WorkBoard {
@@ -662,13 +663,8 @@ class WorkBoard {
   /// `threads` threads call next(); the first `shards` of them each own
   /// a shard's batches. `producers` parties form units until each calls
   /// producer_done().
-  WorkBoard(std::size_t threads, std::size_t shards, std::size_t producers,
-            const NidsOptions& options)
-      : wake_(threads),
-        max_units_(std::max<std::size_t>(1, options.max_queued_units)),
-        max_bytes_(options.max_queued_bytes),
-        batches_(shards),
-        producers_(producers) {
+  WorkBoard(std::size_t threads, std::size_t shards, std::size_t producers)
+      : wake_(threads), batches_(shards), producers_(producers) {
     for (std::size_t si = 0; si < shards; ++si) shard_gauges_.push_back(obs::shard_metrics(si));
   }
 
@@ -683,28 +679,20 @@ class WorkBoard {
     wake_[shard].notify_one();
   }
 
-  /// The caller, running stage (a) itself, queues a unit and blocks while
-  /// the queue is full (backpressure).
-  void push_unit(Unit unit) EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    const std::size_t weight = unit.payload.size();
-    if (!admits(weight)) {
-      pm_.queue_backpressure_waits->add();
-      const SteadyClock::time_point start = SteadyClock::now();
-      while (!admits(weight)) room_.wait(mu_);
-      pm_.queue_backpressure_wait_seconds->observe(seconds_since(start));
-    }
-    enqueue(std::move(unit));
-  }
-
-  /// A shard thread hands over a unit it formed while the queue holds
-  /// fewer units than there are threads. Refused otherwise, and the unit
-  /// left for the shard thread to analyze itself, so it never blocks.
+  /// A producer hands over a unit it formed while the queue holds fewer
+  /// units than there are threads. Refused otherwise, and the unit left
+  /// for the producer to analyze itself, so it never blocks. With no
+  /// threads every unit is refused without taking the lock.
   bool offer_unit(util::Bytes& payload, const Alert& meta, std::uint64_t unit_id)
       EXCLUDES(mu_) {
+    if (wake_.empty()) return false;
     util::MutexLock lock(mu_);
-    if (units_.size() >= wake_.size() || !admits(payload.size())) return false;
-    enqueue(Unit{std::move(payload), meta, unit_id});
+    if (units_.size() >= wake_.size()) return false;
+    unit_bytes_ += payload.size();
+    units_.push_back(Unit{std::move(payload), meta, unit_id});
+    pm_.queue_pushed->add();
+    publish_units();
+    wake_idle();
     return true;
   }
 
@@ -739,7 +727,6 @@ class WorkBoard {
         unit_bytes_ -= task.unit->payload.size();
         units_.pop_front();
         publish_units();
-        room_.notify_one();
         return task;
       }
       if (producers_ == 0) return Task{};
@@ -750,21 +737,6 @@ class WorkBoard {
   }
 
  private:
-  /// Queue admission, as util::BoundedQueue: a count cap, a byte budget,
-  /// and an empty queue admits any unit.
-  [[nodiscard]] bool admits(std::size_t weight) const REQUIRES(mu_) {
-    if (units_.size() >= max_units_) return false;
-    return max_bytes_ == 0 || units_.empty() || unit_bytes_ + weight <= max_bytes_;
-  }
-
-  void enqueue(Unit unit) REQUIRES(mu_) {
-    unit_bytes_ += unit.payload.size();
-    units_.push_back(std::move(unit));
-    pm_.queue_pushed->add();
-    publish_units();
-    wake_idle();
-  }
-
   void wake_idle() REQUIRES(mu_) {
     if (idle_.empty()) return;
     wake_[idle_.back()].notify_one();
@@ -788,9 +760,7 @@ class WorkBoard {
   std::vector<obs::ShardMetrics> shard_gauges_;
   util::Mutex mu_{"Engine.work"};
   std::vector<util::CondVar> wake_;  // one per thread
-  util::CondVar room_;               // the caller: room for a batch or a unit
-  const std::size_t max_units_;
-  const std::size_t max_bytes_;
+  util::CondVar room_;               // the caller: room for a batch
   std::vector<std::deque<Batch>> batches_ GUARDED_BY(mu_);
   std::deque<Unit> units_ GUARDED_BY(mu_);
   std::size_t unit_bytes_ GUARDED_BY(mu_) = 0;
@@ -820,133 +790,117 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
   Report report;
   ensure_shards();
   const std::size_t nshards = shards_.size();
-  // Publish the configured limits the readiness checks divide by
-  // (/healthz treats a 0 capacity gauge as "check disabled").
-  obs::pipeline_metrics().queue_capacity->set(
-      static_cast<std::int64_t>(options_.max_queued_units));
+  // With one shard the caller runs stage (a) and `threads` threads (none
+  // at threads <= 1) analyze. With more, the caller routes records by
+  // source hash and max(threads, shards) threads run; thread i < shards
+  // owns shard i.
+  const std::size_t nthreads = nshards > 1            ? std::max(options_.threads, nshards)
+                               : options_.threads > 1 ? options_.threads
+                                                      : 0;
+  const std::size_t shard_threads = nshards > 1 ? nshards : 0;
+  // Publish the limits the readiness checks divide by (/healthz treats a
+  // 0 capacity gauge as "check disabled"): the unit queue never holds
+  // more than one unit per thread.
+  obs::pipeline_metrics().queue_capacity->set(static_cast<std::int64_t>(nthreads));
   obs::pipeline_metrics().flow_table_max_flows->set(
       static_cast<std::int64_t>(options_.max_flows));
   for (auto& shard : shards_) shard->begin_capture();
 
-  // Three shapes, one per (threads, shards) region:
-  //  - serial (threads <= 1, shards == 1): the caller runs stage (a) and
-  //    analyzes each unit as it forms; no queue, no thread.
-  //  - pool (threads > 1, shards == 1): the caller runs stage (a) and
-  //    queues every unit; `threads` threads analyze them.
-  //  - sharded (shards > 1): the caller routes records by source hash;
-  //    max(threads, shards) threads run, thread i < shards owns shard i.
-  //    A shard thread hands the units it forms to the queue until it
-  //    holds one per thread and analyzes the rest itself, so busy shards
-  //    keep their units and threads that run dry take the overflow of a
-  //    dominant source.
-  // Every thread analyzes queued units whenever it has no records.
-  const std::size_t nthreads = nshards > 1            ? std::max(options_.threads, nshards)
-                               : options_.threads > 1 ? options_.threads
-                                                      : 0;
+  // One hand-off rule for every unit producer (the caller with one
+  // shard, else each shard thread): offer the unit to the queue while it
+  // holds fewer units than there are threads, and analyze it yourself
+  // otherwise. Busy producers keep their units, threads that run dry take
+  // the overflow of a dominant source, and with no threads the caller
+  // analyzes every unit as it forms. Every thread analyzes queued units
+  // whenever it has no records.
+  WorkBoard board(nthreads, shard_threads, std::max<std::size_t>(shard_threads, 1));
+  // One slot per thread, then the caller's when it produces.
   std::vector<ThreadSlot> slots;
-  slots.reserve(std::max<std::size_t>(nthreads, 1));
-  for (std::size_t i = 0; i < std::max<std::size_t>(nthreads, 1); ++i) {
+  const std::size_t nslots = nthreads + (shard_threads == 0 ? 1 : 0);
+  slots.reserve(nslots);
+  for (std::size_t i = 0; i < nslots; ++i) {
     slots.push_back(ThreadSlot{make_analysis_context(), {}, {}});
   }
+  auto sink_for = [this, &board](ThreadSlot& slot) -> PipelineShard::UnitSink {
+    return [this, &board, &slot](util::Bytes payload, const Alert& meta,
+                                 std::uint64_t unit_id) {
+      if (payload.empty() || board.offer_unit(payload, meta, unit_id)) return;
+      slot.analyze(*this, payload, meta, unit_id);
+    };
+  };
 
-  // Stage (a) on the caller, one shard: returns its wall.
-  auto classify_on_caller = [this, &capture](const PipelineShard::UnitSink& sink) {
+  std::vector<std::thread> threads;
+  threads.reserve(nthreads);
+  for (std::size_t i = 0; i < nthreads; ++i) {
+    threads.emplace_back([this, i, &board, &slot = slots[i], &sink_for, shard_threads] {
+      obs::WorkerSlot& wslot = obs::WorkerTable::instance().slot("worker", i);
+      wslot.begin_run();
+      const PipelineShard::UnitSink sink = sink_for(slot);
+      // Stage-(a) wall of this thread's shard: its batches' wall minus
+      // the analysis it ran itself, as on the caller.
+      double classify = 0.0;
+      for (;;) {
+        util::WallTimer idle_timer;  // waiting for records or a unit
+        Task task = board.next(i);
+        wslot.add_idle(idle_timer.seconds());
+        if (!task.records && !task.unit) break;
+        wslot.heartbeat();
+        util::WallTimer busy_timer;
+        const double analysis_before = slot.stats.analysis_seconds;
+        const std::size_t units_before = slot.stats.units_analyzed;
+        if (task.unit) {
+          slot.analyze(*this, task.unit->payload, task.unit->meta, task.unit->unit_id);
+        } else if (!task.records->empty()) {
+          for (const pcap::Record* rec : *task.records) {
+            shards_[i]->process_record(rec->data, rec->ts_sec, rec->ts_usec, sink);
+          }
+        } else {
+          shards_[i]->finish_capture(sink);
+          board.producer_done();
+        }
+        const double busy = busy_timer.seconds();
+        wslot.add_busy(busy);
+        wslot.add_units(slot.stats.units_analyzed - units_before);
+        if (task.records) classify += busy - (slot.stats.analysis_seconds - analysis_before);
+      }
+      if (i < shard_threads) shards_[i]->stats().classify_seconds = classify;
+      wslot.end_run();
+    });
+  }
+
+  if (shard_threads == 0) {
+    ThreadSlot& slot = slots.back();
+    const PipelineShard::UnitSink sink = sink_for(slot);
     util::WallTimer timer;
     for (const pcap::Record& rec : capture.records) {
       shards_[0]->process_record(rec.data, rec.ts_sec, rec.ts_usec, sink);
     }
     shards_[0]->finish_capture(sink);
-    return timer.seconds();
-  };
-
-  if (nthreads == 0) {
-    ThreadSlot& slot = slots[0];
-    const PipelineShard::UnitSink sink = [this, &slot](util::Bytes payload, const Alert& meta,
-                                                       std::uint64_t unit_id) {
-      if (!payload.empty()) slot.analyze(*this, payload, meta, unit_id);
-    };
-    // Classify wall excludes the analysis the caller ran inline.
-    shards_[0]->stats().classify_seconds =
-        classify_on_caller(sink) - slot.stats.analysis_seconds;
+    // Classify wall excludes the analysis the caller ran itself.
+    shards_[0]->stats().classify_seconds = timer.seconds() - slot.stats.analysis_seconds;
+    board.producer_done();
   } else {
-    const std::size_t shard_threads = nshards > 1 ? nshards : 0;
-    WorkBoard board(nthreads, shard_threads, std::max<std::size_t>(shard_threads, 1),
-                    options_);
-    std::vector<std::thread> threads;
-    threads.reserve(nthreads);
-    for (std::size_t i = 0; i < nthreads; ++i) {
-      threads.emplace_back([this, i, &board, &slot = slots[i], shard_threads] {
-        obs::WorkerSlot& wslot = obs::WorkerTable::instance().slot("worker", i);
-        wslot.begin_run();
-        const PipelineShard::UnitSink sink = [this, &board, &slot](
-                                                 util::Bytes payload, const Alert& meta,
-                                                 std::uint64_t unit_id) {
-          if (payload.empty() || board.offer_unit(payload, meta, unit_id)) return;
-          slot.analyze(*this, payload, meta, unit_id);
-        };
-        // Stage-(a) wall of this thread's shard: its batches' wall minus
-        // the analysis it ran inline, as on the serial path.
-        double classify = 0.0;
-        for (;;) {
-          util::WallTimer idle_timer;  // waiting for records or a unit
-          Task task = board.next(i);
-          wslot.add_idle(idle_timer.seconds());
-          if (!task.records && !task.unit) break;
-          wslot.heartbeat();
-          util::WallTimer busy_timer;
-          const double analysis_before = slot.stats.analysis_seconds;
-          const std::size_t units_before = slot.stats.units_analyzed;
-          if (task.unit) {
-            slot.analyze(*this, task.unit->payload, task.unit->meta, task.unit->unit_id);
-          } else if (!task.records->empty()) {
-            for (const pcap::Record* rec : *task.records) {
-              shards_[i]->process_record(rec->data, rec->ts_sec, rec->ts_usec, sink);
-            }
-          } else {
-            shards_[i]->finish_capture(sink);
-            board.producer_done();
-          }
-          const double busy = busy_timer.seconds();
-          wslot.add_busy(busy);
-          wslot.add_units(slot.stats.units_analyzed - units_before);
-          if (task.records) classify += busy - (slot.stats.analysis_seconds - analysis_before);
-        }
-        if (i < shard_threads) shards_[i]->stats().classify_seconds = classify;
-        wslot.end_run();
-      });
+    // The caller only peeks each frame's IPv4 source and routes the
+    // record in batches; frames whose source cannot be peeked (non-IP,
+    // which any shard classifies alike) ride to shard 0.
+    obs::shard_queue_capacity_gauge().set(kQueueBatches);
+    util::WallTimer dispatch_timer;
+    std::vector<Batch> pending(nshards);
+    for (const pcap::Record& rec : capture.records) {
+      const auto src = net::peek_src(rec.data);
+      const std::size_t si = src ? shard_index_for(*src, nshards) : 0;
+      Batch& batch = pending[si];
+      if (batch.empty()) batch.reserve(kBatchRecords);
+      batch.push_back(&rec);
+      if (batch.size() >= kBatchRecords) board.push_batch(si, std::exchange(batch, {}));
     }
-
-    if (nshards == 1) {
-      const PipelineShard::UnitSink sink = [&board](util::Bytes payload, const Alert& meta,
-                                                    std::uint64_t unit_id) {
-        if (!payload.empty()) board.push_unit(Unit{std::move(payload), meta, unit_id});
-      };
-      // Includes the time the caller was blocked on a full queue.
-      shards_[0]->stats().classify_seconds = classify_on_caller(sink);
-      board.producer_done();
-    } else {
-      // The caller only peeks each frame's IPv4 source and routes the
-      // record in batches; frames whose source cannot be peeked (non-IP,
-      // which any shard classifies alike) ride to shard 0.
-      obs::shard_queue_capacity_gauge().set(kQueueBatches);
-      util::WallTimer dispatch_timer;
-      std::vector<Batch> pending(nshards);
-      for (const pcap::Record& rec : capture.records) {
-        const auto src = net::peek_src(rec.data);
-        const std::size_t si = src ? shard_index_for(*src, nshards) : 0;
-        Batch& batch = pending[si];
-        if (batch.empty()) batch.reserve(kBatchRecords);
-        batch.push_back(&rec);
-        if (batch.size() >= kBatchRecords) board.push_batch(si, std::exchange(batch, {}));
-      }
-      for (std::size_t si = 0; si < nshards; ++si) {
-        if (!pending[si].empty()) board.push_batch(si, std::move(pending[si]));
-        board.push_batch(si, Batch{});
-      }
-      report.stats.dispatch_seconds = dispatch_timer.seconds();
+    for (std::size_t si = 0; si < nshards; ++si) {
+      if (!pending[si].empty()) board.push_batch(si, std::move(pending[si]));
+      board.push_batch(si, Batch{});
     }
-    for (std::thread& t : threads) t.join();
+    report.stats.dispatch_seconds = dispatch_timer.seconds();
   }
+  for (std::thread& t : threads) t.join();
 
   for (const auto& shard : shards_) merge_stats(report.stats, shard->stats());
   for (ThreadSlot& slot : slots) {

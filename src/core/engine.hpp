@@ -18,32 +18,31 @@
 // unit for stages (b)-(e), pure functions of one unit, analyzed *while*
 // classification continues. The engine holds the one extractor and the
 // one analyzer; both are const and every thread and session calls them.
-// process_capture runs one of three shapes:
-//  - serial (threads <= 1, shards == 1): the caller analyzes each unit
-//    as it forms.
-//  - pool (threads > 1, shards == 1): the caller queues each unit on one
-//    bounded queue and `threads` threads analyze them.
-//  - sharded (shards > 1): max(threads, shards) threads run one thread
-//    function; thread i < shards owns shard i. A shard thread hands the
-//    units it forms to the queue until it holds one per thread and
-//    analyzes the rest itself, so shards with their own traffic analyze
-//    it locally and a dominant source's units spill over to threads that
-//    run dry. Every thread analyzes queued units whenever it has no
-//    records.
-// Each thread owns only an AnalysisContext — working memory, no analysis
-// state — and its own stats and alert list, merged into the report after
-// the threads join; the per-unit hot loop touches no cross-thread
+// process_capture runs one thread function on its executor threads:
+// `threads` of them with shards == 1 (none at threads <= 1), and
+// max(threads, shards) with shards > 1, thread i < shards owning shard i.
+// Units are produced by the caller with one shard and by the shard
+// threads with more, and every producer follows one hand-off rule: it
+// offers a unit to one queue while that queue holds fewer units than
+// there are threads, and analyzes the unit itself otherwise. So a
+// producer with its own traffic analyzes it locally, a dominant source's
+// units spill over to threads that run dry, and with no threads the
+// caller analyzes every unit as it forms (the serial pipeline). Every
+// thread analyzes queued units whenever it has no records.
+// Each analyzing thread (the caller included) owns only an
+// AnalysisContext — working memory, no analysis state — and its own stats
+// and alert list, merged into the report after the threads join; the per-unit hot loop touches no cross-thread
 // mutable state beyond the sharded obs counters and the internally
 // synchronized verdict cache. Those counters have two writers: analyze()'s
 // exit adds each frame's analyzer counts, and analyze_payload's exit
 // (finish_unit) adds each unit's counts and its analysis_seconds. The
-// queue bounds both unit count and queued bytes, so a traffic burst
-// backpressures the producer instead of exhausting memory; flow tables
-// are LRU-managed with an idle timeout and a live-flow cap, so long-lived
-// or hostile flows cannot exhaust state either (evicted flows are
-// flushed as units, not dropped). Alerts are merged and sorted on the
-// full key at the end, so every shape and thread count produces
-// byte-identical reports.
+// queue holds at most one unit per thread, each at most max_stream_bytes,
+// so a traffic burst slows the producer (it analyzes) instead of
+// exhausting memory; flow tables are LRU-managed with an idle timeout and
+// a live-flow cap, so long-lived or hostile flows cannot exhaust state
+// either (evicted flows are flushed as units, not dropped). Alerts are
+// merged and sorted on the full key at the end, so every thread and shard
+// count produces byte-identical reports.
 #pragma once
 
 #include <array>
@@ -82,9 +81,10 @@ struct NidsOptions {
   classify::ClassifierOptions classifier;
   extract::ExtractorOptions extractor;
   semantic::SemanticAnalyzer::Options analyzer;
-  /// Threads for the analysis stages (b)-(e). With shards == 1: 0 and 1
-  /// are the serial pipeline on the calling thread, and above 1 that many
-  /// threads analyze the units the calling thread queues. With
+  /// Threads for the analysis stages (b)-(e). With shards == 1 the
+  /// calling thread runs stage (a) and analyzes every unit it cannot hand
+  /// to an idle thread: 0 and 1 start no thread (the serial pipeline),
+  /// above 1 that many threads analyze the units it hands over. With
   /// shards > 1, max(threads, shards) threads run: the first `shards`
   /// also run stage (a) for a shard each, and every one analyzes units.
   std::size_t threads = 1;
@@ -113,13 +113,6 @@ struct NidsOptions {
   /// Hard cap on live flows; past it the least-recently-active flow is
   /// flushed and evicted to make room. 0 = unlimited.
   std::size_t max_flows = 0;
-  /// Depth of the unit queue, in analysis units. With shards == 1 the
-  /// calling thread blocks when it is full (backpressure); a shard thread
-  /// analyzes the unit itself instead.
-  std::size_t max_queued_units = 256;
-  /// Byte budget for payloads waiting in the unit queue, enforced like
-  /// max_queued_units. 0 = unlimited.
-  std::size_t max_queued_bytes = 64 << 20;
   /// Deep analysis: emulate suspicious frames so decoders decrypt
   /// themselves, then statically re-analyze the decoded frame and alert
   /// on observed runtime behaviour (execve, port binding). Off by
@@ -218,9 +211,7 @@ struct NidsStats {
   /// Stage-(a) *producer* wall, summed across shards: for each shard,
   /// the wall time its producing thread spent parsing, classifying,
   /// defragmenting, reassembling, and handing units off. Excludes the
-  /// analysis a producing thread ran itself; in the pool shape it
-  /// includes time the caller spent blocked on queue backpressure (wall
-  /// it really lost). With shards == 1 this is exactly the caller thread's
+  /// analysis a producing thread ran itself. With shards == 1 this is exactly the caller thread's
   /// stage-(a) wall — the pre-shard definition. With shards > 1 it is a
   /// summed, CPU-time-style figure (elapsed stage-(a) wall is the max
   /// over shards, not this sum), and the caller thread's own cost moves

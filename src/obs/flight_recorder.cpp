@@ -91,6 +91,11 @@ bool unpack(const std::array<std::uint64_t, kWords>& w, UnitRecord& r) noexcept 
 /// One seqlock-guarded slot. seq == 0 means never written; odd means a
 /// write is in flight; even > 0 means stable. All accesses are atomic,
 /// so racing reads are well-defined; torn ones fail seq or checksum.
+/// The ordering needs no fence: the writer stores each word with release
+/// after its odd seq, so a reader whose acquire load sees a new word also
+/// sees the odd seq on its re-check; the writer's even seq is released
+/// after the words, so a reader that acquires it sees them all. On x86
+/// both are plain moves.
 struct Slot {
   std::atomic<std::uint64_t> seq{0};
   std::array<std::atomic<std::uint64_t>, kWords> w{};
@@ -98,10 +103,9 @@ struct Slot {
   void write(const UnitRecord& r) noexcept {
     const auto packed = pack(r);
     const std::uint64_t s = seq.load(std::memory_order_relaxed);
-    seq.store(s + 1, std::memory_order_release);
-    std::atomic_thread_fence(std::memory_order_release);
+    seq.store(s + 1, std::memory_order_relaxed);
     for (std::size_t i = 0; i < kWords; ++i) {
-      w[i].store(packed[i], std::memory_order_relaxed);
+      w[i].store(packed[i], std::memory_order_release);
     }
     seq.store(s + 2, std::memory_order_release);
   }
@@ -112,9 +116,8 @@ struct Slot {
       if (s1 == 0 || (s1 & 1)) return false;  // unwritten or mid-write
       std::array<std::uint64_t, kWords> copy{};
       for (std::size_t i = 0; i < kWords; ++i) {
-        copy[i] = w[i].load(std::memory_order_relaxed);
+        copy[i] = w[i].load(std::memory_order_acquire);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       const std::uint64_t s2 = seq.load(std::memory_order_relaxed);
       if (s1 == s2 && unpack(copy, r)) return true;
     }

@@ -30,16 +30,11 @@ PipelineMetrics register_all() {
   m.queue_depth = &r.gauge("senids_queue_depth", "Analysis units waiting in the handoff queue");
   m.queue_depth_peak = &r.gauge("senids_unit_queue_depth_peak",
                                 "High watermark of the handoff queue depth");
-  m.queue_capacity = &r.gauge("senids_unit_queue_capacity",
-                              "Configured handoff queue capacity (max_queued_units)");
+  m.queue_capacity =
+      &r.gauge("senids_unit_queue_capacity",
+               "Handoff queue capacity: one unit per executor thread (0 = serial)");
   m.queue_bytes = &r.gauge("senids_queue_bytes", "Payload bytes waiting in the handoff queue");
   m.queue_pushed = &r.counter("senids_queue_pushed_total", "Units admitted to the handoff queue");
-  m.queue_backpressure_waits = &r.counter(
-      "senids_queue_backpressure_waits_total",
-      "Producer pushes that blocked on a full queue or exhausted byte budget");
-  m.queue_backpressure_wait_seconds =
-      &r.histogram("senids_queue_backpressure_wait_seconds",
-                   "Time the producer spent blocked per backpressured push");
 
   m.flow_table_flows = &r.gauge("senids_flow_table_flows", "Live flows in the flow table");
   m.flow_table_max_flows = &r.gauge("senids_flow_table_max_flows",

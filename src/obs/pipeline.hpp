@@ -55,11 +55,9 @@ struct PipelineMetrics {
   // process_capture's unit queue (threads analyze from it).
   Gauge* queue_depth;
   Gauge* queue_depth_peak;  // high watermark over the process lifetime
-  Gauge* queue_capacity;    // configured max_queued_units (0 = never ran)
+  Gauge* queue_capacity;    // executor threads (0 = serial or never ran)
   Gauge* queue_bytes;
   Counter* queue_pushed;
-  Counter* queue_backpressure_waits;
-  Histogram* queue_backpressure_wait_seconds;
 
   // Flow table occupancy / eviction.
   Gauge* flow_table_flows;

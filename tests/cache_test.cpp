@@ -111,7 +111,7 @@ TEST(ConfigFingerprint, IgnoresCacheAndThreadingKnobs) {
   core::NidsOptions tuned;
   tuned.threads = 8;
   tuned.verdict_cache_bytes = 1 << 20;
-  tuned.max_queued_units = 4;
+  tuned.shards = 4;
   EXPECT_EQ(fingerprint_of(tuned), base);
 }
 

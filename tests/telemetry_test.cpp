@@ -237,8 +237,8 @@ pcap::Capture small_corpus() {
 }
 
 TEST_F(TelemetryTest, WorkerBusyIdleSumsReconcileWithRunWall) {
-  // process_capture starts `threads` threads in the pool shape and
-  // max(threads, shards) sharded, each with one "worker" slot.
+  // process_capture starts `threads` threads with one shard and
+  // max(threads, shards) with more, each with one "worker" slot.
   struct Case {
     std::size_t threads, shards, slots;
   };
@@ -265,8 +265,41 @@ TEST_F(TelemetryTest, WorkerBusyIdleSumsReconcileWithRunWall) {
     EXPECT_EQ(ran, c.slots);
   }
 
-  // The engine published the capacity gauges the readiness checks use.
-  EXPECT_EQ(pipeline_metrics().queue_capacity->value(), 256);
+  // The engine published the capacity gauges the readiness checks use:
+  // the unit queue holds one unit per thread of the last capture.
+  EXPECT_EQ(pipeline_metrics().queue_capacity->value(), 4);
+}
+
+TEST_F(TelemetryTest, UnitQueueHoldsAtMostOneUnitPerThread) {
+  // Every unit producer (the caller with one shard, a shard thread with
+  // more) analyzes a unit itself rather than queue more than one per
+  // thread, so the queue's high watermark never passes the thread count.
+  struct Case {
+    std::size_t threads, shards;
+  };
+  for (const Case c : {Case{2, 1}, Case{4, 2}}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << c.threads << " shards=" << c.shards);
+    PipelineMetrics& pm = pipeline_metrics();
+    pm.queue_depth_peak->set(0);
+    core::NidsOptions o = threaded_options();
+    o.threads = c.threads;
+    o.shards = c.shards;
+    core::NidsEngine engine(o);
+    const core::Report report = engine.process_capture(small_corpus());
+    ASSERT_GT(report.stats.units_analyzed, 2 * c.threads);
+    EXPECT_EQ(pm.queue_capacity->value(), static_cast<std::int64_t>(c.threads));
+    EXPECT_LE(pm.queue_depth_peak->value(), static_cast<std::int64_t>(c.threads));
+  }
+
+  // No threads, no queue: the caller analyzes every unit and the
+  // readiness check is off.
+  core::NidsOptions serial = threaded_options();
+  serial.threads = 1;
+  core::NidsEngine engine(serial);
+  const std::uint64_t pushed_before = pipeline_metrics().queue_pushed->value();
+  (void)engine.process_capture(small_corpus());
+  EXPECT_EQ(pipeline_metrics().queue_pushed->value(), pushed_before);
+  EXPECT_EQ(pipeline_metrics().queue_capacity->value(), 0);
 }
 
 }  // namespace
